@@ -54,7 +54,7 @@ def _cmd_make(args):
     params = [int(p) if p.lstrip("+-").isdigit() else p for p in args.params]
     try:
         box = make_named_box(args.family, *params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"cannot build family {args.family!r}: {exc}") \
             from None
     save_box(box, args.output)

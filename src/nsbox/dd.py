@@ -100,7 +100,8 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None, threads=1):
     rays = []
     for j in range(d):
         col = [inv[i][j] * det * sign for i in range(d)]
-        assert all(v.denominator == 1 for v in col)
+        if any(v.denominator != 1 for v in col):
+            raise AssertionError("initial ray of an integer basis is not integral")
         rays.append(tuple(reduce_content([int(v) for v in col])))
     # processed-row masks: bit i set iff the ray is tight on processed row i
     masks = [((1 << d) - 1) ^ (1 << j) for j in range(d)]

@@ -28,7 +28,7 @@ def format_fraction(q):
 
 
 def parse_fraction(text):
-    if not _FRACTION.match(text):
+    if not isinstance(text, str) or not _FRACTION.match(text):
         raise ParseError(f"not an exact rational: {text!r}")
     try:
         return Fraction(text)
@@ -197,6 +197,10 @@ def loads_wiring(text, base_dir="."):
                                     tuple(int(p) for p in c["parties"])))
     programs = []
     for k, prog in enumerate(doc["programs"]):
+        for j, st in enumerate(prog.get("steps", ())):
+            if not {"component", "side", "inputs"} <= set(st):
+                raise ParseError(
+                    f"program {k} step {j} needs component, side and inputs")
         steps = tuple(
             Step(int(st["component"]), int(st["side"]),
                  _decode_table(st["inputs"], f"program {k} step inputs"))

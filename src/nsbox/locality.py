@@ -255,8 +255,10 @@ def _certificate_visibility(box, strategies, tables, constant_rows):
     rhs.append(Fraction(1))
     objective = [Fraction(0)] * len(tables) + [Fraction(1), Fraction(0)]
     res = maximize(rows, rhs, objective)
-    assert res.status == "optimal", "visibility LP is feasible and bounded"
-    assert res.objective < 1, "certificate requested for a member box"
+    if res.status != "optimal":
+        raise AssertionError(f"visibility LP ended {res.status}, not optimal")
+    if res.objective >= 1:
+        raise AssertionError("certificate requested for a member box")
     cert = _normalized_separator([-y for y in res.dual[:n]], box, tables,
                                  constant_rows)
     if cert.value <= cert.threshold:
@@ -276,8 +278,9 @@ def _certificate_colgen(box, strategies, tables, constant_rows):
     while True:
         rows = [[tables[j][i] for j in active] for i in range(n)]
         res = find_nonneg_solution(rows, list(box.table))
-        assert res.status == "infeasible", \
-            "subset feasibility cannot beat the full-set test"
+        if res.status != "infeasible":
+            raise AssertionError(
+                f"subset feasibility LP ended {res.status}, not infeasible")
         cert = _normalized_separator([-y for y in res.dual], box, tables,
                                      constant_rows)
         if cert.value > cert.threshold:
@@ -288,7 +291,8 @@ def _certificate_colgen(box, strategies, tables, constant_rows):
         violators = sorted((j for j in range(len(tables))
                             if j not in active_set and scores[j] > cutoff),
                            key=lambda j: scores[j], reverse=True)
-        assert violators, "no progress in column generation"
+        if not violators:
+            raise AssertionError("no progress in column generation")
         for j in violators[:64]:
             active.append(j)
             active_set.add(j)

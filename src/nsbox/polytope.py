@@ -8,8 +8,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-import numpy as np
-
 from . import relabel
 from .boxes import Box, BoxShape, InvalidBoxError, ShapeError
 from .dd import extreme_rays
@@ -171,7 +169,9 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None, threads=1):
     for ray in rays:
         z = [sum(c * y for c, y in zip(coord_rows[i], ray)) for i in range(1 + len(keep))]
         t = z[0]
-        assert t > 0, "homogenization ray with t <= 0 on a bounded polytope"
+        if t <= 0:
+            raise AssertionError(
+                "homogenization ray with t <= 0 on a bounded polytope")
         point = [Fraction(0)] * n
         for c in keep:
             point[c] = Fraction(z[1 + col_of[c]], t)
@@ -213,75 +213,34 @@ class OrbitClass:
     members: tuple[int, ...]
 
 
-def _index_permutation(shape, r):
-    """A shape-preserving relabelling acts on flat tables as an index map:
-    new_table[perm[i]] = old_table[i]."""
-    if r.check_against(shape) != shape:
-        raise ShapeError("relabelling does not preserve the shape")
-    perm = [0] * shape.table_size
-    n = shape.parties
-    for ins, outs in shape.entries():
-        ins2 = [0] * n
-        outs2 = [0] * n
-        for k in range(n):
-            j = r.party_perm[k]
-            ins2[j] = r.input_perms[k][ins[k]]
-            outs2[j] = r.output_perms[k][ins[k]][outs[k]]
-        perm[shape.index(outs, ins)] = shape.index(tuple(outs2), tuple(ins2))
-    return perm
-
-
 def classify_vertices(vrep, allow_party_permutation=True):
     """Partition a complete vertex list into relabelling orbits.
 
     Returns OrbitClass tuples sorted by representative table; representatives
-    are the lexicographically smallest members."""
+    are the lexicographically smallest members.  Orbits are walked over the
+    vertices' value-id rows, whose bytes order exactly as the tables do
+    lexicographically, so the least row in an orbit is its representative."""
     if not vrep.vertices:
         return ()
     if not vrep.full:
         raise ShapeError("classification needs a complete vertex list")
     shape = vrep.vertices[0].shape
-    gens = relabel.generators(shape, allow_party_permutation)
-    perms = [np.argsort(np.array(_index_permutation(shape, g))) for g in gens]
-    # fancy-index form: new_table = old_table[inv_perm]
-
-    values = sorted({v for b in vrep.vertices for v in b.table})
-    if len(values) > 255:
-        raise ShapeError("too many distinct entries for byte classification")
-    val_id = {v: i for i, v in enumerate(values)}
-    arrays = [np.array([val_id[v] for v in b.table], dtype=np.uint8)
-              for b in vrep.vertices]
-    index_of = {arr.tobytes(): i for i, arr in enumerate(arrays)}
-    if len(index_of) != len(arrays):
+    _, maps = relabel._generator_maps(shape, allow_party_permutation)
+    _, codes = relabel._encode([b.table for b in vrep.vertices])
+    index_of = {key: i for i, key in enumerate(relabel._row_keys(codes))}
+    if len(index_of) != len(codes):
         raise ShapeError("duplicate vertices in VRep")
 
-    unseen = set(range(len(arrays)))
+    unseen = set(range(len(codes)))
     classes = []
     while unseen:
-        start = min(unseen)
-        frontier = [arrays[start]]
-        orbit_keys = {arrays[start].tobytes()}
-        while frontier:
-            nxt = []
-            for arr in frontier:
-                for perm in perms:
-                    arr2 = arr[perm]
-                    key = arr2.tobytes()
-                    if key not in orbit_keys:
-                        orbit_keys.add(key)
-                        nxt.append(arr2)
-            frontier = nxt
-        members = []
-        for key in orbit_keys:
-            idx = index_of.get(key)
-            if idx is None:
-                raise ShapeError(
-                    "orbit leaves the vertex list; VRep is not a complete "
-                    "enumeration of a relabelling-closed set")
-            members.append(idx)
-        rep_key = min(orbit_keys)
-        rep = vrep.vertices[index_of[rep_key]]
-        members.sort()
+        orbit_keys = relabel._walk(codes[[min(unseen)]], maps)
+        if not orbit_keys.keys() <= index_of.keys():
+            raise ShapeError(
+                "orbit leaves the vertex list; VRep is not a complete "
+                "enumeration of a relabelling-closed set")
+        members = sorted(index_of[key] for key in orbit_keys)
+        rep = vrep.vertices[index_of[min(orbit_keys)]]
         classes.append(OrbitClass(rep, len(members), tuple(members)))
         unseen -= set(members)
     classes.sort(key=lambda c: c.representative.table)

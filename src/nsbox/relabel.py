@@ -1,9 +1,17 @@
-"""The finite group of reversible local relabellings acting on boxes."""
+"""The finite group of reversible local relabellings acting on boxes.
+
+A relabelling acts on flat tables as a gather map (``index_map``); every
+orbit is walked by ``_walk`` over tables coded by ``_encode``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from fractions import Fraction
+from functools import reduce
+from itertools import permutations
+
+import numpy as np
 
 from .boxes import Box, BoxShape, ShapeError
 
@@ -57,118 +65,94 @@ class Relabelling:
             new_outputs[self.party_perm[k]] = tuple(per)
         return BoxShape(tuple(new_outputs))
 
+    def index_map(self, shape):
+        """The action on flat tables: ``(new_shape, gather)`` such that the
+        relabelled table is ``old_table[gather]``."""
+        new_shape = self.check_against(shape)
+        gather = np.empty(shape.table_size, dtype=np.intp)
+        n = shape.parties
+        for i, (ins, outs) in enumerate(shape.entries()):
+            ins2 = [0] * n
+            outs2 = [0] * n
+            for k in range(n):
+                j = self.party_perm[k]
+                ins2[j] = self.input_perms[k][ins[k]]
+                outs2[j] = self.output_perms[k][ins[k]][outs[k]]
+            gather[new_shape.index(outs2, ins2)] = i
+        return new_shape, gather
+
 
 def apply_relabelling(box, r):
     """Permute a box's table along a relabelling; shape may move under the
     party permutation but relabelling a box twice with r then inverse(r)
     always restores it."""
-    shape = box.shape
-    new_shape = r.check_against(shape)
-    table = [None] * new_shape.table_size
-    n = shape.parties
-    for ins, outs in shape.entries():
-        ins2 = [0] * n
-        outs2 = [0] * n
-        for k in range(n):
-            j = r.party_perm[k]
-            ins2[j] = r.input_perms[k][ins[k]]
-            outs2[j] = r.output_perms[k][ins[k]][outs[k]]
-        table[new_shape.index(tuple(outs2), tuple(ins2))] = box.prob(outs, ins)
-    return Box(new_shape, tuple(table))
+    new_shape, gather = r.index_map(box.shape)
+    return Box(new_shape, tuple(box.table[i] for i in gather.tolist()))
 
 
 def compose(r1, r2):
     """The relabelling "apply r1, then r2"."""
-    n = len(r1.party_perm)
-    if len(r2.party_perm) != n:
+    if len(r2.party_perm) != len(r1.party_perm):
         raise ShapeError("composing relabellings of different party counts")
-    pp = tuple(r2.party_perm[r1.party_perm[k]] for k in range(n))
-    ips = []
-    ops = []
-    for k in range(n):
-        j = r1.party_perm[k]
-        ip = tuple(r2.input_perms[j][r1.input_perms[k][x]]
-                   for x in range(len(r1.input_perms[k])))
-        op = tuple(
-            tuple(r2.output_perms[j][r1.input_perms[k][x]][r1.output_perms[k][x][a]]
-                  for a in range(len(r1.output_perms[k][x])))
-            for x in range(len(r1.output_perms[k])))
-        ips.append(ip)
-        ops.append(op)
-    return Relabelling(pp, tuple(ips), tuple(ops))
+    moved = list(zip(r1.party_perm, r1.input_perms, r1.output_perms))
+    pp = tuple(r2.party_perm[j] for j, _, _ in moved)
+    ips = tuple(tuple(r2.input_perms[j][x] for x in ip) for j, ip, _ in moved)
+    ops = tuple(tuple(tuple(r2.output_perms[j][x][a] for a in op)
+                      for x, op in zip(ip, per_input))
+                for j, ip, per_input in moved)
+    return Relabelling(pp, ips, ops)
+
+
+def _invert(perm):
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _swapped(t, i, j):
+    t = list(t)
+    t[i], t[j] = t[j], t[i]
+    return tuple(t)
+
+
+def _replaced(t, i, v):
+    return t[:i] + (v,) + t[i + 1:]
 
 
 def inverse(r):
-    n = len(r.party_perm)
-    pp = [0] * n
-    for k in range(n):
-        pp[r.party_perm[k]] = k
-    ips = [None] * n
-    ops = [None] * n
-    for k in range(n):
-        j = r.party_perm[k]
-        m = len(r.input_perms[k])
-        ip = [0] * m
-        op = [None] * m
-        for x in range(m):
-            x2 = r.input_perms[k][x]
-            ip[x2] = x
-            d = len(r.output_perms[k][x])
-            oinv = [0] * d
-            for a in range(d):
-                oinv[r.output_perms[k][x][a]] = a
-            op[x2] = tuple(oinv)
-        ips[j] = tuple(ip)
-        ops[j] = tuple(op)
-    return Relabelling(tuple(pp), tuple(ips), tuple(ops))
-
-
-def _with_input_perm(shape, k, perm):
-    r = Relabelling.identity(shape)
-    ips = list(r.input_perms)
-    ips[k] = perm
-    # output permutations stay indexed by the original input, so identity is fine
-    return Relabelling(r.party_perm, tuple(ips), r.output_perms)
-
-
-def _with_output_swap(shape, k, x, a):
-    r = Relabelling.identity(shape)
-    ops = [list(p) for p in r.output_perms]
-    sw = list(ops[k][x])
-    sw[a], sw[a + 1] = sw[a + 1], sw[a]
-    ops[k] = list(ops[k])
-    ops[k][x] = tuple(sw)
-    return Relabelling(r.party_perm, r.input_perms, tuple(tuple(p) for p in ops))
-
-
-def _with_party_swap(shape, k, l):
-    r = Relabelling.identity(shape)
-    pp = list(r.party_perm)
-    pp[k], pp[l] = pp[l], pp[k]
-    return Relabelling(tuple(pp), r.input_perms, r.output_perms)
+    pp = _invert(r.party_perm)
+    ips = tuple(_invert(r.input_perms[k]) for k in pp)
+    ops = tuple(tuple(_invert(r.output_perms[k][x]) for x in ip)
+                for k, ip in zip(pp, ips))
+    return Relabelling(pp, ips, ops)
 
 
 def generators(shape, allow_party_permutation=True):
     """Shape-preserving generators: input transpositions between inputs with
     equal output counts, adjacent output transpositions, and swaps of parties
     with identical signatures."""
+    ident = Relabelling.identity(shape)
+    pp, ips, ops = ident.party_perm, ident.input_perms, ident.output_perms
     gens = []
     for k in range(shape.parties):
         m = shape.inputs[k]
         for x in range(m):
             for x2 in range(x + 1, m):
                 if shape.outputs[k][x] == shape.outputs[k][x2]:
-                    perm = list(range(m))
-                    perm[x], perm[x2] = perm[x2], perm[x]
-                    gens.append(_with_input_perm(shape, k, tuple(perm)))
+                    # output permutations stay indexed by the original
+                    # input, so the identity ones still fit
+                    ip = _swapped(ips[k], x, x2)
+                    gens.append(Relabelling(pp, _replaced(ips, k, ip), ops))
         for x in range(m):
             for a in range(shape.outputs[k][x] - 1):
-                gens.append(_with_output_swap(shape, k, x, a))
+                op = _replaced(ops[k], x, _swapped(ops[k][x], a, a + 1))
+                gens.append(Relabelling(pp, ips, _replaced(ops, k, op)))
     if allow_party_permutation:
         for k in range(shape.parties):
             for l in range(k + 1, shape.parties):
                 if shape.outputs[k] == shape.outputs[l]:
-                    gens.append(_with_party_swap(shape, k, l))
+                    gens.append(Relabelling(_swapped(pp, k, l), ips, ops))
     return gens
 
 
@@ -190,37 +174,92 @@ def group(shape, allow_party_permutation=True):
     return list(seen)
 
 
+def _encode(tables):
+    """Code equal-length tables as the rows of one array of value ids.
+
+    Ids follow sorted value order and are stored big-endian in the narrowest
+    unsigned dtype that holds them, so the bytes of two rows compare exactly
+    as the tables do, lexicographically.  Returns ``(values, codes)``, where
+    ``values[i]`` is the entry that id i codes.
+    """
+    first_seen = {}   # keyed by (numerator, denominator): cheaper to hash
+    raw = [[first_seen.setdefault(v.as_integer_ratio(), len(first_seen))
+            for v in table] for table in tables]
+    ratios = sorted(first_seen, key=lambda r: Fraction(*r))
+    width = next(w for w in (1, 2, 4, 8) if len(ratios) <= 256 ** w)
+    rank = np.empty(len(ratios), dtype=f">u{width}")
+    rank[[first_seen[r] for r in ratios]] = np.arange(len(ratios))
+    return [Fraction(*r) for r in ratios], rank[np.array(raw, dtype=np.intp)]
+
+
+def _decode(shape, values, dtype, key):
+    """The box whose value-id row, of the given dtype, has the bytes key."""
+    row = np.frombuffer(key, dtype=dtype)
+    return Box(shape, tuple(values[i] for i in row.tolist()))
+
+
+def _row_keys(rows):
+    """The bytes of each row of a 2-D code array."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
+def _generator_maps(shape, allow_party_permutation):
+    """The generators of a shape and their gather maps, one row each."""
+    gens = generators(shape, allow_party_permutation)
+    maps = np.array([g.index_map(shape)[1] for g in gens], dtype=np.intp)
+    return gens, maps.reshape(len(gens), shape.table_size)
+
+
+def _walk(starts, maps, target=None):
+    """Breadth-first search from the code rows ``starts`` under the gather
+    maps, level by level; within a level each row's images are taken under
+    each map in turn.
+
+    Returns a dict from each row's bytes, in the order found, to how it was
+    reached: ``(parent's bytes, map number)``, or ``(None, s)`` for start s.
+    With ``target`` (a row's bytes) the search stops once it is found.
+    """
+    keys = _row_keys(starts)
+    found = {}
+    for s, key in enumerate(keys):
+        found.setdefault(key, (None, s))
+    frontier = starts
+    while len(frontier) and target not in found:
+        images = frontier[:, maps].reshape(-1, starts.shape[1])
+        parents, keys, fresh = keys, [], []
+        for j, key in enumerate(_row_keys(images)):
+            if key not in found:
+                found[key] = (parents[j // len(maps)], j % len(maps))
+                keys.append(key)
+                fresh.append(j)
+                if key == target:
+                    break
+        frontier = images[fresh]
+    return found
+
+
 def orbit(box, allow_party_permutation=True):
-    """All distinct boxes reachable by relabelling; BFS over generators."""
-    gens = generators(box.shape, allow_party_permutation)
-    seen = {box.table: box}
-    frontier = [box]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for g in gens:
-                b2 = apply_relabelling(b, g)
-                if b2.table not in seen:
-                    seen[b2.table] = b2
-                    nxt.append(b2)
-        frontier = nxt
-    return list(seen.values())
+    """All distinct boxes reachable by relabelling, in breadth-first order
+    over the generators.
+
+    The walk compares tables through their value-id rows, whose bytes order
+    exactly as the tables do lexicographically; in particular two rows are
+    equal exactly when their tables are."""
+    values, codes = _encode([box.table])
+    found = _walk(codes, _generator_maps(box.shape, allow_party_permutation)[1])
+    return [_decode(box.shape, values, codes.dtype, key) for key in found]
 
 
 def canonical_form(box, allow_party_permutation=True):
-    """The lexicographically smallest table in the box's orbit."""
-    return min(orbit(box, allow_party_permutation), key=lambda b: b.table)
+    """The lexicographically smallest table in the box's orbit.
 
-
-def _party_permutations_matching(a_shape, b_shape):
-    from itertools import permutations
-    n = a_shape.parties
-    for pp in permutations(range(n)):
-        moved = [None] * n
-        for k in range(n):
-            moved[pp[k]] = a_shape.outputs[k]
-        if tuple(moved) == b_shape.outputs:
-            yield pp
+    It is found as the orbit's least value-id row: value ids follow sorted
+    value order and are stored big-endian, so the rows' bytes order exactly
+    as the tables do lexicographically."""
+    values, codes = _encode([box.table])
+    found = _walk(codes, _generator_maps(box.shape, allow_party_permutation)[1])
+    return _decode(box.shape, values, codes.dtype, min(found))
 
 
 def equivalent_under_relabelling(a, b, allow_party_permutation=True):
@@ -228,43 +267,32 @@ def equivalent_under_relabelling(a, b, allow_party_permutation=True):
 
     Returns the witness Relabelling, or None.  When the flag is set the two
     shapes may differ by a party permutation; otherwise they must be equal.
+    The search starts from a moved by each party permutation onto b's shape
+    (identity first) and walks breadth-first until it meets b.  a and b are
+    coded with one set of value ids, whose rows order exactly as the tables
+    do lexicographically, so a row equals b's row exactly when its table
+    equals b's.  The witness is the start composed with the generators on
+    the path to b.
     """
-    if a.shape.parties != b.shape.parties:
+    n = a.shape.parties
+    if b.shape.parties != n:
         return None
-    starts = []
-    if a.shape == b.shape:
-        starts.append((a, Relabelling.identity(a.shape)))
-    if allow_party_permutation:
-        for pp in _party_permutations_matching(a.shape, b.shape):
-            if pp == tuple(range(a.shape.parties)) and a.shape == b.shape:
-                continue
-            r0 = Relabelling(
-                pp,
-                tuple(tuple(range(m)) for m in a.shape.inputs),
-                tuple(tuple(tuple(range(d)) for d in per) for per in a.shape.outputs),
-            )
-            starts.append((apply_relabelling(a, r0), r0))
+    ident = Relabelling.identity(a.shape)
+    orders = permutations(range(n)) if allow_party_permutation else [ident.party_perm]
+    starts = [Relabelling(pp, ident.input_perms, ident.output_perms) for pp in orders]
+    starts = [r0 for r0 in starts if r0.check_against(a.shape) == b.shape]
     if not starts:
         return None
-    # BFS within b's shape, remembering how each table was reached
-    gens = generators(b.shape, allow_party_permutation)
-    seen = {}
-    frontier = []
-    for moved, r0 in starts:
-        if moved.table not in seen:
-            seen[moved.table] = (moved, r0)
-            frontier.append(moved)
-    while frontier:
-        if b.table in seen:
-            break
-        nxt = []
-        for cur in frontier:
-            _, path = seen[cur.table]
-            for g in gens:
-                cur2 = apply_relabelling(cur, g)
-                if cur2.table not in seen:
-                    seen[cur2.table] = (cur2, compose(path, g))
-                    nxt.append(cur2)
-        frontier = nxt
-    hit = seen.get(b.table)
-    return hit[1] if hit else None
+    _, codes = _encode([a.table, b.table])
+    gens, maps = _generator_maps(b.shape, allow_party_permutation)
+    start_rows = codes[0][np.array([r0.index_map(a.shape)[1] for r0 in starts])]
+    target = codes[1].tobytes()
+    found = _walk(start_rows, maps, target)
+    if target not in found:
+        return None
+    word = []
+    parent, g = found[target]
+    while parent is not None:
+        word.append(gens[g])
+        parent, g = found[parent]
+    return reduce(compose, reversed(word), starts[g])

@@ -109,7 +109,8 @@ def maximize(rows, rhs, objective):
     phase1_cost = [Fraction(0)] * n + [Fraction(-1)] * m
     obj = _objective_row(tableau, basis, phase1_cost, width)
     status = _run(tableau, basis, obj, n)
-    assert status == "optimal", "phase 1 is always bounded"
+    if status != "optimal":
+        raise AssertionError(f"phase 1 ended {status}, not optimal")
     value = -sum(tableau[i][-1] for i in range(m) if basis[i] >= n)
     if value < 0:
         farkas = [-(1 + obj[n + i]) for i in range(m)]

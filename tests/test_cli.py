@@ -1,3 +1,5 @@
+import json
+
 from nsbox.boxes import BoxShape
 from nsbox.cli import main
 from nsbox.families import svetlichny_box, two_way_vertex, uniform, xyplusz
@@ -90,6 +92,24 @@ def test_make_errors(tmp_path, capsys):
     code, _, err = run(capsys, "make", "pr", "9", "9", "9", "9", "-o", out_path)
     assert code == 2
     assert "cannot build family" in err
+
+
+def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
+    wiring = tmp_path / "p5.json"
+    run(capsys, "preset", "P5", "-o", str(wiring))
+    doc = json.loads(wiring.read_text())
+    doc["components"][0]["box"]["inline"]["table"] = [0.5, 0, 0, 0.5] * 4
+    bad_types = tmp_path / "bad_types.json"
+    bad_types.write_text(json.dumps(doc))
+    doc = json.loads(wiring.read_text())
+    del doc["programs"][0]["steps"][0]["component"]
+    no_component = tmp_path / "no_component.json"
+    no_component.write_text(json.dumps(doc))
+    for argv in (["make", "dbox", "x", "-o", str(tmp_path / "x.box")],
+                 ["wire", str(bad_types)], ["wire", str(no_component)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_vertices_and_classify(tmp_path, capsys):

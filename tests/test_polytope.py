@@ -8,7 +8,7 @@ from nsbox.families import dbox, local_deterministic, pr, uniform
 from nsbox.polytope import (VRep, build_hrep, classify_vertices, dimension,
                             enumerate_vertices, is_extremal, kbox_census,
                             lift_box, normalization_rows)
-from nsbox.relabel import orbit
+from nsbox.relabel import apply_relabelling, group, orbit
 
 CHSH_SHAPE = BoxShape.homogeneous(2, 2, 2)
 
@@ -92,6 +92,20 @@ def test_classification_without_party_swaps():
     classes = classify_vertices(vrep, allow_party_permutation=False)
     # both orbits happen to be closed under swapping the parties
     assert sorted(c.size for c in classes) == [8, 16]
+
+
+def test_classification_past_255_distinct_entries():
+    rng = random.Random(31)
+    starts = [Box(CHSH_SHAPE, tuple(Fraction(rng.randrange(1, 10**6), 10**6)
+                                    for _ in range(CHSH_SHAPE.table_size)))
+              for _ in range(20)]
+    elements = group(CHSH_SHAPE)
+    orbits = [{apply_relabelling(b, r).table for r in elements} for b in starts]
+    assert len({v for b in starts for v in b.table}) > 255
+    vrep = VRep(tuple(Box(CHSH_SHAPE, t) for o in orbits for t in sorted(o)))
+    classes = classify_vertices(vrep)
+    assert sorted(c.representative.table for c in classes) == sorted(min(o) for o in orbits)
+    assert sorted(c.size for c in classes) == sorted(len(o) for o in orbits)
 
 
 def test_classify_rejects_partial_lists():

@@ -1,14 +1,39 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from nsbox.boxes import BoxShape, ShapeError
+from nsbox.boxes import Box, BoxShape, ShapeError
 from nsbox.families import dbox, local_deterministic, pr, uniform
 from nsbox.relabel import (Relabelling, apply_relabelling, canonical_form,
                            compose, equivalent_under_relabelling, generators,
                            group, inverse, orbit)
 
 SHAPE_2222 = BoxShape.homogeneous(2, 2, 2)
+SHAPE_2332 = BoxShape.from_string("2,3/3,2")
+
+
+def _reference_apply(box, r):
+    """Relabel entry by entry, independently of the gather maps."""
+    shape = box.shape
+    new_shape = r.check_against(shape)
+    table = [None] * new_shape.table_size
+    n = shape.parties
+    for ins, outs in shape.entries():
+        ins2 = [0] * n
+        outs2 = [0] * n
+        for k in range(n):
+            j = r.party_perm[k]
+            ins2[j] = r.input_perms[k][ins[k]]
+            outs2[j] = r.output_perms[k][ins[k]][outs[k]]
+        table[new_shape.index(tuple(outs2), tuple(ins2))] = box.prob(outs, ins)
+    return Box(new_shape, tuple(table))
+
+
+def _random_box(shape, rng, values):
+    """A table of entries drawn from values; not a valid box, which the
+    relabelling engine does not need."""
+    return Box(shape, tuple(rng.choice(values) for _ in range(shape.table_size)))
 
 
 def _flip_bob_output():
@@ -103,3 +128,46 @@ def test_malformed_relabelling_is_rejected():
     bad = Relabelling((0, 0), ident.input_perms, ident.output_perms)
     with pytest.raises(ShapeError):
         apply_relabelling(pr(), bad)
+
+
+def test_apply_matches_the_entrywise_reference():
+    distinct = [Fraction(i + 1, 97) for i in range(SHAPE_2332.table_size)]
+    box = Box(SHAPE_2222, tuple(distinct[:SHAPE_2222.table_size]))
+    for r in group(SHAPE_2222):
+        assert apply_relabelling(box, r) == _reference_apply(box, r)
+    rng = random.Random(11)
+    box = Box(SHAPE_2332, tuple(distinct))
+    for r in rng.sample(group(SHAPE_2332), 40):
+        assert apply_relabelling(box, r) == _reference_apply(box, r)
+
+
+@pytest.mark.parametrize("shape", [SHAPE_2222, SHAPE_2332])
+@pytest.mark.parametrize("allow", [True, False])
+def test_orbit_and_canonical_form_match_brute_force(shape, allow):
+    rng = random.Random(f"{shape}/{allow}")
+    elements = group(shape, allow)
+    values = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(7, 5)]
+    for _ in range(6):
+        box = _random_box(shape, rng, values[:rng.randint(2, 4)])
+        brute = {apply_relabelling(box, r).table for r in elements}
+        members = orbit(box, allow)
+        assert len(members) == len(brute)
+        assert {m.table for m in members} == brute
+        assert canonical_form(box, allow).table == min(brute)
+
+
+def test_equivalence_across_a_party_permutation():
+    rng = random.Random(5)
+    shape = BoxShape.from_string("2,2/3,3")
+    values = [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
+    a = _random_box(shape, rng, values)
+    swap = Relabelling((1, 0), ((0, 1), (0, 1)),
+                       (((0, 1), (0, 1)), ((0, 1, 2), (0, 1, 2))))
+    swapped = apply_relabelling(a, swap)
+    assert swapped.shape == BoxShape.from_string("3,3/2,2")
+    for b in [swapped] + [apply_relabelling(swapped, r)
+                          for r in rng.sample(group(swapped.shape), 5)]:
+        r = equivalent_under_relabelling(a, b)
+        assert r is not None
+        assert apply_relabelling(a, r) == b
+        assert equivalent_under_relabelling(a, b, allow_party_permutation=False) is None
