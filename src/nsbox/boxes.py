@@ -9,6 +9,10 @@ from itertools import product as iproduct
 
 Rational = Fraction
 
+# Joint inputs are materialised when a shape is built; shapes with more are
+# refused before that.
+_MAX_JOINT_INPUTS = 1 << 18
+
 
 class ShapeError(ValueError):
     """Indices, tables or operands that do not fit a box shape."""
@@ -52,6 +56,10 @@ class BoxShape:
                 if d < 1:
                     raise ShapeError(f"party {k}, input {x}: output count {d} < 1")
         object.__setattr__(self, "outputs", outs)
+        count = math.prod(len(p) for p in outs)
+        if count > _MAX_JOINT_INPUTS:
+            raise ShapeError(f"{count} joint inputs exceed the cap of "
+                             f"{_MAX_JOINT_INPUTS}")
         joint = tuple(iproduct(*[range(len(p)) for p in outs]))
         offsets = {}
         pos = 0
@@ -84,6 +92,9 @@ class BoxShape:
                     head, _, tail = token.partition(":")
                     m = int(head)
                     ds = [int(t) for t in tail.split(",")]
+                    if m > _MAX_JOINT_INPUTS:
+                        raise ShapeError(f"shape token {token!r}: {m} inputs "
+                                         f"exceed the cap of {_MAX_JOINT_INPUTS}")
                     if len(ds) == 1:
                         ds = ds * m
                     if len(ds) != m:

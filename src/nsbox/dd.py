@@ -5,11 +5,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
-from .linalg import inverse_and_det, reduce_content
+from .linalg import _int_matmul, inverse_and_det, reduce_content
 
 _WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -32,21 +31,6 @@ def _masks_to_words(masks, nwords):
             m >>= 64
             w += 1
     return out
-
-
-def _int_matmul(rows, rays):
-    """Exact products rows x raysᵀ as a list of int lists; numpy fast path
-    when the magnitudes provably fit in int64."""
-    if not rows or not rays:
-        return [[0] * len(rays) for _ in rows]
-    d = len(rays[0])
-    amax = max(max(abs(v) for v in r) for r in rows)
-    rmax = max(max(abs(v) for v in r) for r in rays)
-    if amax * rmax * d < 2 ** 62:
-        a = np.array(rows, dtype=np.int64)
-        b = np.array(rays, dtype=np.int64)
-        return (a @ b.T).tolist()
-    return [[sum(x * y for x, y in zip(row, ray)) for ray in rays] for row in rows]
 
 
 def _independent_subset(rows, d):

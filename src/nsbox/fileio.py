@@ -41,6 +41,8 @@ def format_shape(shape):
 
 
 def parse_shape(text):
+    if not isinstance(text, str):
+        raise ParseError(f"a shape must be a string, got {text!r}")
     try:
         return BoxShape.from_string(text)
     except ShapeError as exc:
@@ -136,7 +138,7 @@ def _decode_table(obj, where):
         try:
             scope = tuple(int(v) for v in key.split())
             table[scope] = int(val)
-        except ValueError:
+        except (TypeError, ValueError):
             raise ParseError(f"{where} has a non-integer entry at {key!r}") \
                 from None
     return table
@@ -167,17 +169,37 @@ def _component_box(ref, base_dir):
     if not isinstance(ref, dict) or len(ref) != 1:
         raise ParseError("component box must be an inline or file object")
     if "file" in ref:
+        if not isinstance(ref["file"], str):
+            raise ParseError("component box file must be a path string")
         return load_box(Path(base_dir) / ref["file"])
     if "inline" in ref:
         inner = ref["inline"]
         if not isinstance(inner, dict) or set(inner) != {"shape", "table"}:
             raise ParseError("inline box needs exactly shape and table")
         shape = parse_shape(inner["shape"])
-        entries = tuple(parse_fraction(tok) for tok in inner["table"])
+        entries = tuple(parse_fraction(tok)
+                        for tok in _typed(inner["table"], list,
+                                          "inline box table"))
         if len(entries) != shape.table_size:
             raise ParseError("inline box table has the wrong length")
         return Box(shape, entries)
     raise ParseError("component box must be inline or a file reference")
+
+
+def _typed(value, kind, where):
+    """value, if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise ParseError(f"{where} must be {name}")
+    return value
+
+
+def _integer(value, where):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where} must be an integer, got {value!r}") \
+            from None
 
 
 def loads_wiring(text, base_dir="."):
@@ -185,29 +207,36 @@ def loads_wiring(text, base_dir="."):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"wiring document is not valid JSON: {exc}") from None
+    _typed(doc, dict, "wiring document")
     for field in ("shape", "components", "programs"):
         if field not in doc:
             raise ParseError(f"wiring document is missing {field}")
     shape = parse_shape(doc["shape"])
     components = []
-    for i, c in enumerate(doc["components"]):
-        if "parties" not in c or "box" not in c:
+    for i, c in enumerate(_typed(doc["components"], list, "components")):
+        if not isinstance(c, dict) or not {"parties", "box"} <= set(c):
             raise ParseError(f"component {i} needs parties and box")
+        parties = tuple(
+            _integer(p, f"component {i} party")
+            for p in _typed(c["parties"], list, f"component {i} parties"))
         components.append(Component(_component_box(c["box"], base_dir),
-                                    tuple(int(p) for p in c["parties"])))
+                                    parties))
     programs = []
-    for k, prog in enumerate(doc["programs"]):
-        for j, st in enumerate(prog.get("steps", ())):
-            if not {"component", "side", "inputs"} <= set(st):
-                raise ParseError(
-                    f"program {k} step {j} needs component, side and inputs")
-        steps = tuple(
-            Step(int(st["component"]), int(st["side"]),
-                 _decode_table(st["inputs"], f"program {k} step inputs"))
-            for st in prog.get("steps", ()))
+    for k, prog in enumerate(_typed(doc["programs"], list, "programs")):
+        _typed(prog, dict, f"program {k}")
+        steps = []
+        for j, st in enumerate(_typed(prog.get("steps", []), list,
+                                      f"program {k} steps")):
+            where = f"program {k} step {j}"
+            if not isinstance(st, dict) or \
+                    not {"component", "side", "inputs"} <= set(st):
+                raise ParseError(f"{where} needs component, side and inputs")
+            steps.append(Step(_integer(st["component"], f"{where} component"),
+                              _integer(st["side"], f"{where} side"),
+                              _decode_table(st["inputs"], f"{where} inputs")))
         outputs = _decode_table(prog.get("outputs", {}),
                                 f"program {k} outputs")
-        programs.append(PartyProgram(steps, outputs))
+        programs.append(PartyProgram(tuple(steps), outputs))
     return Wiring(shape, tuple(components), tuple(programs))
 
 

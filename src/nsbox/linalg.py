@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+import numpy as np
 
 
 def clear_denominators(row):
@@ -25,36 +27,65 @@ def reduce_content(ints):
     return list(ints)
 
 
-def int_rank(rows):
-    """Rank of an integer matrix, by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
+def _max_abs(m):
+    if isinstance(m, np.ndarray):
+        return max(int(m.max()), -int(m.min()))
+    return max(max(abs(v) for v in r) for r in m)
+
+
+def _int_matmul(rows, cols):
+    """Exact products rows x colsᵀ as a list of int lists.  Either operand
+    may be a list of int lists or an int64 array; numpy computes the
+    products when the magnitudes provably fit in int64, Python ints
+    otherwise."""
+    if not len(rows) or not len(cols):
+        return [[0] * len(cols) for _ in rows]
+    d = len(cols[0])
+    if _max_abs(rows) * _max_abs(cols) * d < 2 ** 62:
+        a = np.asarray(rows, dtype=np.int64)
+        b = np.asarray(cols, dtype=np.int64)
+        return (a @ b.T).tolist()
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    if isinstance(cols, np.ndarray):
+        cols = cols.tolist()
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            for row in rows]
+
+
+def _bareiss(m):
+    """Fraction-free (Bareiss) forward elimination of an integer matrix,
+    a list of row lists, in place; returns the pivot columns.  Every entry
+    stays an integer minor of the input, so the divisions are exact, and
+    the pivot columns are the first maximal independent set of columns."""
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    pivots = []
     prev = 1
     for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if m[r][col]:
-                piv = r
-                break
+        rank = len(pivots)
+        piv = next((r for r in range(rank, nr) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
+        lead = m[rank]
+        p = lead[col]
         for r in range(rank + 1, nr):
-            f = m[r][col]
             row = m[r]
-            lead = m[rank]
+            f = row[col]
             for c in range(col + 1, nc):
                 row[c] = (p * row[c] - f * lead[c]) // prev
             row[col] = 0
         prev = p
-        rank += 1
-        if rank == nr:
+        pivots.append(col)
+        if len(pivots) == nr:
             break
-    return rank
+    return pivots
+
+
+def int_rank(rows):
+    """Rank of an integer matrix, by fraction-free (Bareiss) elimination."""
+    return len(_bareiss([list(r) for r in rows if any(r)]))
 
 
 def rref(rows):
@@ -148,16 +179,28 @@ def inverse_and_det(rows):
 
 
 def project_out_rowspace(vec, rows):
-    """Component of vec orthogonal to the row space of ``rows`` (exact)."""
-    basis, _ = rref(rows)
+    """Component of vec orthogonal to the row space of ``rows`` (exact).
+
+    Computed in integers: with B the first independent rows (denominators
+    cleared) and v the vector scaled to integers, the component is
+    v - Bᵀ z for the solution z = y / d of the Gram system (B Bᵀ) z = B v,
+    which Bareiss elimination gives with y and d = det(B Bᵀ) integral."""
+    vec = [Fraction(v) for v in vec]
+    ints = [clear_denominators(r) for r in rows]
+    basis = [ints[i] for i in _bareiss([list(c) for c in zip(*ints)])]
     if not basis:
-        return [Fraction(v) for v in vec]
-    # solve (B Bᵀ) z = B v, subtract Bᵀ z
-    bv = [sum(r[i] * vec[i] for i in range(len(vec))) for r in basis]
-    gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in basis] for r1 in basis]
-    z = solve(gram, bv)
-    out = [Fraction(v) for v in vec]
-    for zi, r in zip(z, basis):
-        for i in range(len(out)):
-            out[i] -= zi * r[i]
-    return out
+        return vec
+    den = lcm(*(x.denominator for x in vec))
+    v = [x.numerator * (den // x.denominator) for x in vec]
+    k = len(basis)
+    # B Bᵀ is positive definite, so its leading minors are the pivots
+    system = [g + b for g, b in zip(_int_matmul(basis, basis),
+                                    _int_matmul(basis, [v]))]
+    _bareiss(system)
+    d = system[-1][k - 1]
+    y = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = system[i]
+        y[i] = (d * row[k] - sum(row[j] * y[j] for j in range(i + 1, k))) // row[i]
+    back = _int_matmul([y], [list(c) for c in zip(*basis)])[0]
+    return [Fraction(d * x - b, d * den) for x, b in zip(v, back)]

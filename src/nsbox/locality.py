@@ -5,14 +5,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
+from math import lcm
+
+import numpy as np
 
 from .boxes import Box, BoxShape, ShapeError
 from .dd import EnumerationCapError
 from .families import uniform
-from .linalg import clear_denominators, project_out_rowspace
+from .linalg import _int_matmul, clear_denominators, project_out_rowspace
 from .polytope import build_hrep, normalization_rows
 from .simplex import find_nonneg_solution, maximize
+
+
+@lru_cache(maxsize=32)
+def _layout(shape):
+    """(joint input, block offset, per-party strides) in table order: the
+    output tuple outs at ins sits at offset + sum(outs[k] * strides[k])."""
+    out = []
+    for ins in shape.joint_inputs:
+        dims = shape.outputs_at(ins)
+        strides = [1] * len(dims)
+        for k in range(len(dims) - 2, -1, -1):
+            strides[k] = strides[k + 1] * dims[k + 1]
+        out.append((ins, shape.block(ins)[0], tuple(strides)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -22,12 +40,14 @@ class DeterministicStrategy:
     shape: BoxShape
     assignments: tuple[tuple[int, ...], ...]
 
+    def support(self):
+        """The flat table index hit at each joint input, in table order."""
+        return tuple(
+            off + sum(a[x] * st for a, x, st in zip(self.assignments, ins, strides))
+            for ins, off, strides in _layout(self.shape))
+
     def box(self):
-        def fn(outs, ins):
-            hit = all(outs[k] == self.assignments[k][ins[k]]
-                      for k in range(self.shape.parties))
-            return Fraction(1) if hit else Fraction(0)
-        return Box.from_function(self.shape, fn)
+        return _support_box(self.shape, self.support())
 
 
 @dataclass(frozen=True)
@@ -41,19 +61,28 @@ class TwoWayStrategy:
     pair_map: tuple[tuple[int, int], ...]   # indexed by pair joint input
     single_map: tuple[int, ...]
 
-    def _pair_index(self, ins):
+    def support(self):
+        """The flat table index hit at each joint input, in table order."""
         i, j = self.pair
-        return ins[i] * self.shape.inputs[j] + ins[j]
+        k = self.single
+        width = self.shape.inputs[j]
+        out = []
+        for ins, off, st in _layout(self.shape):
+            ai, aj = self.pair_map[ins[i] * width + ins[j]]
+            out.append(off + ai * st[i] + aj * st[j]
+                       + self.single_map[ins[k]] * st[k])
+        return tuple(out)
 
     def box(self):
-        i, j = self.pair
+        return _support_box(self.shape, self.support())
 
-        def fn(outs, ins):
-            want = self.pair_map[self._pair_index(ins)]
-            hit = ((outs[i], outs[j]) == want
-                   and outs[self.single] == self.single_map[ins[self.single]])
-            return Fraction(1) if hit else Fraction(0)
-        return Box.from_function(self.shape, fn)
+
+def _support_box(shape, support):
+    """The deterministic box with a 1 at each index of ``support``."""
+    table = [0] * shape.table_size
+    for i in support:
+        table[i] = 1
+    return Box(shape, tuple(table))
 
 
 def enumerate_local_strategies(shape, cap=200_000):
@@ -137,12 +166,11 @@ class LocalModel:
     weights: tuple[Fraction, ...]
 
     def mixture(self):
-        boxes = [s.box() for s in self.strategies]
-        shape = boxes[0].shape
+        shape = self.strategies[0].shape
         table = [Fraction(0)] * shape.table_size
-        for w, b in zip(self.weights, boxes):
-            for i, v in enumerate(b.table):
-                table[i] += w * v
+        for w, s in zip(self.weights, self.strategies):
+            for i in s.support():
+                table[i] += w
         return Box(shape, tuple(table))
 
     def verify(self, target):
@@ -174,10 +202,22 @@ class SeparatingCertificate:
         return evaluate_functional(box, self.functional())
 
     def verify(self, box, strategies):
+        """Whether the form gives the box its value above the threshold and
+        no strategy more than the threshold.  Strategies are scored from
+        their supports in Python ints."""
         if self.evaluate(box) != self.value or self.value <= self.threshold:
             return False
-        return all(self.evaluate(s.box()) <= self.threshold
-                   for s in strategies)
+        den = lcm(*(c.denominator for c in self.coefficients))
+        coeffs = [c.numerator * (den // c.denominator)
+                  for c in self.coefficients]
+        # an integer score s satisfies s <= threshold * den iff s <= bound
+        bound = self.threshold.numerator * den // self.threshold.denominator
+        for s in strategies:
+            if s.shape != self.shape:
+                raise ShapeError("functional and strategy have different shapes")
+            if sum(coeffs[i] for i in s.support()) > bound:
+                return False
+        return True
 
     def __bool__(self):
         return False
@@ -189,53 +229,64 @@ def convex_membership(target, boxes):
     for b in boxes:
         if b.shape != target.shape:
             raise ShapeError("mixture candidates must share the target's shape")
-    return _mixture_weights(target.table, [b.table for b in boxes])
+    tables = np.empty((len(boxes), target.shape.table_size), dtype=object)
+    for j, b in enumerate(boxes):
+        tables[j] = b.table
+    return _mixture_weights(target.table, tables)
 
 
 def _mixture_weights(target_table, tables):
-    """LP feasibility core of convex_membership, over flat tables.  Tables
+    """LP feasibility core of convex_membership over the rows of a 2-D
+    array of tables (Fractions, or the 0/1 int64 strategy matrix).  Tables
     putting mass outside the target's support are pruned up front; that is
     exact, since any decomposition must give them weight zero."""
-    support_ok = [j for j, t in enumerate(tables)
-                  if all(tv > 0 or v == 0 for tv, v in zip(target_table, t))]
-    if not support_ok:
+    outside = np.array([v <= 0 for v in target_table], dtype=bool)
+    support_ok = np.flatnonzero(~(tables[:, outside] != 0).any(axis=1))
+    if not len(support_ok):
         return None
-    rows = [[tables[j][i] for j in support_ok]
-            for i in range(len(target_table))]
-    res = find_nonneg_solution(rows, list(target_table))
+    res = find_nonneg_solution(tables[support_ok].T.tolist(),
+                               list(target_table))
     if res.status != "optimal":
         return None
     weights = {}
-    for j, w in zip(support_ok, res.x):
+    for j, w in zip(support_ok.tolist(), res.x):
         if w:
             weights[j] = w
     return weights
 
 
 def _dedup_strategies(strategies):
+    """The strategies with distinct supports, first of each kept, and
+    their tables as the rows of one 0/1 int64 matrix."""
     seen = {}
     for s in strategies:
-        key = s.box().table
-        if key not in seen:
-            seen[key] = (s, key)
-    pairs = list(seen.values())
-    return [s for s, _ in pairs], [t for _, t in pairs]
+        seen.setdefault(s.support(), s)
+    kept = list(seen.values())
+    matrix = np.zeros((len(kept), kept[0].shape.table_size), dtype=np.int64)
+    np.put_along_axis(matrix, np.array(list(seen), dtype=np.intp), 1, axis=1)
+    return kept, matrix
 
 
-def _normalized_separator(raw, box, tables, constant_rows):
+def _scores(coeffs, matrix):
+    """Integer coefficients dotted with every strategy table."""
+    return _int_matmul([coeffs], matrix)[0]
+
+
+def _normalized_separator(raw, box, matrix, constant_rows):
     """Project a dual vector off a rowspace, scale to primitive integers,
     and recompute the threshold over the whole strategy set.  Only rows
     whose inner product is the same for every strategy may be projected
-    out; anything else would reorder the scores."""
-    shape = box.shape
-    coeffs = project_out_rowspace(raw, constant_rows)
-    coeffs = [Fraction(c) for c in clear_denominators(coeffs)]
-    threshold = max(sum(c * p for c, p in zip(coeffs, t)) for t in tables)
+    out; anything else would reorder the scores.  Returns the certificate
+    and the scores of all strategies."""
+    ints = clear_denominators(project_out_rowspace(raw, constant_rows))
+    scores = _scores(ints, matrix)
+    coeffs = tuple(Fraction(c) for c in ints)
     value = sum(c * p for c, p in zip(coeffs, box.table))
-    return SeparatingCertificate(shape, tuple(coeffs), threshold, value)
+    cert = SeparatingCertificate(box.shape, coeffs, Fraction(max(scores)), value)
+    return cert, scores
 
 
-def _certificate_visibility(box, strategies, tables, constant_rows):
+def _certificate_visibility(box, matrix, constant_rows):
     """Separator from the dual of the visibility LP: how far towards the box
     one can move from uniform while staying a mixture of strategies.  The
     crossing point lies on a face, which pins the dual down to the facet
@@ -243,54 +294,49 @@ def _certificate_visibility(box, strategies, tables, constant_rows):
     shape = box.shape
     u = uniform(shape).table
     n = shape.table_size
-    rows = []
-    rhs = []
-    for i in range(n):
-        rows.append([t[i] for t in tables]
-                    + [u[i] - box.table[i], Fraction(0)])
-        rhs.append(u[i])
-    rows.append([Fraction(1)] * len(tables) + [Fraction(0), Fraction(0)])
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * len(tables) + [Fraction(1), Fraction(1)])
-    rhs.append(Fraction(1))
-    objective = [Fraction(0)] * len(tables) + [Fraction(1), Fraction(0)]
+    k = len(matrix)
+    rows = [col + [ui - p, 0]
+            for col, ui, p in zip(matrix.T.tolist(), u, box.table)]
+    rhs = list(u)
+    rows.append([1] * k + [0, 0])
+    rhs.append(1)
+    rows.append([0] * k + [1, 1])
+    rhs.append(1)
+    objective = [0] * k + [1, 0]
     res = maximize(rows, rhs, objective)
     if res.status != "optimal":
         raise AssertionError(f"visibility LP ended {res.status}, not optimal")
     if res.objective >= 1:
         raise AssertionError("certificate requested for a member box")
-    cert = _normalized_separator([-y for y in res.dual[:n]], box, tables,
-                                 constant_rows)
+    cert, _ = _normalized_separator([-y for y in res.dual[:n]], box, matrix,
+                                    constant_rows)
     if cert.value <= cert.threshold:
         raise AssertionError("separator extraction failed; dual degenerate")
     return cert
 
 
-def _certificate_colgen(box, strategies, tables, constant_rows):
+def _certificate_colgen(box, matrix, constant_rows):
     """Separator by column generation: Farkas duals of growing subset
     feasibility problems, until one cuts off every strategy."""
-    n = box.shape.table_size
     centred = [p - u for p, u in zip(box.table, uniform(box.shape).table)]
-    merit = [sum(c * v for c, v in zip(centred, t)) for t in tables]
-    order = sorted(range(len(tables)), key=lambda j: merit[j], reverse=True)
+    # a positive rescale of the centred box, so the order is unchanged
+    merit = _scores(clear_denominators(centred), matrix)
+    order = sorted(range(len(matrix)), key=merit.__getitem__, reverse=True)
     active = order[:64]
     active_set = set(active)
     while True:
-        rows = [[tables[j][i] for j in active] for i in range(n)]
-        res = find_nonneg_solution(rows, list(box.table))
+        res = find_nonneg_solution(matrix[active].T.tolist(), list(box.table))
         if res.status != "infeasible":
             raise AssertionError(
                 f"subset feasibility LP ended {res.status}, not infeasible")
-        cert = _normalized_separator([-y for y in res.dual], box, tables,
-                                     constant_rows)
+        cert, scores = _normalized_separator([-y for y in res.dual], box,
+                                             matrix, constant_rows)
         if cert.value > cert.threshold:
             return cert
-        scores = [sum(c * p for c, p in zip(cert.coefficients, t))
-                  for t in tables]
         cutoff = max(scores[j] for j in active)
-        violators = sorted((j for j in range(len(tables))
+        violators = sorted((j for j in range(len(matrix))
                             if j not in active_set and scores[j] > cutoff),
-                           key=lambda j: scores[j], reverse=True)
+                           key=scores.__getitem__, reverse=True)
         if not violators:
             raise AssertionError("no progress in column generation")
         for j in violators[:64]:
@@ -299,21 +345,31 @@ def _certificate_colgen(box, strategies, tables, constant_rows):
 
 
 def _membership(box, strategies, constant_rows):
+    """A LocalModel or a SeparatingCertificate, re-verified against the
+    deduplicated strategies before it is returned."""
     box.require_valid()
-    strategies, tables = _dedup_strategies(strategies)
-    weights = _mixture_weights(box.table, tables)
+    strategies, matrix = _dedup_strategies(strategies)
+    weights = _mixture_weights(box.table, matrix)
     if weights is not None:
         kept = sorted(weights)
-        return LocalModel(tuple(strategies[j] for j in kept),
-                          tuple(weights[j] for j in kept))
+        res = LocalModel(tuple(strategies[j] for j in kept),
+                         tuple(weights[j] for j in kept))
+        if not res.verify(box):
+            raise AssertionError("local model does not reproduce the box")
+        return res
     if len(strategies) <= 600:
-        return _certificate_visibility(box, strategies, tables, constant_rows)
-    return _certificate_colgen(box, strategies, tables, constant_rows)
+        res = _certificate_visibility(box, matrix, constant_rows)
+    else:
+        res = _certificate_colgen(box, matrix, constant_rows)
+    if not res.verify(box, strategies):
+        raise AssertionError("separating certificate does not verify")
+    return res
 
 
 def is_local(box, cap=200_000):
     """A LocalModel if the box is a mixture of deterministic strategies,
-    else a SeparatingCertificate (truthy and falsy respectively)."""
+    else a SeparatingCertificate (truthy and falsy respectively).  Either
+    is verified before it is returned."""
     rows = [list(r) for r, _ in build_hrep(box.shape).equalities]
     return _membership(box, enumerate_local_strategies(box.shape, cap), rows)
 

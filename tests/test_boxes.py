@@ -52,6 +52,17 @@ def test_shape_rejects_garbage():
         BoxShape(())
 
 
+def test_shape_size_is_checked_before_joint_inputs_are_built():
+    # 10**10 joint inputs; refused by counting, before any is made
+    with pytest.raises(ShapeError, match="joint inputs"):
+        BoxShape.from_string("100000:2/100000:2")
+    with pytest.raises(ShapeError, match="joint inputs"):
+        BoxShape(((2,) * 1000,) * 3)
+    with pytest.raises(ShapeError, match="inputs exceed"):
+        BoxShape.from_string("10000000000000:2")
+    assert BoxShape(((2,) * 64,) * 2).table_size == 64 * 64 * 4
+
+
 def test_index_range_checks():
     shape = BoxShape.homogeneous(2, 2, 2)
     with pytest.raises(ShapeError):

@@ -233,3 +233,38 @@ def test_unknown_preset(tmp_path, capsys):
     code, _, err = run(capsys, "preset", "P9", "-o", str(tmp_path / "x.json"))
     assert code == 2
     assert "unknown preset" in err
+
+
+def test_malformed_wiring_fields_are_usage_errors(tmp_path, capsys):
+    wiring = tmp_path / "p5.json"
+    run(capsys, "preset", "P5", "-o", str(wiring))
+    good = json.loads(wiring.read_text())
+
+    def edited(change):
+        doc = json.loads(json.dumps(good))
+        change(doc)
+        return doc
+    cases = [
+        edited(lambda d: d["programs"][0]["steps"][0].update(component="x")),
+        edited(lambda d: d["programs"][0]["steps"][0].update(side=[0])),
+        edited(lambda d: d["programs"][0]["steps"].__setitem__(0, 3)),
+        edited(lambda d: d["programs"][0].update(steps=7)),
+        edited(lambda d: d["programs"].__setitem__(0, "p")),
+        edited(lambda d: d["components"][0].update(parties=["a", 1])),
+        edited(lambda d: d["components"][0].update(parties=2)),
+        edited(lambda d: d["components"].__setitem__(0, 0)),
+        edited(lambda d: d.update(components={})),
+        edited(lambda d: d.update(shape=4)),
+        edited(lambda d: d["programs"][0]["outputs"].update({"0 0": None})),
+        edited(lambda d: d["components"][0]["box"]["inline"].update(table=3)),
+        edited(lambda d: d["components"][0].update(box={"file": 1})),
+        [good],
+        17,
+    ]
+    for i, doc in enumerate(cases):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "wire", str(bad))
+        assert code == 2, (i, doc)
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, (i, err)

@@ -72,3 +72,68 @@ def test_projecting_a_row_gives_zero():
     rows = [[F(1), F(2), F(0)], [F(0), F(1), F(1)]]
     combo = [F(3), F(7), F(1)]
     assert project_out_rowspace(combo, rows) == [F(0)] * 3
+
+
+def _reference_projection(vec, rows):
+    """The rational projection: rref basis, Fraction Gram system."""
+    basis, _ = rref(rows)
+    if not basis:
+        return [F(v) for v in vec]
+    bv = [sum(r[i] * vec[i] for i in range(len(vec))) for r in basis]
+    gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in basis] for r1 in basis]
+    z = solve(gram, bv)
+    out = [F(v) for v in vec]
+    for zi, r in zip(z, basis):
+        for i in range(len(out)):
+            out[i] -= zi * r[i]
+    return out
+
+
+def test_integer_projection_matches_the_rational_one():
+    from nsbox.boxes import BoxShape
+    from nsbox.polytope import build_hrep, normalization_rows
+    rng = random.Random(11)
+    cases = []
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(rng.randint(0, 5))]
+        cases.append((n, rows))
+    shape = BoxShape.homogeneous(2, 2, 2)
+    size = shape.table_size
+    cases.append((size, [list(r) for r, _ in build_hrep(shape).equalities]))
+    cases.append((size, [list(r) for r in normalization_rows(shape)]))
+    cases.append((3, [[0, 0, 0], [0, 0, 0]]))
+    for n, rows in cases:
+        vec = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+        assert project_out_rowspace(vec, rows) == _reference_projection(vec, rows)
+
+
+def test_int_rank_matches_rref():
+    rng = random.Random(5)
+    for _ in range(40):
+        rows = [[rng.randint(-2, 2) for _ in range(rng.randint(1, 6))]]
+        rows += [[rng.randint(-2, 2) for _ in rows[0]]
+                 for _ in range(rng.randint(0, 6))]
+        assert int_rank(rows) == len(rref(rows)[1])
+
+
+def test_int_matmul_is_exact_past_the_int64_guard():
+    import numpy as np
+
+    from nsbox.linalg import _int_matmul
+    small = [[3, -1, 2], [0, 4, -5]]
+    cols = [[1, 2, 3], [-2, 0, 7]]
+    want = [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in small]
+    assert _int_matmul(small, cols) == want
+    assert _int_matmul(np.array(small), np.array(cols)) == want
+    # past the 2**62 guard the products are Python ints; int64 would wrap
+    # on the last one, 2**63 + 1
+    big = [[2 ** 62, 2 ** 62, 1]]
+    zero_one = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1]], dtype=np.int64)
+    out = _int_matmul(big, zero_one)
+    assert out == [[2 ** 62 + 1, 2 ** 62, 2 ** 63 + 1]]
+    assert all(type(v) is int for v in out[0])
+    assert _int_matmul(np.array([[2 ** 61, 2 ** 61]]), [[1, 1]]) == [[2 ** 62]]
+    assert _int_matmul([], cols) == []
+    assert _int_matmul(small, []) == [[], []]

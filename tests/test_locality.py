@@ -8,8 +8,10 @@ from nsbox.boxes import Box, BoxShape, ShapeError, mix
 from nsbox.dd import EnumerationCapError
 from nsbox.families import (dbox, local_deterministic, pr, svetlichny_box,
                             two_way_vertex, uniform, xyplusz, xyz_box)
-from nsbox.locality import (chsh, chsh_functional, convex_membership,
-                            correlator, enumerate_local_strategies,
+from nsbox import locality
+from nsbox.locality import (SeparatingCertificate, chsh, chsh_functional,
+                            convex_membership, correlator,
+                            enumerate_local_strategies,
                             enumerate_twoway_strategies, evaluate_functional,
                             is_local, is_two_way_local, svetlichny,
                             svetlichny_functional)
@@ -174,3 +176,96 @@ def test_local_implies_two_way_local():
     blend = mix(det, other, Fraction(1, 3))
     assert is_local(blend)
     assert is_two_way_local(blend)
+
+
+# ------------------------------------------- strategy supports and the 0/1 matrix
+
+TRIPARTITE = BoxShape.homogeneous(3, 2, 2)
+
+
+def _reference_table(strategy):
+    """The strategy's table from its definition, one entry at a time."""
+    shape = strategy.shape
+
+    def hit(outs, ins):
+        if isinstance(strategy, locality.TwoWayStrategy):
+            i, j = strategy.pair
+            k = strategy.single
+            want = strategy.pair_map[ins[i] * shape.inputs[j] + ins[j]]
+            return ((outs[i], outs[j]) == want
+                    and outs[k] == strategy.single_map[ins[k]])
+        return all(outs[k] == strategy.assignments[k][ins[k]]
+                   for k in range(shape.parties))
+    return tuple(Fraction(int(hit(outs, ins))) for ins, outs in shape.entries())
+
+
+def test_supports_match_the_strategy_definitions():
+    shapes = (TRIPARTITE, BoxShape.from_string("2,3/3,2"))
+    strategies = [s for shape in shapes for s in enumerate_local_strategies(shape)]
+    strategies += enumerate_twoway_strategies(TRIPARTITE)
+    for s in strategies:
+        table = _reference_table(s)
+        assert s.box().table == table
+        assert s.support() == tuple(i for i, v in enumerate(table) if v)
+
+
+def test_matrix_scores_match_fraction_dot_products():
+    rng = random.Random(23)
+    strategies = enumerate_twoway_strategies(TRIPARTITE)
+    kept, matrix = locality._dedup_strategies(strategies)
+    tables = [s.box().table for s in kept]
+    assert len(kept) == len(set(tables)) == len({s.box().table for s in strategies})
+    assert matrix.tolist() == [[int(v) for v in t] for t in tables]
+    cert = is_two_way_local(xyplusz())
+    size = TRIPARTITE.table_size
+    vectors = [[int(c) for c in cert.coefficients],
+               [rng.randint(-9, 9) for _ in range(size)],
+               [rng.randint(-2 ** 70, 2 ** 70) for _ in range(size)]]
+    for coeffs in vectors:
+        exact = [Fraction(c) for c in coeffs]
+        want = [sum(c * p for c, p in zip(exact, t)) for t in tables]
+        assert locality._scores(coeffs, matrix) == want
+
+
+def _correlator_form(signs):
+    """Coefficients sign(x, y, z) * (-1)^(a+b+c), joint inputs in table
+    order."""
+    parity = [1, -1, -1, 1, -1, 1, 1, -1]
+    return tuple(Fraction(s * p) for s in signs for p in parity)
+
+
+def test_tripartite_certificates_are_pinned():
+    """The separators found for the two stock boxes, as computed by the
+    rational-tableau implementation."""
+    want = {"xyplusz": (xyplusz(), (1, 1, 1, 0, 1, -1, -1, 0)),
+            "svetlichny": (svetlichny_box(), (1, 1, 1, -1, 1, -1, 0, 0))}
+    for name, (box, signs) in want.items():
+        cert = is_two_way_local(box)
+        assert cert.coefficients == _correlator_form(signs), name
+        assert (cert.threshold, cert.value) == (4, 6), name
+        assert type(cert.threshold) is Fraction and type(cert.value) is Fraction
+
+
+def test_certificate_verify_scales_and_rejects():
+    strategies = enumerate_local_strategies(CHSH_SHAPE)
+    cert = is_local(pr())
+    third = SeparatingCertificate(
+        cert.shape, tuple(c / 3 for c in cert.coefficients),
+        cert.threshold / 3, cert.value / 3)
+    assert third.verify(pr(), strategies)
+    low = SeparatingCertificate(cert.shape, third.coefficients,
+                                third.threshold - Fraction(1, 10**9),
+                                third.value)
+    assert not low.verify(pr(), strategies)
+    with pytest.raises(ShapeError):
+        cert.verify(pr(), enumerate_local_strategies(TRIPARTITE))
+
+
+def test_results_are_verified_before_they_are_returned(monkeypatch):
+    monkeypatch.setattr(SeparatingCertificate, "verify",
+                        lambda self, box, strategies: False)
+    with pytest.raises(AssertionError):
+        is_local(pr())
+    monkeypatch.setattr(locality.LocalModel, "verify", lambda self, box: False)
+    with pytest.raises(AssertionError):
+        is_local(uniform(CHSH_SHAPE))

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from nsbox.simplex import find_nonneg_solution, maximize
+from nsbox import simplex
+from nsbox.simplex import LPResult, find_nonneg_solution, maximize
 
 
 def _column_dot(dual, rows, j):
@@ -97,3 +98,190 @@ def test_random_lps_satisfy_duality():
                 assert _column_dot(res.dual, rows, j) >= 0
             assert sum(y * b for y, b in zip(res.dual, rhs)) < 0
     assert all(seen.values()), seen
+
+
+# ------------------------------------------------ differential: Fraction tableau
+
+def _reference_pivot(tableau, basis, r, e):
+    row = tableau[r]
+    inv = 1 / row[e]
+    tableau[r] = row = [v * inv for v in row]
+    for i, other in enumerate(tableau):
+        if i == r:
+            continue
+        f = other[e]
+        if f:
+            tableau[i] = [a - f * b for a, b in zip(other, row)]
+    basis[r] = e
+
+
+def _reference_run(tableau, basis, obj, n):
+    """The rational simplex loop; returns (status, whether Bland's rule was
+    switched on)."""
+    stall = 0
+    bland = False
+    last = obj[-1]
+    while True:
+        if bland:
+            e = next((j for j in range(n) if obj[j] > 0), None)
+        else:
+            e = None
+            for j in range(n):
+                if obj[j] > 0 and (e is None or obj[j] > obj[e]):
+                    e = j
+        if e is None:
+            return "optimal", bland
+        r = None
+        best = None
+        for i, row in enumerate(tableau):
+            if row[e] > 0:
+                ratio = row[-1] / row[e]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[r]):
+                    best, r = ratio, i
+        if r is None:
+            return "unbounded", bland
+        _reference_pivot(tableau, basis, r, e)
+        f = obj[e]
+        if f:
+            row = tableau[r]
+            for j in range(len(obj)):
+                obj[j] -= f * row[j]
+        if not bland:
+            if obj[-1] == last:
+                stall += 1
+                if stall > 120:
+                    bland = True
+            else:
+                stall = 0
+                last = obj[-1]
+
+
+def _reference_objective_row(tableau, basis, cost, width):
+    obj = list(cost) + [Fraction(0)] * (width - len(cost))
+    for i, row in enumerate(tableau):
+        cb = cost[basis[i]] if basis[i] < len(cost) else Fraction(0)
+        if cb:
+            for j in range(width):
+                obj[j] -= cb * row[j]
+    return obj
+
+
+def _reference_maximize(rows, rhs, objective):
+    """The dense Fraction-tableau simplex the integer tableau replaces."""
+    m = len(rows)
+    n = len(objective)
+    flipped = [Fraction(b) < 0 for b in rhs]
+    tableau = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        sign = -1 if flipped[i] else 1
+        line = [sign * Fraction(v) for v in row]
+        line += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        line.append(sign * Fraction(b))
+        tableau.append(line)
+    basis = [n + i for i in range(m)]
+    width = n + m + 1
+    phase1_cost = [Fraction(0)] * n + [Fraction(-1)] * m
+    obj = _reference_objective_row(tableau, basis, phase1_cost, width)
+    status, _ = _reference_run(tableau, basis, obj, n)
+    assert status == "optimal"
+    value = -sum(tableau[i][-1] for i in range(m) if basis[i] >= n)
+    if value < 0:
+        farkas = [-(1 + obj[n + i]) for i in range(m)]
+        farkas = [-y if f else y for y, f in zip(farkas, flipped)]
+        return LPResult("infeasible", dual=tuple(farkas))
+    for i in range(m):
+        if basis[i] >= n:
+            e = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if e is not None:
+                _reference_pivot(tableau, basis, i, e)
+    cost = [Fraction(v) for v in objective]
+    obj = _reference_objective_row(tableau, basis, cost, width)
+    status, _ = _reference_run(tableau, basis, obj, n)
+    if status == "unbounded":
+        return LPResult("unbounded")
+    x = [Fraction(0)] * n
+    z = Fraction(0)
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = tableau[i][-1]
+            z += cost[bi] * tableau[i][-1]
+    dual = [-obj[n + i] for i in range(m)]
+    dual = [-y if f else y for y, f in zip(dual, flipped)]
+    return LPResult("optimal", x=tuple(x), objective=z, dual=tuple(dual))
+
+
+def _random_lp(rng, fractional, degenerate):
+    m = rng.randint(2, 6)
+    n = rng.randint(2, 9)
+
+    def entry(lo, hi):
+        v = Fraction(rng.randint(lo, hi))
+        if fractional and rng.random() < 0.5:
+            v /= rng.randint(2, 7)
+        return v
+    rows = [[entry(-4, 4) for _ in range(n)] for _ in range(m)]
+    if degenerate:
+        # repeated rows and mostly zero right-hand sides
+        rows[-1] = list(rows[0])
+        rhs = [entry(-3, 3) if rng.random() < 0.3 else Fraction(0)
+               for _ in range(m)]
+        rhs[-1] = rhs[0]
+    else:
+        rhs = [entry(-5, 5) for _ in range(m)]
+    obj = [entry(-3, 3) for _ in range(n)]
+    return rows, rhs, obj
+
+
+@pytest.mark.parametrize("fractional,degenerate",
+                         [(False, False), (True, False), (False, True),
+                          (True, True)])
+def test_integer_tableau_matches_the_fraction_tableau(fractional, degenerate):
+    rng = random.Random(f"lp/{fractional}/{degenerate}")
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(150):
+        rows, rhs, obj = _random_lp(rng, fractional, degenerate)
+        want = _reference_maximize(rows, rhs, obj)
+        assert maximize(rows, rhs, obj) == want
+        assert find_nonneg_solution(rows, rhs) == _reference_maximize(
+            rows, rhs, [0] * len(obj))
+        seen[want.status] += 1
+    assert all(seen.values()), seen
+
+
+def test_integer_tableau_matches_on_the_locality_lps():
+    from nsbox.families import pr, uniform
+    from nsbox.locality import enumerate_local_strategies
+    tables = [s.box().table for s in enumerate_local_strategies(pr().shape)]
+    rows = [[t[i] for t in tables] for i in range(len(tables[0]))]
+    for box in (pr(), uniform(pr().shape)):
+        target = list(box.table)
+        assert find_nonneg_solution(rows, target) == _reference_maximize(
+            rows, target, [0] * len(tables))
+
+
+def _beale_tableau():
+    """Beale's cycling example on its slack basis: the Fraction tableau
+    rows (slacks last, rhs at the end) and the objective row."""
+    a = [[Fraction(1, 4), -8, -1, 9], [Fraction(1, 2), -12, Fraction(-1, 2), 3],
+         [0, 0, 1, 0]]
+    b = [0, 0, 1]
+    cost = [Fraction(3, 4), -20, Fraction(1, 2), -6, 0, 0, 0]
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(3)]
+            + [Fraction(b[i])] for i, row in enumerate(a)]
+    obj = [Fraction(v) for v in cost] + [Fraction(0)]
+    return rows, obj
+
+
+def test_cycling_example_reaches_the_bland_fallback_in_both():
+    rows, obj = _beale_tableau()
+    int_rows = [simplex._integer_row(r) for r in rows]
+    int_obj = simplex._integer_row(obj)
+    basis, int_basis = [4, 5, 6], [4, 5, 6]
+    assert _reference_run(rows, basis, obj, 7) == ("optimal", True)
+    # without the fallback the integer loop would cycle here for good
+    status, int_obj = simplex._run(int_rows, int_basis, int_obj, 7)
+    assert status == "optimal"
+    assert int_basis == basis
+    for row, int_row in zip(rows, int_rows):
+        assert [simplex._value(int_row, j) for j in range(len(row))] == row
+    assert [simplex._value(int_obj, j) for j in range(len(obj))] == obj
