@@ -1,6 +1,7 @@
-"""Simulation protocols that add one-way classical messages and shared
-randomness to the local toolbox, with exact evaluation and a brute-force
-search for the cheapest message budget."""
+"""Simulation protocols over component boxes, with optional one-way
+classical messages and shared randomness: one validator, one exact
+evaluator (wirings lower to these protocols), and a brute-force search for
+the cheapest message budget."""
 
 from __future__ import annotations
 
@@ -10,8 +11,39 @@ from itertools import product as iproduct
 
 from .boxes import Box, ShapeError, _as_fraction
 from .families import dbox
-from .locality import EnumerationCapError, convex_membership
-from .wiring import Component, WiringError, _side_output_range
+from .locality import (EnumerationCapError, _layout, _mixture_weights,
+                       _support_matrix)
+
+# joint assignments (protocol inputs x shared values x component outputs)
+# an exact enumeration may visit
+_MAX_ASSIGNMENTS = 2 ** 22
+
+
+class WiringError(ValueError):
+    """A protocol references out-of-scope data or misuses a component side."""
+
+
+@dataclass(frozen=True)
+class Component:
+    """A box together with the protocol party playing each of its sides."""
+
+    box: Box
+    parties: tuple[int, ...]
+
+
+def _side_output_range(box, side):
+    return max(box.shape.outputs[side])
+
+
+def _within_cap(factors):
+    """Whether the product of factors stays within _MAX_ASSIGNMENTS.  Stops
+    at the first partial product past it, so factors may be long and lazy."""
+    count = 1
+    for f in factors:
+        count *= f
+        if count > _MAX_ASSIGNMENTS:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -155,18 +187,19 @@ def _validate_protocol(protocol, boxes):
 
     domains, per_event = _scope_domains(protocol, boxes)
     for n, (ev, doms) in enumerate(zip(protocol.events, per_event)):
-        table = ev.inputs if isinstance(ev, BoxUse) else ev.values
         if isinstance(ev, BoxUse):
-            top = boxes[ev.component].shape.inputs[ev.side]
+            table, top = ev.inputs, boxes[ev.component].shape.inputs[ev.side]
+            entry, allowed = "input", "the component's input range"
         else:
-            top = 2 ** ev.width
+            table, top = ev.values, 2 ** ev.width
+            entry, allowed = "entry", "the allowed range"
         for key in iproduct(*doms):
             if key not in table:
-                raise WiringError(f"event {n} has no entry for scope {key}")
+                raise WiringError(f"event {n} has no {entry} for scope {key}")
             val = table[key]
             if not 0 <= val < top:
                 raise WiringError(f"event {n} maps scope {key} to {val}, "
-                                  "outside the allowed range")
+                                  f"outside {allowed}")
     for k in range(shape.parties):
         for key in iproduct(*domains[k]):
             if key not in protocol.outputs[k]:
@@ -182,15 +215,25 @@ def _validate_protocol(protocol, boxes):
 def evaluate_comm_protocol(protocol, components=None):
     """The box a protocol simulates and the total message bits it uses.
 
-    Enumeration runs over the shared value and all joint component outputs;
-    messages are deterministic once those are fixed.  Weights follow the
-    same product rule as plain wirings."""
+    For every joint protocol input and shared value, every joint
+    assignment of component outputs is weighted by the shared value's
+    probability times the component probabilities at the inputs the
+    traces induce; messages are deterministic once those are fixed.
+    Components may be overridden positionally; they are validated first,
+    so signalling components are rejected.  More than _MAX_ASSIGNMENTS
+    joint assignments are refused before anything is validated."""
     boxes = ([c.box for c in protocol.components] if components is None
              else list(components))
+    shape = protocol.shape
+    if not _within_cap([*shape.inputs, len(protocol.shared.values),
+                        *(_side_output_range(b, s) for b in boxes
+                          for s in range(b.shape.parties))]):
+        raise EnumerationCapError(
+            f"evaluation would enumerate more than {_MAX_ASSIGNMENTS} "
+            "joint assignments")
     for b in boxes:
         b.require_valid()
     _validate_protocol(protocol, boxes)
-    shape = protocol.shape
 
     sides = [(c, s) for c, comp in enumerate(protocol.components)
              for s in range(len(comp.parties))]
@@ -252,25 +295,21 @@ def protocol4(d):
 
 
 def _oneway_tables(shape, c):
-    """Induced tables of all deterministic strategies where Alice picks a
-    message and an output from her input and Bob answers from his input and
-    the message.  Yields flat tables in canonical order."""
+    """Supports of all deterministic strategies where Alice picks a message
+    and an output from her input and Bob answers from his input and the
+    message: one flat table index per joint input, in table order."""
     xs = range(shape.inputs[0])
-    ys = range(shape.inputs[1])
     msgs = range(2 ** c)
     alice_choices = [[(m, a) for m in msgs for a in range(shape.outputs[0][x])]
                      for x in xs]
-    bob_keys = [(y, m) for y in ys for m in msgs]
+    bob_keys = [(y, m) for y in range(shape.inputs[1]) for m in msgs]
     bob_choices = [range(shape.outputs[1][y]) for y, _ in bob_keys]
+    layout = _layout(shape)
     for alice in iproduct(*alice_choices):
         for bob in iproduct(*bob_choices):
             bfun = dict(zip(bob_keys, bob))
-            table = [Fraction(0)] * shape.table_size
-            for x in xs:
-                m, a = alice[x]
-                for y in ys:
-                    table[shape.index((a, bfun[(y, m)]), (x, y))] = Fraction(1)
-            yield tuple(table)
+            yield tuple(off + alice[x][1] * sa + bfun[(y, alice[x][0])] * sb
+                        for (x, y), off, (sa, sb) in layout)
 
 
 def min_oneway_comm_with_SR(target, max_bits, cap=200_000):
@@ -293,8 +332,8 @@ def min_oneway_comm_with_SR(target, max_bits, cap=200_000):
         if count > cap:
             raise EnumerationCapError(
                 f"{count} strategies at {c} bits exceeds the cap ({cap})")
-        candidates = [Box(shape, t) for t in
-                      dict.fromkeys(_oneway_tables(shape, c))]
-        if convex_membership(target, candidates) is not None:
+        supports = list(dict.fromkeys(_oneway_tables(shape, c)))
+        matrix = _support_matrix(supports, shape.table_size)
+        if _mixture_weights(target.table, matrix) is not None:
             return c
     return None

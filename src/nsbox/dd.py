@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 
-from .linalg import _int_matmul, inverse_and_det, reduce_content
+from .linalg import _bareiss, _int_matmul, inverse_and_det, reduce_content
 
 _WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -33,28 +32,6 @@ def _masks_to_words(masks, nwords):
     return out
 
 
-def _independent_subset(rows, d):
-    """Indices of rows forming a basis, greedy in order; None if rank < d."""
-    basis = []
-    chosen = []
-    for idx, row in enumerate(rows):
-        vec = [Fraction(v) for v in row]
-        for bvec in basis:
-            lead = next(i for i, v in enumerate(bvec) if v != 0)
-            if vec[lead] != 0:
-                f = vec[lead]
-                vec = [a - f * b for a, b in zip(vec, bvec)]
-        lead = next((i for i, v in enumerate(vec) if v != 0), None)
-        if lead is None:
-            continue
-        inv = 1 / vec[lead]
-        basis.append([v * inv for v in vec])
-        chosen.append(idx)
-        if len(chosen) == d:
-            return chosen
-    return None
-
-
 def extreme_rays(rows, max_rays=2_000_000, time_budget=None, threads=1):
     """All extreme rays of the pointed cone {y : a·y >= 0 for each row a}.
 
@@ -75,8 +52,9 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None, threads=1):
     if not rows:
         raise ValueError("no constraints: cone is all of space, not pointed")
     d = len(rows[0])
-    base_idx = _independent_subset(rows, d)
-    if base_idx is None:
+    # pivot columns of the transpose: the first independent rows, in order
+    base_idx = _bareiss([list(c) for c in zip(*rows)])
+    if len(base_idx) < d:
         raise ValueError("cone has a lineality space (constraint rank < dimension)")
 
     inv, det = inverse_and_det([rows[i] for i in base_idx])

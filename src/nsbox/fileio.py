@@ -78,12 +78,24 @@ def loads_box(text):
     return Box(shape, tuple(entries))
 
 
+def _read_text(path):
+    """The UTF-8 text of a file; a directory or undecodable bytes are a
+    ParseError naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except IsADirectoryError:
+        raise ParseError(f"{path} is a directory, not a file") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
+
+
 def save_box(box, path):
     Path(path).write_text(dumps_box(box))
 
 
 def load_box(path):
-    return loads_box(Path(path).read_text())
+    return loads_box(_read_text(path))
 
 
 def dumps_functional(f):
@@ -123,7 +135,7 @@ def save_functional(f, path):
 
 
 def load_functional(path):
-    return loads_functional(Path(path).read_text())
+    return loads_functional(_read_text(path))
 
 
 def _encode_key(key):
@@ -245,5 +257,4 @@ def save_wiring(wiring, path):
 
 
 def load_wiring(path):
-    path = Path(path)
-    return loads_wiring(path.read_text(), base_dir=path.parent)
+    return loads_wiring(_read_text(path), base_dir=Path(path).parent)

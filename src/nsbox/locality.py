@@ -255,6 +255,13 @@ def _mixture_weights(target_table, tables):
     return weights
 
 
+def _support_matrix(supports, table_size):
+    """The 0/1 int64 matrix whose rows are the tables of the supports."""
+    matrix = np.zeros((len(supports), table_size), dtype=np.int64)
+    np.put_along_axis(matrix, np.array(supports, dtype=np.intp), 1, axis=1)
+    return matrix
+
+
 def _dedup_strategies(strategies):
     """The strategies with distinct supports, first of each kept, and
     their tables as the rows of one 0/1 int64 matrix."""
@@ -262,9 +269,7 @@ def _dedup_strategies(strategies):
     for s in strategies:
         seen.setdefault(s.support(), s)
     kept = list(seen.values())
-    matrix = np.zeros((len(kept), kept[0].shape.table_size), dtype=np.int64)
-    np.put_along_axis(matrix, np.array(list(seen), dtype=np.intp), 1, axis=1)
-    return kept, matrix
+    return kept, _support_matrix(list(seen), kept[0].shape.table_size)
 
 
 def _scores(coeffs, matrix):

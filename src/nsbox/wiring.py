@@ -1,18 +1,18 @@
-"""Per-party adaptive circuits over component boxes: validation, exact
-evaluation, and the stock conversion protocols between named boxes."""
+"""Per-party adaptive circuits over component boxes, lowered to
+communication protocols for validation and exact evaluation, and the stock
+conversion protocols between named boxes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain, product as iproduct, repeat
 
-from .boxes import Box, BoxShape
+from .boxes import BoxShape
+from .comm import (BoxUse, CommProtocol, Component, SharedRandomness,
+                   WiringError, _MAX_ASSIGNMENTS, _within_cap,
+                   evaluate_comm_protocol)
 from .families import dbox, pr
-
-
-class WiringError(ValueError):
-    """A wiring references out-of-scope data or misuses a component side."""
 
 
 @dataclass(frozen=True)
@@ -32,140 +32,42 @@ class PartyProgram:
 
 
 @dataclass(frozen=True)
-class Component:
-    """A box together with the protocol party playing each of its sides."""
-
-    box: Box
-    parties: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Wiring:
+    """Component boxes and one program per party: a communication protocol
+    with no messages and trivial shared randomness.  Scopes are keyed
+    (input, *step outputs); lowered, they carry the shared value 0 after
+    the input, which is how scopes appear in validation errors."""
+
     shape: BoxShape
     components: tuple[Component, ...]
     programs: tuple[PartyProgram, ...]
 
 
-def _side_output_range(box, side):
-    return max(box.shape.outputs[side])
-
-
-def _validate(wiring, boxes):
-    shape = wiring.shape
-    if len(wiring.programs) != shape.parties:
+def _lower(wiring):
+    """The CommProtocol of a wiring: each step a BoxUse, in party order,
+    with every scope (x, *prev) rekeyed to (x, 0, *prev)."""
+    if len(wiring.programs) != wiring.shape.parties:
         raise WiringError("one program per protocol party is required")
-    if len(boxes) != len(wiring.components):
-        raise WiringError("component box count mismatch")
-    for comp, box in zip(wiring.components, boxes):
-        if box.shape != comp.box.shape:
-            raise WiringError("component override changes the box shape")
-        if len(comp.parties) != box.shape.parties:
-            raise WiringError("component assignment must name one protocol "
-                              "party per box party")
-        if any(not 0 <= p < shape.parties for p in comp.parties):
-            raise WiringError("component assigned to a nonexistent party")
 
-    used = set()
-    for k, prog in enumerate(wiring.programs):
-        for st in prog.steps:
-            if not 0 <= st.component < len(boxes):
-                raise WiringError(f"step references component {st.component} "
-                                  "which does not exist")
-            comp = wiring.components[st.component]
-            if not 0 <= st.side < len(comp.parties):
-                raise WiringError("step references a nonexistent box side")
-            if comp.parties[st.side] != k:
-                raise WiringError(
-                    f"party {k} uses side {st.side} of component "
-                    f"{st.component}, which belongs to party "
-                    f"{comp.parties[st.side]}")
-            key = (st.component, st.side)
-            if key in used:
-                raise WiringError(f"component {st.component} side {st.side} "
-                                  "is used twice")
-            used.add(key)
-    expected = {(c, s) for c, comp in enumerate(wiring.components)
-                for s in range(len(comp.parties))}
-    if used != expected:
-        missing = sorted(expected - used)
-        raise WiringError(f"unused component sides: {missing}")
-
-    for k, prog in enumerate(wiring.programs):
-        ranges = []
-        for step_no, st in enumerate(prog.steps):
-            box = boxes[st.component]
-            for x in range(shape.inputs[k]):
-                for prev in iproduct(*[range(r) for r in ranges]):
-                    key = (x, *prev)
-                    if key not in st.inputs:
-                        raise WiringError(
-                            f"party {k} step {step_no} has no input for "
-                            f"scope {key}")
-                    val = st.inputs[key]
-                    if not 0 <= val < box.shape.inputs[st.side]:
-                        raise WiringError(
-                            f"party {k} step {step_no} feeds input {val} "
-                            "outside the component's input range")
-            ranges.append(_side_output_range(box, st.side))
-        for x in range(shape.inputs[k]):
-            for prev in iproduct(*[range(r) for r in ranges]):
-                key = (x, *prev)
-                if key not in prog.outputs:
-                    raise WiringError(
-                        f"party {k} has no final output for scope {key}")
-                val = prog.outputs[key]
-                if not 0 <= val < shape.outputs[k][x]:
-                    raise WiringError(
-                        f"party {k} output {val} is outside the declared "
-                        "output range")
+    def rekey(table):
+        # key[:1], not key[0]: an empty scope read from a file stays an
+        # unused entry instead of an IndexError
+        return {(*key[:1], 0, *key[1:]): v for key, v in table.items()}
+    events = tuple(BoxUse(k, st.component, st.side, rekey(st.inputs))
+                   for k, prog in enumerate(wiring.programs)
+                   for st in prog.steps)
+    outputs = tuple(rekey(prog.outputs) for prog in wiring.programs)
+    return CommProtocol(wiring.shape, SharedRandomness.trivial(),
+                        wiring.components, events, outputs)
 
 
 def evaluate_wiring(wiring, components=None):
-    """The box a wiring simulates, by exact enumeration.
-
-    For every joint protocol input, every joint assignment of component
-    outputs is weighted by the product of the component probabilities at the
-    inputs the traces induce.  Components may be overridden positionally;
-    they are validated first, so signalling components are rejected."""
-    boxes = ([c.box for c in wiring.components] if components is None
-             else list(components))
-    for b in boxes:
-        b.require_valid()
-    _validate(wiring, boxes)
-    shape = wiring.shape
-
-    sides = [(c, s) for c, comp in enumerate(wiring.components)
-             for s in range(len(comp.parties))]
-    pos = {cs: i for i, cs in enumerate(sides)}
-    ranges = [range(_side_output_range(boxes[c], s)) for c, s in sides]
-
-    table = [Fraction(0)] * shape.table_size
-    for ins in shape.joint_inputs:
-        for assign in iproduct(*ranges):
-            comp_ins = [[None] * len(comp.parties)
-                        for comp in wiring.components]
-            outs = []
-            for k, prog in enumerate(wiring.programs):
-                prev = []
-                for st in prog.steps:
-                    comp_ins[st.component][st.side] = st.inputs[(ins[k], *prev)]
-                    prev.append(assign[pos[(st.component, st.side)]])
-                outs.append(prog.outputs[(ins[k], *prev)])
-            weight = Fraction(1)
-            for c, box in enumerate(boxes):
-                cins = tuple(comp_ins[c])
-                couts = tuple(assign[pos[(c, s)]]
-                              for s in range(box.shape.parties))
-                if any(o >= box.shape.outputs[s][x]
-                       for s, (o, x) in enumerate(zip(couts, cins))):
-                    weight = Fraction(0)
-                    break
-                weight *= box.prob(couts, cins)
-                if not weight:
-                    break
-            if weight:
-                table[shape.index(tuple(outs), ins)] += weight
-    return Box(shape, tuple(table))
+    """The box a wiring simulates, by exact enumeration of its lowered
+    protocol (see evaluate_comm_protocol).  Components may be overridden
+    positionally; they are validated first, so signalling components are
+    rejected.  Scopes in validation errors carry the shared value 0 after
+    the input."""
+    return evaluate_comm_protocol(_lower(wiring), components)[0]
 
 
 def _identity_table(n_inputs):
@@ -296,6 +198,11 @@ def preset(name, *params):
         raise WiringError("P3 needs at least one component box")
     if any(p < 2 for p in params[:2]):
         raise WiringError("box dimensions must be at least 2")
+    # P3 evaluates 4 joint inputs times two sides of d outputs per box
+    if key == "P3" and not _within_cap(
+            chain((2, 2), repeat(params[0], 2 * params[2]))):
+        raise WiringError(f"P3{params} would enumerate more than "
+                          f"{_MAX_ASSIGNMENTS} joint assignments")
     maker = {"P1": _p1, "P2": _p2, "P3": _p3,
              "P5": _p5, "P6": _p6, "P7": _p7}[key]
     return maker(*params)

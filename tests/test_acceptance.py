@@ -6,6 +6,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product as iproduct
 
+import pytest
+
 from nsbox.boxes import Box, BoxShape, marginal, mix
 from nsbox.comm import min_oneway_comm_with_SR
 from nsbox.dd import extreme_rays
@@ -86,6 +88,7 @@ def _pair_times_single(shape, pair, single, pair_box, single_map):
     return Box.from_function(shape, fn)
 
 
+@pytest.mark.slow
 def test_04_tripartite_polytope_classification():
     with budget(1.0):
         assert dimension(TRI_SHAPE) == 26

@@ -123,7 +123,12 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
         [good],
         17,
     ]
-    argvs = [["make", "dbox", "x", "-o", str(tmp_path / "x.box")]]
+    binary = tmp_path / "binary.box"
+    binary.write_bytes(bytes(range(256)))
+    argvs = [["make", "dbox", "x", "-o", str(tmp_path / "x.box")],
+             ["validate", str(tmp_path)], ["wire", str(tmp_path)],
+             ["validate", str(binary)], ["wire", str(binary)],
+             ["protocol3-error", "2", "3", "20"]]
     for i, doc in enumerate(docs):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(doc))

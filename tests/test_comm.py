@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
-from nsbox.boxes import ShapeError
-from nsbox.comm import (BoxUse, CommProtocol, Message, SharedRandomness,
+from nsbox.boxes import BoxShape, ShapeError
+from nsbox.comm import (BoxUse, CommProtocol, Component, Message,
+                        SharedRandomness, _oneway_tables,
                         evaluate_comm_protocol, min_oneway_comm_with_SR,
                         protocol4)
 from nsbox.dd import EnumerationCapError
@@ -120,3 +122,43 @@ def test_mincomm_guards():
         min_oneway_comm_with_SR(xyplusz(), 1)
     with pytest.raises(EnumerationCapError):
         min_oneway_comm_with_SR(dbox(5), 3, cap=100)
+
+
+def test_evaluation_size_is_checked_before_validation():
+    shape = pr().shape
+    comps = tuple(Component(pr(), (0, 1)) for _ in range(11))
+    # 4 joint inputs x 2**22 joint component outputs, and no events at all
+    too_big = CommProtocol(shape, SharedRandomness.trivial(), comps, (),
+                           ({}, {}))
+    with pytest.raises(EnumerationCapError):
+        evaluate_comm_protocol(too_big)
+
+
+def _reference_oneway_tables(shape, c):
+    """The one-way strategies as full Fraction tables, as mincomm built
+    them before it switched to supports."""
+    xs = range(shape.inputs[0])
+    ys = range(shape.inputs[1])
+    msgs = range(2 ** c)
+    alice_choices = [[(m, a) for m in msgs for a in range(shape.outputs[0][x])]
+                     for x in xs]
+    bob_keys = [(y, m) for y in ys for m in msgs]
+    bob_choices = [range(shape.outputs[1][y]) for y, _ in bob_keys]
+    for alice in iproduct(*alice_choices):
+        for bob in iproduct(*bob_choices):
+            bfun = dict(zip(bob_keys, bob))
+            table = [Fraction(0)] * shape.table_size
+            for x in xs:
+                m, a = alice[x]
+                for y in ys:
+                    table[shape.index((a, bfun[(y, m)]), (x, y))] = Fraction(1)
+            yield tuple(table)
+
+
+@pytest.mark.parametrize("shape", ["2,2/2,2", "3,3/3,3", "2,3/3,2"])
+@pytest.mark.parametrize("c", [0, 1])
+def test_strategy_supports_match_the_fraction_tables(shape, c):
+    shape = BoxShape.from_string(shape)
+    want = [tuple(i for i, v in enumerate(t) if v)
+            for t in dict.fromkeys(_reference_oneway_tables(shape, c))]
+    assert list(dict.fromkeys(_oneway_tables(shape, c))) == want

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from nsbox.linalg import (clear_denominators, int_rank, inverse_and_det,
-                          nullspace_int, project_out_rowspace, reduce_content,
-                          rref, solve)
+from nsbox.linalg import (_bareiss, clear_denominators, int_rank,
+                          inverse_and_det, nullspace_int, project_out_rowspace,
+                          reduce_content, rref, solve)
 
 F = Fraction
 
@@ -137,3 +137,46 @@ def test_int_matmul_is_exact_past_the_int64_guard():
     assert _int_matmul(np.array([[2 ** 61, 2 ** 61]]), [[1, 1]]) == [[2 ** 62]]
     assert _int_matmul([], cols) == []
     assert _int_matmul(small, []) == [[], []]
+
+
+def _greedy_independent_rows(rows, d):
+    """The greedy Fraction elimination the DD start basis used before it
+    moved onto _bareiss: indices of the first d independent rows in order,
+    None if the rank is below d."""
+    basis = []
+    chosen = []
+    for idx, row in enumerate(rows):
+        vec = [Fraction(v) for v in row]
+        for bvec in basis:
+            lead = next(i for i, v in enumerate(bvec) if v != 0)
+            if vec[lead] != 0:
+                f = vec[lead]
+                vec = [a - f * b for a, b in zip(vec, bvec)]
+        lead = next((i for i, v in enumerate(vec) if v != 0), None)
+        if lead is None:
+            continue
+        inv = 1 / vec[lead]
+        basis.append([v * inv for v in vec])
+        chosen.append(idx)
+        if len(chosen) == d:
+            return chosen
+    return None
+
+
+def test_bareiss_on_the_transpose_picks_the_greedy_basis():
+    rng = random.Random(5)
+    deficient = 0
+    for _ in range(300):
+        d = rng.randint(1, 6)
+        n = rng.randint(1, 10)
+        # rows drawn from a random subspace of dimension r, often below d
+        r = rng.randint(1, d)
+        gens = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
+        rows = [[sum(rng.choice((0, 0, 1, -1, 2)) * g[j] for g in gens)
+                 for j in range(d)] for _ in range(n)]
+        pivots = _bareiss([list(c) for c in zip(*rows)])
+        greedy = _greedy_independent_rows(rows, d)
+        assert (pivots if len(pivots) == d else None) == greedy, rows
+        assert len(pivots) == int_rank(rows)
+        deficient += greedy is None
+    assert 50 < deficient < 250

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -36,6 +37,10 @@ def test_preset_argument_checking():
         preset("P3", 2, 2, 0)
     with pytest.raises(WiringError):
         preset("P2", "x", 2)
+    with pytest.raises(WiringError, match="joint assignments"):
+        preset("P3", 2, 3, 20)   # refused before any step table is built
+    with pytest.raises(WiringError, match="joint assignments"):
+        preset("P3", 2, 3, 10 ** 12)
 
 
 def test_chained_conversion_error_table():
@@ -150,3 +155,63 @@ def test_random_wirings_always_yield_valid_boxes():
     for _ in range(60):
         out = evaluate_wiring(random_wiring(rng))
         out.require_valid()
+
+
+def _reference_evaluate(wiring, components=None):
+    """The product loop evaluate_wiring ran before wirings were lowered to
+    communication protocols, kept as an independent oracle (no validation:
+    the wirings below are valid)."""
+    boxes = ([c.box for c in wiring.components] if components is None
+             else list(components))
+    shape = wiring.shape
+    sides = [(c, s) for c, comp in enumerate(wiring.components)
+             for s in range(len(comp.parties))]
+    pos = {cs: i for i, cs in enumerate(sides)}
+    ranges = [range(max(boxes[c].shape.outputs[s])) for c, s in sides]
+
+    table = [Fraction(0)] * shape.table_size
+    for ins in shape.joint_inputs:
+        for assign in iproduct(*ranges):
+            comp_ins = [[None] * len(comp.parties)
+                        for comp in wiring.components]
+            outs = []
+            for k, prog in enumerate(wiring.programs):
+                prev = []
+                for st in prog.steps:
+                    comp_ins[st.component][st.side] = st.inputs[(ins[k], *prev)]
+                    prev.append(assign[pos[(st.component, st.side)]])
+                outs.append(prog.outputs[(ins[k], *prev)])
+            weight = Fraction(1)
+            for c, box in enumerate(boxes):
+                cins = tuple(comp_ins[c])
+                couts = tuple(assign[pos[(c, s)]]
+                              for s in range(box.shape.parties))
+                if any(o >= box.shape.outputs[s][x]
+                       for s, (o, x) in enumerate(zip(couts, cins))):
+                    weight = Fraction(0)
+                    break
+                weight *= box.prob(couts, cins)
+                if not weight:
+                    break
+            if weight:
+                table[shape.index(tuple(outs), ins)] += weight
+    return Box(shape, tuple(table))
+
+
+def test_lowered_evaluation_matches_the_reference_loop():
+    from wiring_helpers import random_wiring
+    cases = [(preset(name, *dims), None) for name in ("P1", "P2")
+             for dims in ((2, 2), (2, 3), (3, 2), (2, 4))]
+    cases += [(preset("P3", 2, dp, n), None)
+              for dp in (3, 4) for n in range(1, 6)]
+    cases += [(preset(name), None) for name in ("P5", "P6", "P7")]
+    cases += [(_crossed_wiring(flip), None) for flip in (False, True)]
+    cases += [(preset("P2", 2, 4), [uniform(dbox(8).shape)]),
+              (preset("P2", 2, 4), [evaluate_wiring(preset("P1", 2, 4))]),
+              (preset("P5"), [uniform(pr().shape), pr(1, 1, 0)]),
+              (preset("P1", 2, 2), [pr(0, 1, 1), uniform(pr().shape)])]
+    rng = random.Random(7)
+    cases += [(random_wiring(rng), None) for _ in range(60)]
+    for wiring, components in cases:
+        assert (evaluate_wiring(wiring, components).table
+                == _reference_evaluate(wiring, components).table)
