@@ -10,8 +10,10 @@ from itertools import product as iproduct
 Rational = Fraction
 
 # Joint inputs are materialised when a shape is built; shapes with more are
-# refused before that.
+# refused before that.  Tables are materialised when a box is built; shapes
+# with more entries are refused when the shape is built.
 _MAX_JOINT_INPUTS = 1 << 18
+_MAX_TABLE_SIZE = 1 << 22
 
 
 class ShapeError(ValueError):
@@ -66,6 +68,9 @@ class BoxShape:
         for ins in joint:
             offsets[ins] = pos
             pos += math.prod(outs[k][x] for k, x in enumerate(ins))
+        if pos > _MAX_TABLE_SIZE:
+            raise ShapeError(f"{pos} table entries exceed the cap of "
+                             f"{_MAX_TABLE_SIZE}")
         object.__setattr__(self, "_joint_inputs", joint)
         object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_size", pos)
@@ -188,7 +193,9 @@ class Box:
     table: tuple[Fraction, ...]
 
     def __post_init__(self):
-        tab = tuple(_as_fraction(v) for v in self.table)
+        tab = tuple(self.table)
+        if not set(map(type, tab)) <= {Fraction}:
+            tab = tuple(_as_fraction(v) for v in tab)
         if len(tab) != self.shape.table_size:
             raise ShapeError(
                 f"table has {len(tab)} entries, shape {self.shape} needs "

@@ -69,7 +69,7 @@ def _cmd_dim(args):
 def _cmd_vertices(args):
     shape = parse_shape(args.shape)
     vrep = enumerate_vertices(build_hrep(shape), max_rays=args.max_rays,
-                              time_budget=args.timeout, threads=args.threads)
+                              time_budget=args.timeout)
     classes = classify_vertices(vrep)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,8 +170,7 @@ def _cmd_mincomm(args):
 def _cmd_extend(args):
     ok, witness = all_extensions_factorize(
         load_box(args.box), args.env_inputs, args.env_outputs,
-        max_rays=args.max_rays, time_budget=args.timeout,
-        threads=args.threads)
+        max_rays=args.max_rays, time_budget=args.timeout)
     if ok:
         print("FACTORIZES")
         return 0
@@ -189,7 +188,6 @@ def _add_enumeration_flags(p):
     p.add_argument("--max-rays", type=int, default=2_000_000)
     p.add_argument("--timeout", type=int, default=None,
                    help="abort enumeration after this many seconds")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _build_parser():

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .linalg import _bareiss, _int_matmul, inverse_and_det, reduce_content
+from .linalg import _bareiss, _int_inverse, _int_products, _max_abs, reduce_content
 
-_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
+# elements in the largest temporary of the adjacency test
+_BUDGET = 1 << 20
 
 
 class EnumerationCapError(RuntimeError):
@@ -17,28 +17,38 @@ class EnumerationCapError(RuntimeError):
     enumeration result would be partial, so nothing is returned."""
 
 
-def _popcount(arr):
-    return np.bitwise_count(arr)
+def _pack(tight, nwords):
+    """Rows of a bool matrix as uint64 masks: column i is bit i % 64 of
+    word i // 64."""
+    bits = np.zeros((len(tight), nwords * 64), dtype=bool)
+    bits[:, :tight.shape[1]] = tight
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
 
 
-def _masks_to_words(masks, nwords):
-    out = np.zeros((len(masks), nwords), dtype=np.uint64)
-    for i, m in enumerate(masks):
-        w = 0
-        while m:
-            out[i, w] = m & 0xFFFFFFFFFFFFFFFF
-            m >>= 64
-            w += 1
-    return out
+def _fit(a):
+    """An integer array as int64 when every entry fits, else unchanged."""
+    if a.dtype == object and (not a.size or _max_abs(a) < 2 ** 63):
+        return a.astype(np.int64)
+    return a
 
 
-def extreme_rays(rows, max_rays=2_000_000, time_budget=None, threads=1):
+def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
     """All extreme rays of the pointed cone {y : a·y >= 0 for each row a}.
 
     ``rows`` are integer vectors; the result is a sorted list of primitive
     integer tuples.  Raises ValueError if the cone is not pointed and
     EnumerationCapError if ``max_rays`` intermediate rays or the
     ``time_budget`` (seconds) is exceeded.
+
+    Rows are added one at a time.  Each ray keeps a bit mask of the
+    processed rows it is tight on.  A ray p on the positive side of the new
+    row and a ray n on its negative side are adjacent iff no third ray is
+    tight on all of their common tight rows cm = mask_p ∧ mask_n, which
+    needs |cm| >= d - 2 (the combinatorial test).  A ray r tight on all of
+    cm is near p, |mask_r ∧ mask_p| >= d - 2, because cm ⊆ mask_r gives
+    cm ⊆ mask_r ∧ mask_p; likewise it is near n.  So the candidates of a
+    ray are the rays near it on the other side, and each pair is tested
+    against the rays near one of its two ends only.
     """
     t0 = time.monotonic()
     rows = [tuple(reduce_content(list(r))) for r in rows]
@@ -57,134 +67,113 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None, threads=1):
     if len(base_idx) < d:
         raise ValueError("cone has a lineality space (constraint rank < dimension)")
 
-    inv, det = inverse_and_det([rows[i] for i in base_idx])
-    sign = 1 if det > 0 else -1
-    rays = []
-    for j in range(d):
-        col = [inv[i][j] * det * sign for i in range(d)]
-        if any(v.denominator != 1 for v in col):
-            raise AssertionError("initial ray of an integer basis is not integral")
-        rays.append(tuple(reduce_content([int(v) for v in col])))
-    # processed-row masks: bit i set iff the ray is tight on processed row i
-    masks = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
-    processed = [rows[i] for i in base_idx]
-    remaining = [r for i, r in enumerate(rows) if i not in set(base_idx)]
+    # column j of the basis inverse is tight on every basis row but row j
+    den, inv = _int_inverse([rows[i] for i in base_idx])
+    sign = 1 if den > 0 else -1
+    rays = _fit(np.array([reduce_content([sign * inv[i][j] for i in range(d)])
+                          for j in range(d)], dtype=object))
+    # bit k of a ray's mask is set iff the ray is tight on processed row k
+    nwords = (len(rows) + 63) // 64
+    masks = _pack(~np.eye(d, dtype=bool), nwords)
+    table = _fit(np.array(rows, dtype=object))
+    processed = list(base_idx)
+    remaining = [i for i in range(len(rows)) if i not in set(base_idx)]
 
-    def check_budget():
+    while remaining:
         if time_budget is not None and time.monotonic() - t0 > time_budget:
             raise EnumerationCapError(
                 f"time budget {time_budget}s exceeded with "
                 f"{len(remaining)} rows left and {len(rays)} rays")
+        values = _int_products(table[remaining], rays)
+        split = np.abs((values > 0).sum(axis=1) - (values < 0).sum(axis=1))
+        i_row = int(np.argmin(split))
+        vals = values[i_row]
+        pos, neg = vals > 0, vals < 0
+        zero = ~(pos | neg)
+        if not pos.any() and not zero.any():
+            # every ray is cut off, so the cone has collapsed to {0}
+            return []
+        word, bit = divmod(len(processed), 64)
+        bit = np.uint64(1 << bit)
+        processed.append(remaining.pop(i_row))
+        if not neg.any():
+            masks[zero, word] |= bit
+            continue
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while remaining:
-            check_budget()
-            values = _int_matmul(remaining, rays)
-            best = None
-            for i, vals in enumerate(values):
-                pos = sum(1 for v in vals if v > 0)
-                neg = sum(1 for v in vals if v < 0)
-                score = abs(pos - neg)
-                if best is None or score < best[0]:
-                    best = (score, i)
-            i_row = best[1]
-            row = remaining.pop(i_row)
-            vals = values[i_row]
-
-            pos_i = [i for i, v in enumerate(vals) if v > 0]
-            zero_i = [i for i, v in enumerate(vals) if v == 0]
-            neg_i = [i for i, v in enumerate(vals) if v < 0]
-            if not pos_i and not zero_i:
-                # every ray is cut off, so the cone has collapsed to {0}
-                return []
-            bit = 1 << len(processed)
-            if not neg_i:
-                masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
-                processed.append(row)
-                continue
-
-            new_rays = _combine_adjacent(
-                rays, masks, vals, pos_i, neg_i, len(processed), d, pool, threads)
-            # exact tight-sets for the survivors and the fresh rays
-            keep = pos_i + zero_i
-            zero_set = set(zero_i)
-            rays2 = [rays[i] for i in keep]
-            masks2 = [masks[i] | (bit if i in zero_set else 0) for i in keep]
-            processed.append(row)
-            if new_rays:
-                prods = _int_matmul(processed, new_rays)
-                for j, ray in enumerate(new_rays):
-                    m = 0
-                    for ib in range(len(processed)):
-                        if prods[ib][j] == 0:
-                            m |= 1 << ib
-                    rays2.append(ray)
-                    masks2.append(m)
-            rays, masks = rays2, masks2
-            if len(rays) > max_rays:
-                raise EnumerationCapError(
-                    f"ray cap {max_rays} exceeded ({len(rays)} rays, "
-                    f"{len(remaining)} rows left)")
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return sorted(rays)
+        fresh = _fresh_rays(rays, masks, vals, d)
+        keep = ~neg
+        masks = masks[keep]
+        masks[zero[keep], word] |= bit
+        masks = np.concatenate([masks, _pack(_int_products(fresh, table[processed]) == 0, nwords)])
+        rays = _fit(np.concatenate([rays[keep], fresh]))
+        if len(rays) > max_rays:
+            raise EnumerationCapError(
+                f"ray cap {max_rays} exceeded ({len(rays)} rays, "
+                f"{len(remaining)} rows left)")
+    return sorted(map(tuple, rays.tolist()))
 
 
-def _combine_adjacent(rays, masks, vals, pos_i, neg_i, nbits, d, pool, threads):
-    """New rays from adjacent (positive, negative) pairs for the current row."""
-    nwords = max(1, (nbits + 63) // 64)
-    all_words = _masks_to_words(masks, nwords)
-    pos_words = all_words[np.array(pos_i, dtype=np.intp)]
-    need = d - 2
+def _adjacent_pairs(masks, vals, need):
+    """Index arrays (p, n) of the adjacent pairs with vals[p] > 0 > vals[n],
+    for rays tight on at least ``need`` + 1 rows each.
 
-    cand_pairs = []
-    r_count = len(rays)
-    chunk = max(1, int(2e7) // max(len(pos_i), 1))
-    for lo in range(0, len(neg_i), chunk):
-        sel = neg_i[lo:lo + chunk]
-        neg_words = all_words[np.array(sel, dtype=np.intp)]
-        cnt = np.zeros((len(sel), len(pos_i)), dtype=np.int64)
-        for w in range(nwords):
-            cnt += _popcount(neg_words[:, w][:, None] & pos_words[:, w][None, :])
-        ni, pi = np.nonzero(cnt >= need)
-        for a, b in zip(ni.tolist(), pi.tolist()):
-            cand_pairs.append((pos_i[b], sel[a]))
-    if not cand_pairs:
-        return []
+    Each pair is tested from its end with fewer tight rows, which has the
+    fewer near rays; ties go to the positive end.  Blocks of ends share one
+    numpy pass for their near rays and candidates."""
+    nrays = len(masks)
+    # the words of rows not processed yet are zero in every mask
+    words = [np.ascontiguousarray(col) for col in masks.T if col.any()]
+    pos, neg = vals > 0, vals < 0
+    key = 2 * np.bitwise_count(masks).sum(axis=1, dtype=np.int64) + neg
+    ends = np.flatnonzero(pos | neg)
+    # the smallest unsigned type that holds a popcount over all the words
+    count = np.min_scalar_type(64 * len(words))
+    anchors, partners = [], []
+    block = max(1, _BUDGET // nrays)
+    for lo in range(0, len(ends), block):
+        blk = ends[lo:lo + block]
+        shared = np.zeros((len(blk), nrays), dtype=count)
+        for w in words:
+            shared += np.bitwise_count(w & w[blk, None])
+        # the rays near each end, grouped by end, and which are its candidates
+        near_b, near_r = np.divmod(np.flatnonzero(shared >= need), nrays)
+        end_of = blk[near_b]
+        cand = (np.where(pos[end_of], neg[near_r], pos[near_r])
+                & (key[near_r] > key[end_of]))
+        size = np.bincount(near_b, minlength=len(blk))
+        stops = np.cumsum(size)
+        starts, stops = (stops - size).tolist(), stops.tolist()
+        for i in np.flatnonzero(np.bincount(near_b[cand], minlength=len(blk))).tolist():
+            a, near = blk[i], near_r[starts[i]:stops[i]]
+            cands = near[cand[starts[i]:stops[i]]]
+            live = [w for w in words if w[a]]
+            step = max(1, _BUDGET // len(near))
+            for lo2 in range(0, len(cands), step):
+                b = cands[lo2:lo2 + step]
+                held = None
+                for w in live:
+                    cm = (w[b] & w[a])[:, None]
+                    inside = (w[near] & cm) == cm
+                    held = inside if held is None else held & inside
+                anchors.append(a)
+                partners.append(b[held.sum(axis=1) == 2])
+    if not anchors:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    b = np.concatenate(partners)
+    a = np.repeat(anchors, [len(x) for x in partners])
+    return np.where(pos[a], a, b), np.where(pos[a], b, a)
 
-    # a candidate pair is adjacent iff only the two parents contain its
-    # common tight set
-    def survivors(pairs):
-        out = []
-        cm = np.zeros((len(pairs), nwords), dtype=np.uint64)
-        for i, (p, n) in enumerate(pairs):
-            cm[i] = all_words[p] & all_words[n]
-        ok = np.ones((len(pairs), r_count), dtype=bool)
-        for w in range(nwords):
-            ok &= (all_words[:, w][None, :] & cm[:, w][:, None]) == cm[:, w][:, None]
-        counts = ok.sum(axis=1)
-        for i, c in enumerate(counts.tolist()):
-            if c == 2:
-                out.append(pairs[i])
-        return out
 
-    chunk2 = max(1, int(2e7) // max(r_count, 1))
-    batches = [cand_pairs[lo:lo + chunk2] for lo in range(0, len(cand_pairs), chunk2)]
-    if pool is not None and len(batches) > 1:
-        adjacent = []
-        for part in pool.map(survivors, batches):
-            adjacent.extend(part)
-    else:
-        adjacent = []
-        for b in batches:
-            adjacent.extend(survivors(b))
-
-    fresh = {}
-    for p, n in adjacent:
-        vp, vn = int(vals[p]), int(vals[n])
-        w = [vp * rn - vn * rp for rp, rn in zip(rays[p], rays[n])]
-        w = tuple(reduce_content(w))
-        fresh.setdefault(w, None)
-    return list(fresh)
+def _fresh_rays(rays, masks, vals, d):
+    """The primitive ray vals[p]·rays[n] − vals[n]·rays[p] of each adjacent
+    pair (p, n), which lies on the new row's hyperplane.  Distinct pairs
+    span distinct 2-faces, so the fresh rays are distinct.  With vals[p] >
+    0 > vals[n] each term is below 2**62 in magnitude under the guard, so
+    the sum fits in int64; past the guard the arithmetic is on Python ints."""
+    p, n = _adjacent_pairs(masks, vals, d - 2)
+    if not len(p):
+        return np.zeros((0, d), dtype=np.int64)
+    if _max_abs(vals) * _max_abs(rays) >= 2 ** 62:
+        rays, vals = rays.astype(object), vals.astype(object)
+    w = vals[p][:, None] * rays[n] - vals[n][:, None] * rays[p]
+    return w // np.gcd.reduce(w, axis=1)[:, None]

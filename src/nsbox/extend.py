@@ -61,7 +61,7 @@ def _factorizes(point):
 
 
 def all_extensions_factorize(base, env_inputs, env_outputs,
-                             max_rays=2_000_000, time_budget=None, threads=1):
+                             max_rays=2_000_000, time_budget=None):
     """Whether every extension splits as base times an environment
     distribution; on failure, also a validated counterexample vertex.
 
@@ -70,7 +70,7 @@ def all_extensions_factorize(base, env_inputs, env_outputs,
     vertex midpoints re-checks that claim at runtime."""
     ext = build_extension_polytope(base, env_inputs, env_outputs)
     vrep = enumerate_vertices(ext.hrep, max_rays=max_rays,
-                              time_budget=time_budget, threads=threads)
+                              time_budget=time_budget)
     witness = None
     for v in vrep.vertices:
         if not _factorizes(v):

@@ -30,27 +30,25 @@ def reduce_content(ints):
 def _max_abs(m):
     if isinstance(m, np.ndarray):
         return max(int(m.max()), -int(m.min()))
-    return max(max(abs(v) for v in r) for r in m)
+    return max(max(max(r), -min(r)) for r in m)
+
+
+def _int_products(rows, cols):
+    """Exact products rows x colsᵀ as an array.  Either operand may be a
+    list of int lists or an integer array; the products are int64 when the
+    magnitudes provably fit in it, and Python ints in an object array
+    otherwise."""
+    if not len(rows) or not len(cols):
+        return np.zeros((len(rows), len(cols)), dtype=np.int64)
+    d = len(cols[0])
+    dtype = np.int64 if _max_abs(rows) * _max_abs(cols) * d < 2 ** 62 else object
+    return np.asarray(rows, dtype=dtype) @ np.asarray(cols, dtype=dtype).T
 
 
 def _int_matmul(rows, cols):
-    """Exact products rows x colsᵀ as a list of int lists.  Either operand
-    may be a list of int lists or an int64 array; numpy computes the
-    products when the magnitudes provably fit in int64, Python ints
-    otherwise."""
-    if not len(rows) or not len(cols):
-        return [[0] * len(cols) for _ in rows]
-    d = len(cols[0])
-    if _max_abs(rows) * _max_abs(cols) * d < 2 ** 62:
-        a = np.asarray(rows, dtype=np.int64)
-        b = np.asarray(cols, dtype=np.int64)
-        return (a @ b.T).tolist()
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    if isinstance(cols, np.ndarray):
-        cols = cols.tolist()
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
-            for row in rows]
+    """Exact products rows x colsᵀ as a list of int lists (see
+    ``_int_products``)."""
+    return _int_products(rows, cols).tolist()
 
 
 def _bareiss(m):
@@ -151,31 +149,23 @@ def solve(rows, rhs):
     return x
 
 
-def inverse_and_det(rows):
-    """(inverse, determinant) of a square Fraction matrix; det 0 -> (None, 0)."""
+def _int_inverse(rows):
+    """(D, X) with rows·X = D·I for a nonsingular square integer matrix.
+
+    Bareiss elimination of [rows | I], then fraction-free back
+    substitution.  D is the last pivot, ±det(rows), so X = D·rows⁻¹ is
+    integral (Cramer) and every division is exact."""
     n = len(rows)
-    m = [[Fraction(v) for v in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None, Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        m[c] = [v * inv for v in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [r[n:] for r in m], det
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    _bareiss(m)
+    den = m[-1][n - 1]
+    x = [[0] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        for c in range(n):
+            x[i][c] = (den * row[n + c]
+                       - sum(row[j] * x[j][c] for j in range(i + 1, n))) // row[i]
+    return den, x
 
 
 def project_out_rowspace(vec, rows):

@@ -7,12 +7,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from math import lcm
+
+import numpy as np
 
 from . import relabel
 from .boxes import Box, BoxShape, InvalidBoxError, ShapeError
 from .dd import extreme_rays
 from .families import dbox
-from .linalg import clear_denominators, int_rank, nullspace_int
+from .linalg import _int_products, _max_abs, clear_denominators, int_rank, nullspace_int
 
 
 @dataclass(frozen=True)
@@ -123,13 +126,11 @@ def _presolve_zeros(eq_int):
     return fixed
 
 
-def enumerate_vertices(h, max_rays=2_000_000, time_budget=None, threads=1):
-    """All vertices of {x >= 0, equalities}, via rays of the homogenized cone.
-
-    Deterministic: vertices come back sorted by their flat tables.  Raises
-    EnumerationCapError (never truncates silently) if caps are hit.
-    """
-    n = h.ambient
+def _homogenized_cone(h):
+    """(keep, coord_rows) for the vertices of {x >= 0, equalities}: the
+    coordinates not forced to zero, and one integer row per coordinate of
+    (t, x_keep) over a nullspace basis of the equalities.  Each extreme ray
+    y of the cone {y : coord_rows·y >= 0} is one vertex x_keep / t."""
     eq_int = []
     seen = set()
     for row, rhs in h.equalities:
@@ -142,8 +143,7 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None, threads=1):
         raise ShapeError("a polytope needs at least one equality (normalization)")
 
     fixed = _presolve_zeros(eq_int)
-    keep = [i for i in range(n) if i not in fixed]
-    col_of = {c: j for j, c in enumerate(keep)}
+    keep = [i for i in range(h.ambient) if i not in fixed]
     reduced = []
     seen = set()
     for row in eq_int:
@@ -157,26 +157,39 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None, threads=1):
     basis = nullspace_int(reduced)
     if not basis:
         raise ShapeError("equalities admit only the zero solution; no polytope")
-    q = len(basis)
-    # one positivity row per surviving coordinate of (t, x'): the cone rows
-    coord_rows = []
-    for i in range(1 + len(keep)):
-        coord_rows.append([vec[i] for vec in basis])
-    rays = extreme_rays(coord_rows, max_rays=max_rays,
-                        time_budget=time_budget, threads=threads)
+    coord_rows = [[vec[i] for vec in basis] for i in range(1 + len(keep))]
+    return keep, coord_rows
 
-    vertices = []
-    for ray in rays:
-        z = [sum(c * y for c, y in zip(coord_rows[i], ray)) for i in range(1 + len(keep))]
-        t = z[0]
-        if t <= 0:
-            raise AssertionError(
-                "homogenization ray with t <= 0 on a bounded polytope")
-        point = [Fraction(0)] * n
-        for c in keep:
-            point[c] = Fraction(z[1 + col_of[c]], t)
-        vertices.append(tuple(point))
-    vertices.sort()
+
+def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
+    """All vertices of {x >= 0, equalities}, via rays of the homogenized cone.
+
+    Deterministic: vertices come back sorted by their flat tables.  Raises
+    EnumerationCapError (never truncates silently) if caps are hit.
+    """
+    keep, coord_rows = _homogenized_cone(h)
+    rays = extreme_rays(coord_rows, max_rays=max_rays, time_budget=time_budget)
+    if not rays:
+        return VRep((), full=True)
+    # vertex i is z[i, 1:] / t[i]; scaled to the common denominator den of
+    # all t, the integer rows order exactly as the Fraction tables do, and
+    # each distinct entry becomes one Fraction
+    z = _int_products(rays, coord_rows)
+    t = z[:, 0].tolist()
+    if min(t) <= 0:
+        raise AssertionError(
+            "homogenization ray with t <= 0 on a bounded polytope")
+    den = lcm(*t)
+    scale = [den // v for v in t]
+    if _max_abs(z) * max(scale) >= 2 ** 63:
+        z = z.astype(object)
+    scaled = z[:, 1:] * np.array(scale, dtype=z.dtype)[:, None]
+    # lexsort's primary key is its last
+    values, inverse = np.unique(scaled[np.lexsort(scaled.T[::-1])], return_inverse=True)
+    fractions = np.array([Fraction(v, den) for v in values.tolist()], dtype=object)
+    table = np.full((len(scaled), h.ambient), Fraction(0), dtype=object)
+    table[:, keep] = fractions[inverse].reshape(scaled.shape)
+    vertices = [tuple(v) for v in table.tolist()]
     if h.shape is not None:
         boxes = tuple(Box(h.shape, v) for v in vertices)
     else:
@@ -296,7 +309,7 @@ class KBoxCensus:
         return sum(c.size for c in self.classes)
 
 
-def kbox_census(d_alice, d_bob, max_rays=2_000_000, time_budget=None, threads=1):
+def kbox_census(d_alice, d_bob, max_rays=2_000_000, time_budget=None):
     """Enumerate a two-input bipartite polytope and match every non-local
     vertex class to a (possibly lifted) k-box by exhaustive relabelling
     search; k runs over 2..min(output counts)."""
@@ -305,7 +318,7 @@ def kbox_census(d_alice, d_bob, max_rays=2_000_000, time_budget=None, threads=1)
         raise ShapeError("the census covers two-input bipartite shapes")
     shape = BoxShape((d_alice, d_bob))
     vrep = enumerate_vertices(build_hrep(shape), max_rays=max_rays,
-                              time_budget=time_budget, threads=threads)
+                              time_budget=time_budget)
     classes = classify_vertices(vrep)
     kmax = min(min(d_alice), min(d_bob))
     out = []

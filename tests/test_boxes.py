@@ -63,6 +63,15 @@ def test_shape_size_is_checked_before_joint_inputs_are_built():
     assert BoxShape(((2,) * 64,) * 2).table_size == 64 * 64 * 4
 
 
+def test_table_size_is_checked_before_any_entry_is_built():
+    # 64M entries for dbox(4000); refused when its shape is made
+    with pytest.raises(ShapeError, match="table entries exceed"):
+        dbox(4000)
+    with pytest.raises(ShapeError, match="table entries exceed"):
+        BoxShape.from_string("2:2049/2:1024")
+    assert BoxShape.from_string("2:2048/2:512").table_size == 2 ** 22
+
+
 def test_index_range_checks():
     shape = BoxShape.homogeneous(2, 2, 2)
     with pytest.raises(ShapeError):

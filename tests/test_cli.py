@@ -126,6 +126,7 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
     binary = tmp_path / "binary.box"
     binary.write_bytes(bytes(range(256)))
     argvs = [["make", "dbox", "x", "-o", str(tmp_path / "x.box")],
+             ["make", "dbox", "4000", "-o", str(tmp_path / "x.box")],
              ["validate", str(tmp_path)], ["wire", str(tmp_path)],
              ["validate", str(binary)], ["wire", str(binary)],
              ["protocol3-error", "2", "3", "20"]]

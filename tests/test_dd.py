@@ -1,10 +1,14 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from nsbox import dd
+from nsbox.boxes import BoxShape
 from nsbox.dd import EnumerationCapError, extreme_rays
 from nsbox.linalg import int_rank, nullspace_int, reduce_content
+from nsbox.polytope import HPolytope, build_hrep, enumerate_vertices
 
 
 def test_orthant_rays_are_unit_vectors():
@@ -85,3 +89,131 @@ def test_random_cones_match_brute_force():
             assert all(sum(a * b for a, b in zip(row, ray)) >= 0
                        for row in rows)
             assert tuple(reduce_content(list(ray))) == ray
+
+
+def _reference_combine_adjacent(rays, masks, vals, d):
+    """The dense adjacency test that the near-ray test replaced: every
+    candidate pair is tested against every ray.  ``rays`` and ``vals`` are
+    int lists and ``masks`` Python ints; returns the fresh rays."""
+    pos_i = [i for i, v in enumerate(vals) if v > 0]
+    neg_i = [i for i, v in enumerate(vals) if v < 0]
+    nwords = max(1, (max(masks).bit_length() + 63) // 64)
+    all_words = np.zeros((len(masks), nwords), dtype=np.uint64)
+    for i, m in enumerate(masks):
+        for w in range(nwords):
+            all_words[i, w] = (m >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
+    pos_words = all_words[np.array(pos_i, dtype=np.intp)]
+    cand_pairs = []
+    for n in neg_i:
+        cnt = np.zeros(len(pos_i), dtype=np.int64)
+        for w in range(nwords):
+            cnt += np.bitwise_count(all_words[n, w] & pos_words[:, w])
+        for b in np.nonzero(cnt >= d - 2)[0].tolist():
+            cand_pairs.append((pos_i[b], n))
+    fresh = {}
+    for p, n in cand_pairs:
+        cm = all_words[p] & all_words[n]
+        holds = np.ones(len(rays), dtype=bool)
+        for w in range(nwords):
+            holds &= (all_words[:, w] & cm[w]) == cm[w]
+        if holds.sum() != 2:
+            continue
+        vp, vn = vals[p], vals[n]
+        w = [vp * rn - vn * rp for rp, rn in zip(rays[p], rays[n])]
+        fresh.setdefault(tuple(reduce_content(w)), None)
+    return list(fresh)
+
+
+def _checked(monkeypatch):
+    """Check every row's fresh rays against the reference; returns the
+    log of (fresh rays, mask words) per checked row."""
+    real = dd._fresh_rays
+    log = []
+
+    def checked(rays, masks, vals, d):
+        got = real(rays, masks, vals, d)
+        ints = [sum(w << (64 * k) for k, w in enumerate(row)) for row in masks.tolist()]
+        want = _reference_combine_adjacent(rays.tolist(), ints, vals.tolist(), d)
+        assert sorted(map(tuple, got.tolist())) == sorted(want)
+        log.append((len(want), masks.shape[1]))
+        return got
+
+    monkeypatch.setattr(dd, "_fresh_rays", checked)
+    return log
+
+
+def _degenerate_cone(rng, dim, extra, entries=(-1, 0, 0, 1)):
+    """The positive orthant cut by small rows whose entries sum to at
+    least zero, so the all-ones ray stays inside and many rows are tight
+    on the same rays."""
+    rows = {tuple(int(i == j) for j in range(dim)) for i in range(dim)}
+    while len(rows) < dim + extra:
+        row = tuple(rng.choice(entries) for _ in range(dim))
+        if any(row) and sum(row) >= 0:
+            rows.add(row)
+    return sorted(rows)
+
+
+def test_near_ray_adjacency_matches_the_dense_test_on_degenerate_cones(monkeypatch):
+    log = _checked(monkeypatch)
+    rng = random.Random(17)
+    degenerate = 0
+    # the last cone has more than 64 rows, so its masks take two words
+    for dim, extra, entries in ((6, 10, (-1, 0, 0, 1)), (7, 14, (-1, 0, 0, 1)),
+                                (8, 12, (-1, 0, 0, 1)), (9, 10, (-1, 0, 0, 1)),
+                                (7, 66, (-1, 0, 1, 1, 2))):
+        rows = _degenerate_cone(rng, dim, extra, entries)
+        got = extreme_rays(rows)
+        for ray in got:
+            dots = [sum(a * b for a, b in zip(row, ray)) for row in rows]
+            tight = [row for row, v in zip(rows, dots) if v == 0]
+            assert min(dots) >= 0
+            assert int_rank(tight) == dim - 1
+            degenerate += len(tight) > dim - 1
+    assert degenerate > 50
+    assert sum(fresh for fresh, words in log if words == 2) > 100
+
+
+def _parabola_cone(m):
+    """The homogenized polygon above the tangents y >= 2k·x - k² of y = x²
+    for |k| <= m, capped at y <= m² + 1, with one more supporting line
+    through each vertex between two tangents: 4m + 3 rows, and each of
+    those 2m vertices is tight on three of them."""
+    rows = [[0, 0, 1], [0, -1, m * m + 1]]
+    rows += [[-2 * k, 1, k * k] for k in range(-m, m + 1)]
+    rows += [[-2 * (2 * k + 1), 2, 2 * k * k + 2 * k + 1] for k in range(-m, m)]
+    return rows
+
+
+def test_near_ray_adjacency_matches_the_dense_test_past_one_mask_word(monkeypatch):
+    log = _checked(monkeypatch)
+    # 203 rows: four mask words, so the near counts are summed in uint16
+    rows = _parabola_cone(50)
+    random.Random(3).shuffle(rows)
+    got = extreme_rays(rows)
+    assert len(got) == 102
+    assert (-99, 4900, 2) in got
+    assert max(words for _, words in log) == 4
+
+
+@pytest.mark.parametrize("text, count", [("2,2/2,2", 24), ("3,3/3,3", 1161), ("2,2/2,2/3", 72)])
+def test_near_ray_adjacency_matches_the_dense_test_on_polytope_cones(monkeypatch, text, count):
+    log = _checked(monkeypatch)
+    h = build_hrep(BoxShape.from_string(text))
+    rows = list(h.equalities)
+    random.Random(text).shuffle(rows)
+    vrep = enumerate_vertices(HPolytope(h.ambient, tuple(rows), h.shape))
+    assert len(vrep.vertices) == count
+    assert log
+
+
+def test_entries_past_int64_take_the_python_int_path():
+    e = 2 ** 50
+    rows = [[int(i == j) for j in range(4)] for i in range(4)]
+    rows += [[-3 * e // 2, 3 * e + 1, -2 * e + 3, 3 * e - 5],
+             [-5 * e // 2 + 7, e + 9, -e - 11, 3 * e + 13],
+             [3 * e - 17, 3 * e + 19, 3 * e + 23, -4 * e + 29]]
+    got = extreme_rays(rows)
+    assert len(got) == 10
+    assert got == _brute_force_rays(rows, 4)
+    assert max(abs(v) for ray in got for v in ray) > 2 ** 100

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from nsbox.linalg import (_bareiss, clear_denominators, int_rank,
-                          inverse_and_det, nullspace_int, project_out_rowspace,
-                          reduce_content, rref, solve)
+from nsbox.linalg import (_bareiss, _int_inverse, clear_denominators, int_rank,
+                          nullspace_int, project_out_rowspace, reduce_content,
+                          rref, solve)
 
 F = Fraction
 
@@ -49,12 +49,36 @@ def test_solve_exact_and_inconsistent():
     assert x is not None and x[0] + x[1] == 5
 
 
-def test_inverse_and_det():
-    inv, det = inverse_and_det([[F(2), F(1)], [F(1), F(1)]])
-    assert det == 1
-    assert inv == [[F(1), F(-1)], [F(-1), F(2)]]
-    inv, det = inverse_and_det([[F(1), F(2)], [F(2), F(4)]])
-    assert inv is None and det == 0
+def _reference_inverse(rows):
+    """The Gauss-Jordan inverse over Fractions that `_int_inverse`
+    replaced."""
+    n = len(rows)
+    m = [[F(v) for v in r] + [F(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if m[i][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [v / m[c][c] for v in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return [r[n:] for r in m]
+
+
+def test_integer_inverse_matches_the_fraction_inverse():
+    den, x = _int_inverse([[2, 1], [1, 1]])
+    assert [[F(v, den) for v in r] for r in x] == [[1, -1], [-1, 2]]
+    rng = random.Random(9)
+    tested = 0
+    while tested < 60:
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if int_rank(rows) < n:
+            continue
+        den, x = _int_inverse(rows)
+        assert [[F(v, den) for v in r] for r in x] == _reference_inverse(rows)
+        tested += 1
 
 
 def test_projection_is_orthogonal_and_idempotent():

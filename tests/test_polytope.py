@@ -5,7 +5,9 @@ import pytest
 
 from nsbox.boxes import Box, BoxShape, InvalidBoxError, ShapeError, mix
 from nsbox.families import dbox, local_deterministic, pr, uniform
-from nsbox.polytope import (VRep, build_hrep, classify_vertices, dimension,
+from nsbox.dd import extreme_rays
+from nsbox.polytope import (HPolytope, VRep, _homogenized_cone, build_hrep,
+                            classify_vertices, dimension,
                             enumerate_vertices, is_extremal, kbox_census,
                             lift_box, normalization_rows)
 from nsbox.relabel import apply_relabelling, group, orbit
@@ -113,6 +115,44 @@ def test_classify_rejects_partial_lists():
     some = VRep(vrep.vertices[:5], full=False)
     with pytest.raises(ShapeError):
         classify_vertices(some)
+
+
+def _reference_vertices(h):
+    """The reconstruction that the integer one replaced: one Fraction per
+    entry, then a sort of the Fraction tables."""
+    keep, coord_rows = _homogenized_cone(h)
+    col_of = {c: j for j, c in enumerate(keep)}
+    vertices = []
+    for ray in extreme_rays(coord_rows):
+        z = [sum(c * y for c, y in zip(coord_rows[i], ray)) for i in range(1 + len(keep))]
+        point = [Fraction(0)] * h.ambient
+        for c in keep:
+            point[c] = Fraction(z[1 + col_of[c]], z[0])
+        vertices.append(tuple(point))
+    vertices.sort()
+    return vertices
+
+
+def test_integer_reconstruction_matches_the_fraction_one():
+    h = build_hrep(BoxShape.from_string("3,3/3,3"))
+    want = _reference_vertices(h)
+    got = [b.table for b in enumerate_vertices(h).vertices]
+    assert got == want
+    assert {max(v.denominator for v in table) for table in got} == {1, 2, 3}
+
+
+def test_integer_reconstruction_without_a_shape():
+    f = Fraction
+    rows = [((1, 2, 3, 5, 1, 0, 7), 6),
+            ((f(1, 2), -1, 1, 0, 0, 0, f(2, 3)), f(1, 3)),
+            ((0, 0, 0, 0, 1, 2, 0), 0)]
+    h = HPolytope(7, tuple((tuple(map(f, row)), f(rhs)) for row, rhs in rows))
+    got = enumerate_vertices(h).vertices
+    assert list(got) == _reference_vertices(h)
+    assert all(type(v) is tuple for v in got)
+    assert len(got) > 4
+    assert len({max(v.denominator for v in point) for point in got}) > 2
+    assert all(point[4] == point[5] == 0 for point in got)
 
 
 def test_extremality():
