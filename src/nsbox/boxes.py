@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 Rational = Fraction
@@ -216,39 +217,15 @@ class Box:
 
     def validate(self):
         """Check positivity, normalization and no-signalling, all exactly."""
-        problems = []
-        for ins, outs in self.shape.entries():
-            v = self.prob(outs, ins)
-            if v < 0:
-                problems.append(f"negative entry p{outs}|{ins} = {v}")
-        for ins in self.shape.joint_inputs:
-            s = sum(self.block(ins))
-            if s != 1:
-                problems.append(f"input {ins}: block sums to {s}, not 1")
-        problems.extend(self._signalling_problems())
+        table = self.table
+        problems = [f"negative entry p{outs}|{ins} = {v}"
+                    for (ins, outs), v in zip(self.shape.entries(), table) if v < 0]
+        for plus, minus, rhs, label in _equality_rows(self.shape):
+            lo = sum(table[i] for i in plus)
+            hi = rhs + sum(table[i] for i in minus)
+            if lo != hi:
+                problems.append(label.format(lo=lo, hi=hi))
         return ValidationReport(tuple(problems))
-
-    def _signalling_problems(self):
-        shape = self.shape
-        problems = []
-        for k in range(shape.parties):
-            others = [j for j in range(shape.parties) if j != k]
-            for x in range(shape.inputs[k] - 1):
-                for oins in iproduct(*[range(shape.inputs[j]) for j in others]):
-                    ins_lo = _merge(k, x, others, oins)
-                    ins_hi = _merge(k, x + 1, others, oins)
-                    odims = [shape.outputs[j][xx] for j, xx in zip(others, oins)]
-                    for oouts in iproduct(*[range(d) for d in odims]):
-                        lo = sum(self.prob(_merge(k, a, others, oouts), ins_lo)
-                                 for a in range(shape.outputs[k][x]))
-                        hi = sum(self.prob(_merge(k, a, others, oouts), ins_hi)
-                                 for a in range(shape.outputs[k][x + 1]))
-                        if lo != hi:
-                            problems.append(
-                                f"party {k} signals: marginal of parties {tuple(others)} "
-                                f"at output {oouts}|input {oins} is {lo} for "
-                                f"input {x} but {hi} for input {x + 1}")
-        return problems
 
     def require_valid(self):
         report = self.validate()
@@ -298,14 +275,6 @@ class Box:
         return f"Box({self.shape}, <{len(self.table)} entries>)"
 
 
-def _merge(k, val, others, ovals):
-    out = [None] * (len(others) + 1)
-    out[k] = val
-    for j, v in zip(others, ovals):
-        out[j] = v
-    return tuple(out)
-
-
 def _merge_many(idx_a, vals_a, idx_b, vals_b):
     out = [None] * (len(idx_a) + len(idx_b))
     for j, v in zip(idx_a, vals_a):
@@ -313,6 +282,40 @@ def _merge_many(idx_a, vals_a, idx_b, vals_b):
     for j, v in zip(idx_b, vals_b):
         out[j] = v
     return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def _equality_rows(shape):
+    """The equalities every valid box of a shape satisfies, each once, as
+    (plus, minus, rhs, label): the entries at ``plus`` minus those at
+    ``minus`` sum to rhs.  First normalization, one row per joint input;
+    then no-signalling, one family per party against the joint rest.  The
+    label is the violation message, with ``{lo}`` and ``{hi}`` for the two
+    sides."""
+    rows = []
+    for ins in shape.joint_inputs:
+        off, size = shape.block(ins)
+        rows.append((tuple(range(off, off + size)), (), 1,
+                     f"input {ins}: block sums to {{lo}}, not 1"))
+
+    def side(k, x, others, oins, oouts):
+        ins = _merge_many((k,), (x,), others, oins)
+        return tuple(shape.index(_merge_many((k,), (a,), others, oouts), ins)
+                     for a in range(shape.outputs[k][x]))
+
+    for k in range(shape.parties):
+        others = [j for j in range(shape.parties) if j != k]
+        for x in range(shape.inputs[k] - 1):
+            for oins in iproduct(*[range(shape.inputs[j]) for j in others]):
+                odims = [shape.outputs[j][xx] for j, xx in zip(others, oins)]
+                for oouts in iproduct(*[range(d) for d in odims]):
+                    rows.append((
+                        side(k, x, others, oins, oouts),
+                        side(k, x + 1, others, oins, oouts), 0,
+                        f"party {k} signals: marginal of parties {tuple(others)} "
+                        f"at output {oouts}|input {oins} is {{lo}} for "
+                        f"input {x} but {{hi}} for input {x + 1}"))
+    return tuple(rows)
 
 
 def validate(box):

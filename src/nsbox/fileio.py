@@ -150,7 +150,7 @@ def _decode_table(obj, where):
         try:
             scope = tuple(int(v) for v in key.split())
             table[scope] = int(val)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{where} has a non-integer entry at {key!r}") \
                 from None
     return table
@@ -209,7 +209,7 @@ def _typed(value, kind, where):
 def _integer(value, where):
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{where} must be an integer, got {value!r}") \
             from None
 

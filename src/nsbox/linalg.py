@@ -1,4 +1,8 @@
-"""Exact linear algebra over integers and fractions."""
+"""Exact linear algebra over the integers.  One elimination kernel serves
+every caller: fraction-free (Bareiss) forward elimination, then
+fraction-free back substitution; every division is exact, so no
+``Fraction`` is formed inside.  Rational input is scaled to integers at the
+boundary."""
 
 from __future__ import annotations
 
@@ -86,86 +90,55 @@ def int_rank(rows):
     return len(_bareiss([list(r) for r in rows if any(r)]))
 
 
-def rref(rows):
-    """Reduced row echelon form over Fractions; returns (rows, pivot_columns)."""
-    m = [[Fraction(v) for v in r] for r in rows]
-    if not m:
-        return [], []
-    nc = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+def _back_substitute(m, pivots, cols):
+    """Fraction-free back substitution on a Bareiss echelon form ``m`` with
+    the given pivot columns.  Returns (D, ys): D is the last pivot, ±det of
+    the pivot block P, and for each column c in ``cols`` the integer y with
+    P·y = D·m[:, c] over the pivot rows.  y = D·P⁻¹·m[:, c] is integral
+    (Cramer), so every division is exact."""
+    r = len(pivots)
+    den = m[r - 1][pivots[-1]] if r else 1
+    ys = []
+    for c in cols:
+        y = [0] * r
+        for i in range(r - 1, -1, -1):
+            row = m[i]
+            y[i] = (den * row[c] - sum(row[pivots[j]] * y[j]
+                                       for j in range(i + 1, r))) // row[pivots[i]]
+        ys.append(y)
+    return den, ys
 
 
 def nullspace_int(rows):
-    """Primitive integer basis of the right nullspace of an integer matrix."""
+    """Primitive integer basis of the right nullspace of an integer matrix:
+    one vector per non-pivot column f, with a positive entry at f and zero
+    at the other non-pivot columns."""
     if not rows:
         raise ValueError("nullspace of an empty matrix is ambiguous")
-    nc = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(nc) if c not in pivots]
+    m = [list(r) for r in rows]
+    nc = len(m[0])
+    pivots = _bareiss(m)
+    free = sorted(set(range(nc)) - set(pivots))
+    den, ys = _back_substitute(m, pivots, free)
+    sign = 1 if den > 0 else -1
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * nc
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -red[i][f]
-        basis.append(clear_denominators(vec))
+    for f, y in zip(free, ys):
+        vec = [0] * nc
+        vec[f] = sign * den
+        for p, v in zip(pivots, y):
+            vec[p] = -sign * v
+        basis.append(reduce_content(vec))
     return basis
 
 
-def solve(rows, rhs):
-    """One exact solution of rows·x = rhs (free variables at 0), or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    nc = len(rows[0]) if rows else 0
-    for r in red:
-        if all(v == 0 for v in r[:nc]) and r[nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for i, p in enumerate(pivots):
-        if p == nc:
-            return None
-        x[p] = red[i][nc]
-    return x
-
-
 def _int_inverse(rows):
-    """(D, X) with rows·X = D·I for a nonsingular square integer matrix.
-
-    Bareiss elimination of [rows | I], then fraction-free back
-    substitution.  D is the last pivot, ±det(rows), so X = D·rows⁻¹ is
-    integral (Cramer) and every division is exact."""
+    """(D, X) with rows·X = D·I for a nonsingular square integer matrix:
+    Bareiss elimination of [rows | I], then back substitution.  D is the
+    last pivot, ±det(rows), so X = D·rows⁻¹ is integral (Cramer)."""
     n = len(rows)
     m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    _bareiss(m)
-    den = m[-1][n - 1]
-    x = [[0] * n for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        row = m[i]
-        for c in range(n):
-            x[i][c] = (den * row[n + c]
-                       - sum(row[j] * x[j][c] for j in range(i + 1, n))) // row[i]
-    return den, x
+    den, cols = _back_substitute(m, _bareiss(m), range(n, 2 * n))
+    return den, [list(r) for r in zip(*cols)]
 
 
 def project_out_rowspace(vec, rows):
@@ -186,11 +159,6 @@ def project_out_rowspace(vec, rows):
     # B Bᵀ is positive definite, so its leading minors are the pivots
     system = [g + b for g, b in zip(_int_matmul(basis, basis),
                                     _int_matmul(basis, [v]))]
-    _bareiss(system)
-    d = system[-1][k - 1]
-    y = [0] * k
-    for i in range(k - 1, -1, -1):
-        row = system[i]
-        y[i] = (d * row[k] - sum(row[j] * y[j] for j in range(i + 1, k))) // row[i]
+    d, (y,) = _back_substitute(system, _bareiss(system), [k])
     back = _int_matmul([y], [list(c) for c in zip(*basis)])[0]
     return [Fraction(d * x - b, d * den) for x, b in zip(v, back)]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .boxes import Box, BoxShape, ShapeError
 from .dd import EnumerationCapError
-from .families import uniform
+from .families import _check_bits, uniform
 from .linalg import _int_matmul, clear_denominators, project_out_rowspace
 from .polytope import build_hrep, normalization_rows
 from .simplex import find_nonneg_solution, maximize
@@ -395,15 +395,14 @@ def _require_binary(box):
 def correlator(box, ins):
     """Expectation of (-1) to the sum of all outputs at a joint input."""
     _require_binary(box)
-    off, size = box.shape.block(tuple(ins))
-    total = Fraction(0)
-    for outs in box.shape.joint_outputs(tuple(ins)):
-        sign = -1 if sum(outs) % 2 else 1
-        total += sign * box.prob(outs, tuple(ins))
-    return total
+    ins = tuple(ins)
+    block = box.block(ins)
+    return sum((-1 if sum(outs) % 2 else 1) * p
+               for outs, p in zip(box.shape.joint_outputs(ins), block))
 
 
 def _chsh_signs(alpha, beta, gamma):
+    _check_bits(alpha=alpha, beta=beta, gamma=gamma)
     return {
         (0, 0): (-1) ** gamma,
         (0, 1): (-1) ** (beta + gamma),
@@ -444,6 +443,7 @@ def svetlichny_functional(eps=0, zeta=0, eta=0):
     """One member of the Svetlichny family: correlators signed by
     (-1) to [X=Y=Z] XOR eps.X XOR zeta.Y XOR eta.Z; bound 4 over two-way-local
     boxes, algebraic maximum 8."""
+    _check_bits(eps=eps, zeta=zeta, eta=eta)
     shape = BoxShape.homogeneous(3, 2, 2)
     coeffs = [Fraction(0)] * shape.table_size
     for ins in shape.joint_inputs:
@@ -462,12 +462,5 @@ def svetlichny(box):
     if box.shape != BoxShape.homogeneous(3, 2, 2):
         raise ShapeError("the Svetlichny family needs the three-party "
                          "two-input binary shape")
-    corr = {ins: correlator(box, ins) for ins in box.shape.joint_inputs}
-    best = Fraction(0)
-    for eps, zeta, eta in iproduct(range(2), repeat=3):
-        total = Fraction(0)
-        for (x, y, z), c in corr.items():
-            e = int(x == y == z) ^ (eps & x) ^ (zeta & y) ^ (eta & z)
-            total += (-1) ** e * c
-        best = max(best, abs(total))
-    return best
+    return max(abs(evaluate_functional(box, svetlichny_functional(*bits)))
+               for bits in iproduct(range(2), repeat=3))

@@ -6,13 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 from math import lcm
 
 import numpy as np
 
 from . import relabel
-from .boxes import Box, BoxShape, InvalidBoxError, ShapeError
+from .boxes import Box, BoxShape, InvalidBoxError, ShapeError, _equality_rows
 from .dd import extreme_rays
 from .families import dbox
 from .linalg import _int_products, _max_abs, clear_denominators, int_rank, nullspace_int
@@ -26,12 +25,6 @@ class HPolytope:
     ambient: int
     equalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     shape: BoxShape | None = None
-
-    def positivity_rows(self):
-        for i in range(self.ambient):
-            row = [Fraction(0)] * self.ambient
-            row[i] = Fraction(1)
-            yield tuple(row)
 
     def contains(self, point):
         if len(point) != self.ambient:
@@ -48,49 +41,31 @@ class VRep:
     full: bool = True
 
 
+def _dense_row(n, plus, minus):
+    """A Fraction row over a flat table of n entries: +1 at plus, -1 at
+    minus."""
+    row = [Fraction(0)] * n
+    for i in plus:
+        row[i] = Fraction(1)
+    for i in minus:
+        row[i] = Fraction(-1)
+    return tuple(row)
+
+
 def normalization_rows(shape):
     """One indicator row per joint input: the block must sum to one."""
     n = shape.table_size
-    rows = []
-    for ins in shape.joint_inputs:
-        row = [Fraction(0)] * n
-        off, size = shape.block(ins)
-        for i in range(off, off + size):
-            row[i] = Fraction(1)
-        rows.append(tuple(row))
-    return rows
+    return [_dense_row(n, plus, minus) for plus, minus, _, _
+            in _equality_rows(shape)[:len(shape.joint_inputs)]]
 
 
 def build_hrep(shape):
     """Normalization and no-signalling equalities for a shape, one
     no-signalling family per party against the joint rest."""
     n = shape.table_size
-    equalities = [(row, Fraction(1)) for row in normalization_rows(shape)]
-    for k in range(shape.parties):
-        others = [j for j in range(shape.parties) if j != k]
-        for x in range(shape.inputs[k] - 1):
-            for oins in iproduct(*[range(shape.inputs[j]) for j in others]):
-                odims = [shape.outputs[j][xx] for j, xx in zip(others, oins)]
-                for oouts in iproduct(*[range(d) for d in odims]):
-                    row = [Fraction(0)] * n
-                    for a in range(shape.outputs[k][x]):
-                        idx = shape.index(_merge(k, a, others, oouts),
-                                          _merge(k, x, others, oins))
-                        row[idx] += 1
-                    for a in range(shape.outputs[k][x + 1]):
-                        idx = shape.index(_merge(k, a, others, oouts),
-                                          _merge(k, x + 1, others, oins))
-                        row[idx] -= 1
-                    equalities.append((tuple(row), Fraction(0)))
-    return HPolytope(n, tuple(equalities), shape)
-
-
-def _merge(k, val, others, ovals):
-    out = [None] * (len(others) + 1)
-    out[k] = val
-    for j, v in zip(others, ovals):
-        out[j] = v
-    return tuple(out)
+    return HPolytope(n, tuple((_dense_row(n, plus, minus), Fraction(rhs))
+                              for plus, minus, rhs, _ in _equality_rows(shape)),
+                     shape)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -116,6 +118,60 @@ def test_validate_catches_signalling():
 
     report = Box.from_function(shape, fn).validate()
     assert any("signals" in p for p in report.problems)
+
+
+def _reference_validate(box):
+    """The problem list as three loops wrote it before validation read the
+    shared equality rows: positivity, normalization, no-signalling."""
+    shape = box.shape
+    problems = []
+    for ins, outs in shape.entries():
+        v = box.prob(outs, ins)
+        if v < 0:
+            problems.append(f"negative entry p{outs}|{ins} = {v}")
+    for ins in shape.joint_inputs:
+        s = sum(box.block(ins))
+        if s != 1:
+            problems.append(f"input {ins}: block sums to {s}, not 1")
+    for k in range(shape.parties):
+        others = [j for j in range(shape.parties) if j != k]
+
+        def merged(val, ovals):
+            out = [val] * shape.parties
+            for j, v in zip(others, ovals):
+                out[j] = v
+            return tuple(out)
+        for x in range(shape.inputs[k] - 1):
+            for oins in iproduct(*[range(shape.inputs[j]) for j in others]):
+                odims = [shape.outputs[j][xx] for j, xx in zip(others, oins)]
+                for oouts in iproduct(*[range(d) for d in odims]):
+                    lo = sum(box.prob(merged(a, oouts), merged(x, oins))
+                             for a in range(shape.outputs[k][x]))
+                    hi = sum(box.prob(merged(a, oouts), merged(x + 1, oins))
+                             for a in range(shape.outputs[k][x + 1]))
+                    if lo != hi:
+                        problems.append(
+                            f"party {k} signals: marginal of parties {tuple(others)} "
+                            f"at output {oouts}|input {oins} is {lo} for "
+                            f"input {x} but {hi} for input {x + 1}")
+    return tuple(problems)
+
+
+@pytest.mark.parametrize("text", ["2,2/2,2", "2,3/3,2", "2,2/2,2/3", "3,2,4"])
+def test_validate_matches_the_loop_reference(text):
+    rng = random.Random(text)
+    base = uniform(BoxShape.from_string(text))
+    kinds = set()
+    for _ in range(40):
+        table = list(base.table)
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(table))
+            table[i] += Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        box = Box(base.shape, table)
+        problems = box.validate().problems
+        assert problems == _reference_validate(box)
+        kinds |= {p.split()[0] for p in problems}
+    assert kinds == {"negative", "input", "party"}
 
 
 def test_require_valid_raises_with_report():

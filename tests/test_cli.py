@@ -109,6 +109,10 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
         edited(lambda d: d["programs"][0]["steps"][0].pop("component")),
         edited(lambda d: d["programs"][0]["steps"][0].update(component="x")),
         edited(lambda d: d["programs"][0]["steps"][0].update(side=[0])),
+        edited(lambda d: d["programs"][0]["steps"][0].update(
+            side=float("inf"))),
+        edited(lambda d: d["programs"][0]["outputs"].update(
+            {"0 0": float("-inf")})),
         edited(lambda d: d["programs"][0]["steps"].__setitem__(0, 3)),
         edited(lambda d: d["programs"][0].update(steps=7)),
         edited(lambda d: d["programs"].__setitem__(0, "p")),
@@ -125,11 +129,15 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
     ]
     binary = tmp_path / "binary.box"
     binary.write_bytes(bytes(range(256)))
+    pr_box = tmp_path / "pr.box"
+    run(capsys, "make", "pr", "-o", str(pr_box))
     argvs = [["make", "dbox", "x", "-o", str(tmp_path / "x.box")],
              ["make", "dbox", "4000", "-o", str(tmp_path / "x.box")],
              ["validate", str(tmp_path)], ["wire", str(tmp_path)],
              ["validate", str(binary)], ["wire", str(binary)],
-             ["protocol3-error", "2", "3", "20"]]
+             ["protocol3-error", "2", "3", "20"],
+             ["bell", str(pr_box), "--chsh", "-1", "0", "0"],
+             ["bell", str(pr_box), "--chsh", "0", "0", "5"]]
     for i, doc in enumerate(docs):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(doc))

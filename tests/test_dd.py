@@ -4,10 +4,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from fraction_linalg import nullspace
 from nsbox import dd
 from nsbox.boxes import BoxShape
 from nsbox.dd import EnumerationCapError, extreme_rays
-from nsbox.linalg import int_rank, nullspace_int, reduce_content
+from nsbox.linalg import int_rank, reduce_content
 from nsbox.polytope import HPolytope, build_hrep, enumerate_vertices
 
 
@@ -60,7 +61,7 @@ def _brute_force_rays(rows, dim):
     """Candidate rays from (dim-1)-subsets of tight constraints."""
     found = set()
     for subset in combinations(rows, dim - 1):
-        kernel = nullspace_int(list(subset)) if subset else []
+        kernel = nullspace(list(subset)) if subset else []
         if len(kernel) != 1:
             continue
         for sign in (1, -1):

@@ -1,9 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from nsbox.boxes import BoxShape
+from nsbox.boxes import BoxShape, ShapeError
 from nsbox.families import dbox, make_named_box, pr, uniform
 from nsbox.fileio import (ParseError, dumps_box, dumps_functional,
                           dumps_wiring, format_fraction, format_shape,
@@ -106,7 +107,6 @@ def test_wiring_with_file_components(tmp_path):
     w = preset("P2", 2, 2)
     doc = dumps_wiring(w)
     # swap the inline component for a file reference
-    import json
     obj = json.loads(doc)
     save_box(dbox(4), tmp_path / "component.box")
     obj["components"][0]["box"] = {"file": "component.box"}
@@ -138,3 +138,70 @@ def test_named_boxes_survive_the_text_format():
                          ("xyplusz", ()), ("uniform", ("2,2/3,3",))):
         box = make_named_box(name, *params)
         assert loads_box(dumps_box(box)).table == box.table
+
+
+
+_FUZZ_TOKENS = ["", " ", "\n", "#", "-", "/", "0", "1", "9" * 25, "1/0", "-1/2",
+                "2:3", "/2", ",", "shape ", "table", "coefficients", "{", "}",
+                "[", "]", ":", '"', "null", "true", "[]", "{}", "1.5", "1e999",
+                "-Infinity", "NaN"]
+
+_JSON_SCALARS = (st.sampled_from([None, True, -1, 0.5, 2 ** 70, float("inf"),
+                                   float("-inf"), float("nan")])
+                 | st.sampled_from(_FUZZ_TOKENS))
+_JSON_VALUES = (_JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3)
+                | st.dictionaries(st.text(max_size=3), _JSON_SCALARS,
+                                  max_size=2))
+
+
+@st.composite
+def _mutated_text(draw, text):
+    """text with one to four slices replaced by a token, a short random
+    string or the slice itself doubled."""
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        piece = draw(st.sampled_from(_FUZZ_TOKENS) | st.text(max_size=3)
+                     | st.just(text[i:j] * 2))
+        text = text[:i] + piece + text[j:]
+    return text
+
+
+def _slots(node):
+    """(container, key) for every value nested in a JSON document."""
+    keys = node if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def _mutated_json(draw, text):
+    """A JSON document with one nested value, chosen uniformly, replaced by
+    a random JSON value (infinite and NaN floats included)."""
+    doc = json.loads(text)
+    parent, key = draw(st.randoms(use_true_random=False)).choice(list(_slots(doc)))
+    parent[key] = draw(_JSON_VALUES)
+    return json.dumps(doc)
+
+
+_WIRING_TEXT = dumps_wiring(preset("P2", 2, 2))
+
+
+@pytest.mark.parametrize("loads, text, mutate", [
+    (loads_box, dumps_box(dbox(3)), _mutated_text),
+    (loads_functional, dumps_functional(chsh_functional()), _mutated_text),
+    (loads_wiring, _WIRING_TEXT, _mutated_text),
+    (loads_wiring, _WIRING_TEXT, _mutated_json)],
+    ids=["box", "functional", "wiring-text", "wiring-json"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_loaders_reject_mutated_documents_with_typed_errors(loads, text,
+                                                            mutate, data):
+    """A mutated document loads or raises ParseError/ShapeError; nothing
+    else escapes."""
+    try:
+        loads(data.draw(mutate(text)))
+    except (ParseError, ShapeError):
+        pass

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_linalg import nullspace, rref, solve
 from nsbox.linalg import (_bareiss, _int_inverse, clear_denominators, int_rank,
-                          nullspace_int, project_out_rowspace, reduce_content,
-                          rref, solve)
+                          nullspace_int, project_out_rowspace, reduce_content)
 
 F = Fraction
 
@@ -40,6 +40,25 @@ def test_nullspace_vectors_annihilate():
     for vec in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+def test_integer_nullspace_matches_the_fraction_nullspace():
+    rng = random.Random(13)
+    cases = [[[0, 0, 0]], [[3]], [[0]], [[2, -4, 6]], [[1, 2], [2, 4]]]
+    for _ in range(300):
+        nc = rng.randint(1, 8)
+        # rows drawn from a random subspace, often rank-deficient
+        gens = [[rng.randint(-4, 4) for _ in range(nc)]
+                for _ in range(rng.randint(1, nc))]
+        rows = [[sum(rng.choice((0, 0, 1, -1, 2)) * g[j] for g in gens)
+                 for j in range(nc)] for _ in range(rng.randint(1, 7))]
+        for c in rng.sample(range(nc), rng.randint(0, nc // 2)):
+            for row in rows:
+                row[c] = 0
+        cases.append(rows)
+    assert sum(len(rows) == 1 for rows in cases) > 30
+    for rows in cases:
+        assert nullspace_int(rows) == nullspace(rows), rows
 
 
 def test_solve_exact_and_inconsistent():

@@ -46,6 +46,17 @@ def test_chsh_on_deterministic_points():
         assert value in (-2, 2)
 
 
+def test_functional_parameters_must_be_bits():
+    with pytest.raises(ShapeError):
+        chsh(pr(), -1, 0, 0)
+    with pytest.raises(ShapeError):
+        chsh_functional(0, 0, 5)
+    with pytest.raises(ShapeError):
+        svetlichny_functional(0, 2, 0)
+    with pytest.raises(ShapeError):
+        correlator(pr(), (2, 0))
+
+
 def test_chsh_functional_matches_chsh():
     rng = random.Random(7)
     for _ in range(10):

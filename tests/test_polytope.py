@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
+from fraction_linalg import nullspace
+from nsbox import polytope
 from nsbox.boxes import Box, BoxShape, InvalidBoxError, ShapeError, mix
 from nsbox.families import dbox, local_deterministic, pr, uniform
 from nsbox.dd import extreme_rays
@@ -41,6 +44,56 @@ def test_hrep_holds_for_known_boxes():
     signalling[0] += Fraction(1, 8)
     signalling[1] -= Fraction(1, 8)
     assert not h.contains(signalling)
+
+
+def _loop_equalities(shape):
+    """The equalities as built before validation and the H-rep shared one
+    row set: normalization, then one no-signalling loop per party."""
+    n = shape.table_size
+    equalities = []
+    for ins in shape.joint_inputs:
+        row = [Fraction(0)] * n
+        off, size = shape.block(ins)
+        for i in range(off, off + size):
+            row[i] = Fraction(1)
+        equalities.append((tuple(row), Fraction(1)))
+    for k in range(shape.parties):
+        others = [j for j in range(shape.parties) if j != k]
+
+        def merged(val, ovals):
+            out = [val] * shape.parties
+            for j, v in zip(others, ovals):
+                out[j] = v
+            return tuple(out)
+        for x in range(shape.inputs[k] - 1):
+            for oins in iproduct(*[range(shape.inputs[j]) for j in others]):
+                odims = [shape.outputs[j][xx] for j, xx in zip(others, oins)]
+                for oouts in iproduct(*[range(d) for d in odims]):
+                    row = [Fraction(0)] * n
+                    for a in range(shape.outputs[k][x]):
+                        row[shape.index(merged(a, oouts), merged(x, oins))] += 1
+                    for a in range(shape.outputs[k][x + 1]):
+                        row[shape.index(merged(a, oouts), merged(x + 1, oins))] -= 1
+                    equalities.append((tuple(row), Fraction(0)))
+    return tuple(equalities)
+
+
+@pytest.mark.parametrize("text", ["2,2/2,2", "2,3/3,2", "2,2/2,2/3", "3,2,4"])
+def test_hrep_matches_the_loop_builder(text):
+    shape = BoxShape.from_string(text)
+    h = build_hrep(shape)
+    assert h.equalities == _loop_equalities(shape)
+    assert {type(v) for row, rhs in h.equalities for v in (*row, rhs)} == {Fraction}
+    assert normalization_rows(shape) == [
+        row for row, _ in h.equalities[:len(shape.joint_inputs)]]
+
+
+@pytest.mark.parametrize("text", ["3,4/3,4", "2,2,2/2,2,2", "2,2/2,2/3"])
+def test_homogenized_cone_matches_the_fraction_nullspace(text, monkeypatch):
+    h = build_hrep(BoxShape.from_string(text))
+    keep, coord_rows = _homogenized_cone(h)
+    monkeypatch.setattr(polytope, "nullspace_int", nullspace)
+    assert (keep, coord_rows) == _homogenized_cone(h)
 
 
 def test_chsh_vertex_enumeration():

@@ -14,3 +14,19 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_module_level_definition_is_used_or_exported():
+    """A module-level function or class that no other statement of the
+    package references and ``nsbox.__all__`` does not list is dead code."""
+    stmts = [(path.name, stmt) for path in sorted(SRC.glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body]
+    uses = [{node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(stmt)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+            for _, stmt in stmts]
+    dead = [f"{module}:{stmt.name}" for i, (module, stmt) in enumerate(stmts)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name not in nsbox.__all__
+            and not any(stmt.name in u for j, u in enumerate(uses) if j != i)]
+    assert dead == []
