@@ -63,18 +63,21 @@ class BoxShape:
         if count > _MAX_JOINT_INPUTS:
             raise ShapeError(f"{count} joint inputs exceed the cap of "
                              f"{_MAX_JOINT_INPUTS}")
+        # each joint block is a product over parties, so the table size is
+        # the product of each party's summed output counts
+        size = math.prod(sum(p) for p in outs)
+        if size > _MAX_TABLE_SIZE:
+            raise ShapeError(f"{size} table entries exceed the cap of "
+                             f"{_MAX_TABLE_SIZE}")
         joint = tuple(iproduct(*[range(len(p)) for p in outs]))
         offsets = {}
         pos = 0
         for ins in joint:
             offsets[ins] = pos
             pos += math.prod(outs[k][x] for k, x in enumerate(ins))
-        if pos > _MAX_TABLE_SIZE:
-            raise ShapeError(f"{pos} table entries exceed the cap of "
-                             f"{_MAX_TABLE_SIZE}")
         object.__setattr__(self, "_joint_inputs", joint)
         object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_size", pos)
+        object.__setattr__(self, "_size", size)
 
     @classmethod
     def homogeneous(cls, parties, inputs, outputs):

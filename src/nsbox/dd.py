@@ -38,7 +38,9 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
     ``rows`` are integer vectors; the result is a sorted list of primitive
     integer tuples.  Raises ValueError if the cone is not pointed and
     EnumerationCapError if ``max_rays`` intermediate rays or the
-    ``time_budget`` (seconds) is exceeded.
+    ``time_budget`` (seconds) is exceeded.  The clock is read before each
+    row and, inside a row's adjacency test, before each block of ends and
+    each chunk of an end's candidates.
 
     Rows are added one at a time.  Each ray keeps a bit mask of the
     processed rows it is tight on.  A ray p on the positive side of the new
@@ -51,6 +53,15 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
     against the rays near one of its two ends only.
     """
     t0 = time.monotonic()
+
+    def check_clock():
+        elapsed = time.monotonic() - t0
+        if time_budget is not None and elapsed > time_budget:
+            raise EnumerationCapError(
+                f"time budget {time_budget}s exceeded after {elapsed:.1f}s "
+                f"with {len(remaining)} of {len(rows)} rows left and "
+                f"{len(rays)} rays")
+
     rows = [tuple(reduce_content(list(r))) for r in rows]
     seen_rows = set()
     uniq = []
@@ -80,10 +91,7 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
     remaining = [i for i in range(len(rows)) if i not in set(base_idx)]
 
     while remaining:
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            raise EnumerationCapError(
-                f"time budget {time_budget}s exceeded with "
-                f"{len(remaining)} rows left and {len(rays)} rays")
+        check_clock()
         values = _int_products(table[remaining], rays)
         split = np.abs((values > 0).sum(axis=1) - (values < 0).sum(axis=1))
         i_row = int(np.argmin(split))
@@ -95,12 +103,15 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
             return []
         word, bit = divmod(len(processed), 64)
         bit = np.uint64(1 << bit)
-        processed.append(remaining.pop(i_row))
         if not neg.any():
+            processed.append(remaining.pop(i_row))
             masks[zero, word] |= bit
             continue
 
-        fresh = _fresh_rays(rays, masks, vals, d)
+        # the row stays in ``remaining`` until its fresh rays are made, so a
+        # timeout inside it counts it among the rows left
+        fresh = _fresh_rays(rays, masks, vals, d, check_clock)
+        processed.append(remaining.pop(i_row))
         keep = ~neg
         masks = masks[keep]
         masks[zero[keep], word] |= bit
@@ -113,13 +124,15 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
     return sorted(map(tuple, rays.tolist()))
 
 
-def _adjacent_pairs(masks, vals, need):
+def _adjacent_pairs(masks, vals, need, check_clock):
     """Index arrays (p, n) of the adjacent pairs with vals[p] > 0 > vals[n],
     for rays tight on at least ``need`` + 1 rows each.
 
     Each pair is tested from its end with fewer tight rows, which has the
     fewer near rays; ties go to the positive end.  Blocks of ends share one
-    numpy pass for their near rays and candidates."""
+    numpy pass for their near rays and candidates.  ``check_clock`` is
+    called before each block and each chunk of an end's candidates, so
+    between two calls every temporary holds at most ``_BUDGET`` elements."""
     nrays = len(masks)
     # the words of rows not processed yet are zero in every mask
     words = [np.ascontiguousarray(col) for col in masks.T if col.any()]
@@ -131,6 +144,7 @@ def _adjacent_pairs(masks, vals, need):
     anchors, partners = [], []
     block = max(1, _BUDGET // nrays)
     for lo in range(0, len(ends), block):
+        check_clock()
         blk = ends[lo:lo + block]
         shared = np.zeros((len(blk), nrays), dtype=count)
         for w in words:
@@ -149,6 +163,7 @@ def _adjacent_pairs(masks, vals, need):
             live = [w for w in words if w[a]]
             step = max(1, _BUDGET // len(near))
             for lo2 in range(0, len(cands), step):
+                check_clock()
                 b = cands[lo2:lo2 + step]
                 held = None
                 for w in live:
@@ -164,13 +179,13 @@ def _adjacent_pairs(masks, vals, need):
     return np.where(pos[a], a, b), np.where(pos[a], b, a)
 
 
-def _fresh_rays(rays, masks, vals, d):
+def _fresh_rays(rays, masks, vals, d, check_clock):
     """The primitive ray vals[p]·rays[n] − vals[n]·rays[p] of each adjacent
     pair (p, n), which lies on the new row's hyperplane.  Distinct pairs
     span distinct 2-faces, so the fresh rays are distinct.  With vals[p] >
     0 > vals[n] each term is below 2**62 in magnitude under the guard, so
     the sum fits in int64; past the guard the arithmetic is on Python ints."""
-    p, n = _adjacent_pairs(masks, vals, d - 2)
+    p, n = _adjacent_pairs(masks, vals, d - 2, check_clock)
     if not len(p):
         return np.zeros((0, d), dtype=np.int64)
     if _max_abs(vals) * _max_abs(rays) >= 2 ** 62:

@@ -149,10 +149,10 @@ def _decode_table(obj, where):
     for key, val in obj.items():
         try:
             scope = tuple(int(v) for v in key.split())
-            table[scope] = int(val)
-        except (TypeError, ValueError, OverflowError):
+        except ValueError:
             raise ParseError(f"{where} has a non-integer entry at {key!r}") \
                 from None
+        table[scope] = _integer(val, f"{where} entry {key!r}")
     return table
 
 
@@ -207,11 +207,13 @@ def _typed(value, kind, where):
 
 
 def _integer(value, where):
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where} must be an integer, got {value!r}") \
-            from None
+    """A JSON integer; booleans and non-integral numbers are refused rather
+    than truncated by ``int()``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def loads_wiring(text, base_dir="."):

@@ -3,6 +3,7 @@ and orbit classification."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -12,9 +13,10 @@ import numpy as np
 
 from . import relabel
 from .boxes import Box, BoxShape, InvalidBoxError, ShapeError, _equality_rows
-from .dd import extreme_rays
+from .dd import EnumerationCapError, extreme_rays
 from .families import dbox
 from .linalg import _int_products, _max_abs, clear_denominators, int_rank, nullspace_int
+from .simplex import find_nonneg_solution
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,8 @@ def _presolve_zeros(eq_int):
 
 
 def _homogenized_cone(h):
-    """(keep, coord_rows) for the vertices of {x >= 0, equalities}: the
+    """(eq_int, keep, coord_rows) for the vertices of {x >= 0, equalities}:
+    the equalities as distinct primitive integer rows [-rhs | row], the
     coordinates not forced to zero, and one integer row per coordinate of
     (t, x_keep) over a nullspace basis of the equalities.  Each extreme ray
     y of the cone {y : coord_rows·y >= 0} is one vertex x_keep / t."""
@@ -133,23 +136,35 @@ def _homogenized_cone(h):
     if not basis:
         raise ShapeError("equalities admit only the zero solution; no polytope")
     coord_rows = [[vec[i] for vec in basis] for i in range(1 + len(keep))]
-    return keep, coord_rows
+    return eq_int, keep, coord_rows
 
 
-def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
-    """All vertices of {x >= 0, equalities}, via rays of the homogenized cone.
+def _symmetry_maps(h, eq_int, keep, coord_rows):
+    """The gather maps of the relabelling generators of ``h.shape`` when
+    every one maps the polytope onto itself, else None.
 
-    Deterministic: vertices come back sorted by their flat tables.  Raises
-    EnumerationCapError (never truncates silently) if caps are hit.
-    """
-    keep, coord_rows = _homogenized_cone(h)
-    rays = extreme_rays(coord_rows, max_rays=max_rays, time_budget=time_budget)
-    if not rays:
-        return VRep((), full=True)
-    # vertex i is z[i, 1:] / t[i]; scaled to the common denominator den of
-    # all t, the integer rows order exactly as the Fraction tables do, and
-    # each distinct entry becomes one Fraction
-    z = _int_products(rays, coord_rows)
+    A relabelling g permutes coordinates, so it keeps x >= 0.  Every point
+    (1, x) of the polytope lies in the span of the homogenized basis N
+    (coord_rows, zero on the fixed coordinates), so g maps the polytope into
+    itself when [-rhs | E]·(g·N) = 0, and onto itself since g has finite
+    order."""
+    if h.shape is None or h.shape.table_size != h.ambient:
+        return None
+    _, maps = relabel._generator_maps(h.shape, True)
+    basis = np.zeros((1 + h.ambient, len(coord_rows[0])), dtype=object)
+    basis[[0] + [1 + c for c in keep]] = coord_rows
+    # row 1 + i of g·N is row 1 + gather[i] of N; the t row stays
+    moved = basis[np.concatenate([np.zeros((len(maps), 1), dtype=np.intp), 1 + maps], axis=1)]
+    columns = moved.transpose(0, 2, 1).reshape(-1, 1 + h.ambient)
+    if _int_products(eq_int, columns).any():
+        return None
+    return maps
+
+
+def _scaled(z):
+    """(den, scaled) for integer rows z = (t, x) with every t > 0: den is
+    the lcm of the t and row i of scaled is x·den/t, so the point of row i
+    is scaled[i] / den.  Scaled rows order exactly as the points do."""
     t = z[:, 0].tolist()
     if min(t) <= 0:
         raise AssertionError(
@@ -158,12 +173,180 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
     scale = [den // v for v in t]
     if _max_abs(z) * max(scale) >= 2 ** 63:
         z = z.astype(object)
-    scaled = z[:, 1:] * np.array(scale, dtype=z.dtype)[:, None]
-    # lexsort's primary key is its last
-    values, inverse = np.unique(scaled[np.lexsort(scaled.T[::-1])], return_inverse=True)
-    fractions = np.array([Fraction(v, den) for v in values.tolist()], dtype=object)
-    table = np.full((len(scaled), h.ambient), Fraction(0), dtype=object)
-    table[:, keep] = fractions[inverse].reshape(scaled.shape)
+    return den, z[:, 1:] * np.array(scale, dtype=z.dtype)[:, None]
+
+
+def _edge_ends(z, w):
+    """The far end of the edge from the vertex z = (t, x) along each
+    direction row of w, as primitive integer rows (t', x').
+
+    The step is the exact ratio test min x[i] / -w[i] over w[i] < 0, kept
+    per edge as p / q and compared by cross-multiplying, column by column;
+    the end is then (q·t, q·x + p·w).  Under the guard each term is below
+    2**62 in magnitude, so int64 holds the sums; past it the arithmetic is
+    on Python ints."""
+    if _max_abs([z]) * _max_abs(w) >= 2 ** 62:
+        w = w.astype(object)
+    p = np.zeros(len(w), dtype=w.dtype)
+    q = np.zeros(len(w), dtype=w.dtype)
+    for i, xi in enumerate(z[1:]):
+        if xi:
+            step = -w[:, i]
+            take = (step > 0) & ((q == 0) | (xi * q < p * step))
+            p = np.where(take, xi, p)
+            q = np.where(take, step, q)
+    if not q.all():
+        raise AssertionError("an edge of the polytope is unbounded")
+    ends = np.concatenate([(q * z[0])[:, None],
+                           q[:, None] * np.array(z[1:], dtype=w.dtype) + p[:, None] * w], axis=1)
+    return ends // np.gcd.reduce(ends, axis=1)[:, None]
+
+
+class _VertexSet:
+    """Vertices found so far, as value-id rows over the flat table: ids
+    number the distinct entries in the order found and are stored in the
+    narrowest unsigned dtype that holds them, so a vertex's key is its
+    row's bytes."""
+
+    def __init__(self, ambient, keep):
+        self.ambient, self.keep = ambient, keep
+        self.ids = {Fraction(0): 0}
+        self.dtype = np.dtype(np.uint8)
+        self.keys = set()
+
+    def code(self, z):
+        """The value-id rows of the points of integer rows z = (t, x_keep)."""
+        den, scaled = _scaled(z)
+        nums, inverse = np.unique(scaled, return_inverse=True)
+        ids = [self.ids.setdefault(Fraction(v, den), len(self.ids))
+               for v in nums.tolist()]
+        if len(self.ids) > np.iinfo(self.dtype).max + 1:
+            old = self.rows()
+            self.dtype = np.dtype(next(t for t in (np.uint16, np.uint32, np.uint64)
+                                       if len(self.ids) <= np.iinfo(t).max + 1))
+            self.keys = set(relabel._row_keys(old.astype(self.dtype)))
+        rows = np.zeros((len(z), self.ambient), dtype=self.dtype)
+        rows[:, self.keep] = np.array(ids, dtype=self.dtype)[inverse.reshape(scaled.shape)]
+        return rows
+
+    def rows(self):
+        return np.frombuffer(b"".join(self.keys), dtype=self.dtype).reshape(-1, self.ambient)
+
+    def sorted_rows(self):
+        """(values, rows): the distinct entries in increasing order and the
+        vertices as rows of indices into them."""
+        values = sorted(self.ids)
+        rank = np.empty(len(values), dtype=np.min_scalar_type(len(values)))
+        rank[[self.ids[v] for v in values]] = np.arange(len(values))
+        return values, rank[self.rows()]
+
+
+def _edge_rows(coord_rows):
+    """Rows X over a basis z of the homogenized directions with t = 0: X·z
+    is the x part of each direction of the polytope's affine hull, so the
+    tangent cone of a vertex v is {z : X[T]·z >= 0}, T its zero
+    coordinates.  Empty when the polytope is a single point."""
+    if len(coord_rows[0]) < 2:
+        return []
+    # t = coord_rows[0]·y, so the directions are y = B·z with B a basis of
+    # that row's nullspace
+    return _int_products(coord_rows[1:], nullspace_int([coord_rows[0]])).tolist()
+
+
+def _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget):
+    """(values, rows) as ``_VertexSet.sorted_rows`` for the vertices of a
+    polytope that the gather maps keep, by adjacency decomposition, or None
+    when the polytope is empty.
+
+    A start vertex comes from one LP.  For each orbit's first vertex v the
+    edge directions are the extreme rays of its tangent cone {u : u_T >= 0}
+    over the directions u = X·z of the affine hull (``_edge_rows``), where
+    T is v's zero coordinates; each edge's far end that lies in no orbit
+    found so far starts a new orbit, walked under the maps.  The edge graph
+    is connected and the maps send edges to edges, so every orbit is
+    reached."""
+    t0 = time.monotonic()
+    lp = find_nonneg_solution([row[1:] for row in eq_int], [-row[0] for row in eq_int])
+    if lp.status != "optimal":
+        return None
+    den = lcm(*(v.denominator for v in lp.x))
+    start = [den] + [int(lp.x[c] * den) for c in keep]
+    x_rows = _edge_rows(coord_rows)
+
+    found = _VertexSet(h.ambient, keep)
+    queue = []
+
+    def add_orbits(ends):
+        rows = found.code(ends)
+        for end, row, key in zip(ends.tolist(), rows, relabel._row_keys(rows)):
+            if key not in found.keys:
+                found.keys.update(relabel._walk(row[None], maps))
+                queue.append(end)
+        if len(found.keys) > max_rays:
+            raise EnumerationCapError(
+                f"vertex cap {max_rays} exceeded ({len(found.keys)} vertices, "
+                f"{len(queue)} orbits left to expand)")
+
+    add_orbits(np.array([start], dtype=object))
+    while queue and x_rows:
+        v = queue.pop()
+        left = None
+        if time_budget is not None:
+            elapsed = time.monotonic() - t0
+            left = time_budget - elapsed
+            if left <= 0:
+                raise EnumerationCapError(
+                    f"time budget {time_budget}s exceeded after {elapsed:.1f}s "
+                    f"with {len(queue) + 1} orbits left to expand and "
+                    f"{len(found.keys)} vertices")
+        tangent = [x_rows[i] for i, xi in enumerate(v[1:]) if xi == 0]
+        try:
+            rays = extreme_rays(tangent, max_rays=max_rays, time_budget=left)
+        except EnumerationCapError as exc:
+            raise EnumerationCapError(
+                f"{exc}, in a vertex cone, with {len(found.keys)} vertices "
+                f"found and {len(queue) + 1} orbits left to expand") from exc
+        add_orbits(_edge_ends(v, _int_products(rays, x_rows)))
+    return found.sorted_rows()
+
+
+def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
+    """All vertices of {x >= 0, equalities}.
+
+    Deterministic: vertices come back sorted by their flat tables.  Raises
+    EnumerationCapError (never truncates silently) if caps are hit.
+
+    When ``h.shape`` is set and every relabelling generator of the shape
+    maps the polytope onto itself (checked exactly on the equalities), the
+    vertices are found orbit by orbit: one vertex cone per orbit, walked
+    along its edges (adjacency decomposition).  ``max_rays`` then caps each
+    cone's intermediate rays and the vertex count, and ``time_budget``
+    covers the whole call.  Otherwise they are the extreme rays of the
+    homogenized cone, by one double description run.
+    """
+    eq_int, keep, coord_rows = _homogenized_cone(h)
+    maps = _symmetry_maps(h, eq_int, keep, coord_rows)
+    if maps is not None:
+        found = _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget)
+        if found is None:
+            return VRep((), full=True)
+        values, rows = found
+        columns = slice(None)
+    else:
+        rays = extreme_rays(coord_rows, max_rays=max_rays, time_budget=time_budget)
+        if not rays:
+            return VRep((), full=True)
+        # vertex i is z[i, 1:] / t[i]; scaled to the common denominator of
+        # all t, the integer rows order exactly as the Fraction tables do
+        den, scaled = _scaled(_int_products(rays, coord_rows))
+        nums, inverse = np.unique(scaled, return_inverse=True)
+        values = [Fraction(v, den) for v in nums.tolist()]
+        rows, columns = inverse.reshape(scaled.shape), keep
+    # ids follow value order, so sorting the id rows sorts the tables;
+    # each distinct entry is one Fraction (lexsort's primary key is its last)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    table = np.full((len(rows), h.ambient), Fraction(0), dtype=object)
+    table[:, columns] = np.array(values, dtype=object)[rows]
     vertices = [tuple(v) for v in table.tolist()]
     if h.shape is not None:
         boxes = tuple(Box(h.shape, v) for v in vertices)
@@ -286,8 +469,10 @@ class KBoxCensus:
 
 def kbox_census(d_alice, d_bob, max_rays=2_000_000, time_budget=None):
     """Enumerate a two-input bipartite polytope and match every non-local
-    vertex class to a (possibly lifted) k-box by exhaustive relabelling
-    search; k runs over 2..min(output counts)."""
+    vertex class to a (possibly lifted) k-box; k runs over
+    2..min(output counts).  Class representatives are their orbits' least
+    tables, so a class matches a k-box iff its representative is the
+    lifted k-box's canonical form."""
     d_alice, d_bob = tuple(d_alice), tuple(d_bob)
     if len(d_alice) != 2 or len(d_bob) != 2:
         raise ShapeError("the census covers two-input bipartite shapes")
@@ -296,17 +481,15 @@ def kbox_census(d_alice, d_bob, max_rays=2_000_000, time_budget=None):
                               time_budget=time_budget)
     classes = classify_vertices(vrep)
     kmax = min(min(d_alice), min(d_bob))
+    canonical = {k: relabel.canonical_form(lift_box(dbox(k), shape)).table
+                 for k in range(2, kmax + 1)}
     out = []
     for cls in classes:
         rep = cls.representative
         if rep.is_deterministic():
             out.append(KBoxClass(rep, cls.size, None, _uses_partial_outputs(rep)))
             continue
-        found = []
-        for k in range(2, kmax + 1):
-            target = lift_box(dbox(k), shape)
-            if relabel.equivalent_under_relabelling(rep, target) is not None:
-                found.append(k)
+        found = [k for k, table in canonical.items() if rep.table == table]
         if len(found) != 1:
             raise ShapeError(
                 f"non-local vertex class matched k-boxes {found}; expected "

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations
 
 import numpy as np
@@ -204,11 +204,15 @@ def _row_keys(rows):
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
 
 
+@lru_cache(maxsize=32)
 def _generator_maps(shape, allow_party_permutation):
-    """The generators of a shape and their gather maps, one row each."""
-    gens = generators(shape, allow_party_permutation)
+    """The generators of a shape and their gather maps, one row each;
+    cached per shape, so both are read-only."""
+    gens = tuple(generators(shape, allow_party_permutation))
     maps = np.array([g.index_map(shape)[1] for g in gens], dtype=np.intp)
-    return gens, maps.reshape(len(gens), shape.table_size)
+    maps = maps.reshape(len(gens), shape.table_size)
+    maps.setflags(write=False)
+    return gens, maps
 
 
 def _walk(starts, maps, target=None):

@@ -228,3 +228,16 @@ def test_11_property_suites():
         assert (dumps_box(again) if loads is loads_box else
                 dumps_functional(again) if loads is loads_functional else
                 dumps_wiring(again)) == text
+
+
+@pytest.mark.slow
+def test_12_every_four_output_vertex_is_a_kbox():
+    # the paper's theorem at d = 4: one deterministic orbit and one orbit of
+    # relabelled (lifted) k-boxes for each k = 2, 3, 4
+    with budget(12 * 3600.0):
+        census = kbox_census((4, 4), (4, 4))
+        assert census.vertex_count == 204160
+        assert census.all_nonlocal_matched
+        assert {c.k: (c.size, c.lifted) for c in census.classes} == {
+            None: (256, True), 2: (10368, True), 3: (110592, True),
+            4: (82944, False)}

@@ -4,6 +4,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from nsbox import boxes
 from nsbox.boxes import (Box, BoxShape, InvalidBoxError, ShapeError,
                          has_unique_completion, marginal, mix, product,
                          tensor)
@@ -72,6 +73,15 @@ def test_table_size_is_checked_before_any_entry_is_built():
     with pytest.raises(ShapeError, match="table entries exceed"):
         BoxShape.from_string("2:2049/2:1024")
     assert BoxShape.from_string("2:2048/2:512").table_size == 2 ** 22
+
+
+def test_table_size_is_checked_before_the_joint_inputs_are_built(monkeypatch):
+    # 2**17 joint inputs pass their cap; 4**17 entries do not
+    def refuse(*args):
+        raise AssertionError("joint inputs built for a refused shape")
+    monkeypatch.setattr(boxes, "iproduct", refuse)
+    with pytest.raises(ShapeError, match="17179869184 table entries exceed"):
+        BoxShape.from_string("/".join(["2,2"] * 17))
 
 
 def test_index_range_checks():

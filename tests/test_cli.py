@@ -124,6 +124,8 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
         edited(lambda d: d["programs"][0]["outputs"].update({"0 0": None})),
         edited(lambda d: d["components"][0]["box"]["inline"].update(table=3)),
         edited(lambda d: d["components"][0].update(box={"file": 1})),
+        edited(lambda d: d["programs"][0]["steps"][0].update(side=0.9)),
+        edited(lambda d: d["programs"][0]["outputs"].update({"0 0": True})),
         [good],
         17,
     ]

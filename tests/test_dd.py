@@ -1,5 +1,8 @@
 import random
+import re
+import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from nsbox import dd
 from nsbox.boxes import BoxShape
 from nsbox.dd import EnumerationCapError, extreme_rays
 from nsbox.linalg import int_rank, reduce_content
-from nsbox.polytope import HPolytope, build_hrep, enumerate_vertices
+from nsbox.polytope import (HPolytope, _edge_rows, _homogenized_cone,
+                            build_hrep, enumerate_vertices)
 
 
 def test_orthant_rays_are_unit_vectors():
@@ -55,6 +59,38 @@ def test_ray_cap_raises_instead_of_truncating():
     rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]
     with pytest.raises(EnumerationCapError):
         extreme_rays(rows, max_rays=2)
+
+
+def _deterministic_vertex_cone(text):
+    """The tangent cone rows of the deterministic vertex with every output 0
+    of a shape's no-signalling polytope."""
+    shape = BoxShape.from_string(text)
+    _, keep, coord_rows = _homogenized_cone(build_hrep(shape))
+    zeros = {shape.index((0,) * shape.parties, ins) for ins in shape.joint_inputs}
+    x_rows = _edge_rows(coord_rows)
+    return [x_rows[i] for i, c in enumerate(keep) if c not in zeros]
+
+
+def test_time_budget_is_checked_inside_a_row(monkeypatch):
+    # the last rows of this cone take seconds each, so clock reads between
+    # rows alone would overshoot a 1 s budget by seconds
+    rows = _deterministic_vertex_cone("4,4/4,4")
+    reads = []
+
+    def monotonic():
+        reads.append(time.monotonic())
+        return reads[-1]
+    monkeypatch.setattr(dd, "time", SimpleNamespace(monotonic=monotonic))
+    with pytest.raises(EnumerationCapError) as err:
+        extreme_rays(rows, time_budget=1.0)
+    assert reads[-1] - reads[0] < 2.0
+    found = re.fullmatch(r"time budget 1.0s exceeded after [\d.]+s with (\d+) "
+                         rf"of {len(rows)} rows left and \d+ rays", str(err.value))
+    assert found
+    # one read at the start and one per row begun past the basis rows; the
+    # rest were made inside rows
+    begun = len(rows) - len(rows[0]) - int(found[1]) + 1
+    assert len(reads) > 1 + begun
 
 
 def _brute_force_rays(rows, dim):
@@ -131,8 +167,8 @@ def _checked(monkeypatch):
     real = dd._fresh_rays
     log = []
 
-    def checked(rays, masks, vals, d):
-        got = real(rays, masks, vals, d)
+    def checked(rays, masks, vals, d, check_clock):
+        got = real(rays, masks, vals, d, check_clock)
         ints = [sum(w << (64 * k) for k, w in enumerate(row)) for row in masks.tolist()]
         want = _reference_combine_adjacent(rays.tolist(), ints, vals.tolist(), d)
         assert sorted(map(tuple, got.tolist())) == sorted(want)

@@ -2,17 +2,18 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from fraction_linalg import nullspace
-from nsbox import polytope
+from nsbox import polytope, relabel
 from nsbox.boxes import Box, BoxShape, InvalidBoxError, ShapeError, mix
 from nsbox.families import dbox, local_deterministic, pr, uniform
-from nsbox.dd import extreme_rays
-from nsbox.polytope import (HPolytope, VRep, _homogenized_cone, build_hrep,
-                            classify_vertices, dimension,
-                            enumerate_vertices, is_extremal, kbox_census,
-                            lift_box, normalization_rows)
+from nsbox.dd import EnumerationCapError, extreme_rays
+from nsbox.polytope import (HPolytope, VRep, _homogenized_cone, _symmetry_maps,
+                            _VertexSet, build_hrep, classify_vertices,
+                            dimension, enumerate_vertices, is_extremal,
+                            kbox_census, lift_box, normalization_rows)
 from nsbox.relabel import apply_relabelling, group, orbit
 
 CHSH_SHAPE = BoxShape.homogeneous(2, 2, 2)
@@ -91,9 +92,9 @@ def test_hrep_matches_the_loop_builder(text):
 @pytest.mark.parametrize("text", ["3,4/3,4", "2,2,2/2,2,2", "2,2/2,2/3"])
 def test_homogenized_cone_matches_the_fraction_nullspace(text, monkeypatch):
     h = build_hrep(BoxShape.from_string(text))
-    keep, coord_rows = _homogenized_cone(h)
+    want = _homogenized_cone(h)
     monkeypatch.setattr(polytope, "nullspace_int", nullspace)
-    assert (keep, coord_rows) == _homogenized_cone(h)
+    assert want == _homogenized_cone(h)
 
 
 def test_chsh_vertex_enumeration():
@@ -173,7 +174,7 @@ def test_classify_rejects_partial_lists():
 def _reference_vertices(h):
     """The reconstruction that the integer one replaced: one Fraction per
     entry, then a sort of the Fraction tables."""
-    keep, coord_rows = _homogenized_cone(h)
+    _, keep, coord_rows = _homogenized_cone(h)
     col_of = {c: j for j, c in enumerate(keep)}
     vertices = []
     for ray in extreme_rays(coord_rows):
@@ -206,6 +207,119 @@ def test_integer_reconstruction_without_a_shape():
     assert len(got) > 4
     assert len({max(v.denominator for v in point) for point in got}) > 2
     assert all(point[4] == point[5] == 0 for point in got)
+
+
+def _takes_orbit_path(h):
+    return _symmetry_maps(h, *_homogenized_cone(h)) is not None
+
+
+def _full_dd(h):
+    """The same polytope without its shape, which takes full DD; the
+    vertices as tables."""
+    return [tuple(v) for v in enumerate_vertices(
+        HPolytope(h.ambient, h.equalities)).vertices]
+
+
+@pytest.mark.parametrize("text", ["2,2/2,2", "3,3/3,3", "2,3/3,2", "3,4/3,4",
+                                  "2,2,2/2,2,2", "2,2/2,2/3"])
+def test_orbit_path_matches_full_dd(text):
+    h = build_hrep(BoxShape.from_string(text))
+    rows = list(h.equalities)
+    random.Random(text).shuffle(rows)
+    h = HPolytope(h.ambient, tuple(rows), h.shape)
+    assert _takes_orbit_path(h)
+    got = enumerate_vertices(h).vertices
+    assert [b.table for b in got] == _full_dd(h)
+    assert all(b.shape == h.shape for b in got)
+
+
+def _with_rows(h, extra):
+    return HPolytope(h.ambient, h.equalities + tuple(extra), h.shape)
+
+
+def _uniform_marginal_rows(shape):
+    """Each party's outcomes equally likely at each of its inputs, the other
+    parties' inputs set to 0: relabelling-invariant given no-signalling."""
+    rows = []
+    for k in range(shape.parties):
+        for x in range(shape.inputs[k]):
+            ins = tuple(x if j == k else 0 for j in range(shape.parties))
+            d = shape.outputs[k][x]
+            for a in range(d):
+                row = [Fraction(0)] * shape.table_size
+                for outs in iproduct(*map(range, shape.outputs_at(ins))):
+                    if outs[k] == a:
+                        row[shape.index(outs, ins)] = Fraction(1)
+                rows.append((tuple(row), Fraction(1, d)))
+    return rows
+
+
+@pytest.mark.parametrize("text", ["2,2/2,2", "3,3/3,3", "2,3/3,2", "2,2/2,2/2"])
+def test_orbit_path_without_deterministic_vertices(text):
+    # no deterministic vertex, so the LP start is some other vertex
+    shape = BoxShape.from_string(text)
+    h = _with_rows(build_hrep(shape), _uniform_marginal_rows(shape))
+    assert _takes_orbit_path(h)
+    got = enumerate_vertices(h).vertices
+    assert [b.table for b in got] == _full_dd(h)
+    assert got and not any(b.is_deterministic() for b in got)
+
+
+def test_a_pinned_entry_takes_full_dd():
+    shape = BoxShape.from_string("3,3/3,3")
+    h = build_hrep(shape)
+    pin = [Fraction(0)] * shape.table_size
+    pin[0] = Fraction(1)
+    h = _with_rows(h, [(tuple(pin), Fraction(1, 2))])
+    assert not _takes_orbit_path(h)
+    got = enumerate_vertices(h).vertices
+    assert [b.table for b in got] == _full_dd(h)
+    assert {b.table[0] for b in got} == {Fraction(1, 2)}
+
+
+def test_an_empty_invariant_polytope_has_no_vertices():
+    # the table sums to the number of joint inputs, never one more
+    shape = BoxShape.from_string("2,2/2,2")
+    total = (tuple([Fraction(1)] * shape.table_size),
+             Fraction(len(shape.joint_inputs) + 1))
+    h = _with_rows(build_hrep(shape), [total])
+    assert _takes_orbit_path(h)
+    assert enumerate_vertices(h) == VRep((), full=True)
+    assert _full_dd(h) == []
+
+
+def test_orbit_path_caps_raise():
+    # 1161 vertices; no vertex cone reaches 1000 rays
+    h = build_hrep(BoxShape.from_string("3,3/3,3"))
+    with pytest.raises(EnumerationCapError, match="vertex cap 1000"):
+        enumerate_vertices(h, max_rays=1000)
+    # the LP start takes about 0.01 s, the first vertex cone about 0.2 s
+    h = build_hrep(BoxShape.from_string("3,4/3,4"))
+    with pytest.raises(EnumerationCapError, match="time budget 0s .* 1 orbits left"):
+        enumerate_vertices(h, time_budget=0)
+    with pytest.raises(EnumerationCapError, match="time budget .* in a vertex cone"):
+        enumerate_vertices(h, time_budget=0.1)
+
+
+def test_vertex_ids_widen_past_one_byte():
+    found = _VertexSet(3, [0, 2])
+    first = found.code(np.array([[7, 1, 6]]))
+    found.keys.update(relabel._row_keys(first))
+    many = found.code(np.array([[301, v, 301 - v] for v in range(1, 300)]))
+    assert found.dtype == np.uint16 and many.dtype == np.uint16
+    assert relabel._row_keys(found.code(np.array([[7, 1, 6]]))) == list(found.keys)
+    values, rows = found.sorted_rows()
+    assert values == sorted({Fraction(0), Fraction(1, 7), Fraction(6, 7)}
+                            | {Fraction(v, 301) for v in range(1, 301)})
+    assert [values[i] for i in rows[0]] == [Fraction(1, 7), 0, Fraction(6, 7)]
+
+
+def test_census_matches_classes_by_canonical_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the census searched for a relabelling")
+    monkeypatch.setattr(relabel, "equivalent_under_relabelling", refuse)
+    census = kbox_census((3, 3), (3, 3))
+    assert {c.k: c.size for c in census.classes} == {None: 81, 2: 648, 3: 432}
 
 
 def test_extremality():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nsbox import relabel
 from nsbox.boxes import Box, BoxShape, ShapeError
 from nsbox.families import dbox, local_deterministic, pr, uniform
 from nsbox.relabel import (Relabelling, apply_relabelling, canonical_form,
@@ -171,3 +172,12 @@ def test_equivalence_across_a_party_permutation():
         assert r is not None
         assert apply_relabelling(a, r) == b
         assert equivalent_under_relabelling(a, b, allow_party_permutation=False) is None
+
+
+def test_generator_maps_are_cached_and_read_only():
+    gens, maps = relabel._generator_maps(SHAPE_2332, True)
+    assert relabel._generator_maps(SHAPE_2332, True)[1] is maps
+    assert gens == tuple(generators(SHAPE_2332))
+    assert [list(m) for m in maps] == [list(g.index_map(SHAPE_2332)[1]) for g in gens]
+    with pytest.raises(ValueError):
+        maps[0, 0] = 1
