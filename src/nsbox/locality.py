@@ -16,7 +16,7 @@ from .dd import EnumerationCapError
 from .families import _check_bits, uniform
 from .linalg import _int_matmul, clear_denominators, project_out_rowspace
 from .polytope import build_hrep, normalization_rows
-from .simplex import find_nonneg_solution, maximize
+from .simplex import find_nonneg_solution
 
 
 @lru_cache(maxsize=32)
@@ -187,7 +187,11 @@ class LocalModel:
 @dataclass(frozen=True)
 class SeparatingCertificate:
     """A linear form with threshold = exact maximum over the tested strategy
-    class, strictly exceeded by the separated box."""
+    class, strictly exceeded by the separated box.
+
+    The membership tests return the Farkas separator on which their
+    column generation stopped, verified against every strategy; it need
+    not be a facet of the strategies' polytope."""
 
     shape: BoxShape
     coefficients: tuple[Fraction, ...]
@@ -236,10 +240,11 @@ def convex_membership(target, boxes):
 
 
 def _mixture_weights(target_table, tables):
-    """LP feasibility core of convex_membership over the rows of a 2-D
-    array of tables (Fractions, or the 0/1 int64 strategy matrix).  Tables
-    putting mass outside the target's support are pruned up front; that is
-    exact, since any decomposition must give them weight zero."""
+    """LP feasibility over the rows of a 2-D array of tables: Fractions
+    from convex_membership, 0/1 int64 strategy matrices from
+    comm.min_oneway_comm_with_SR.  Tables putting mass outside the target's
+    support are pruned up front; that is exact, since any decomposition
+    must give them weight zero."""
     outside = np.array([v <= 0 for v in target_table], dtype=bool)
     support_ok = np.flatnonzero(~(tables[:, outside] != 0).any(axis=1))
     if not len(support_ok):
@@ -281,100 +286,65 @@ def _normalized_separator(raw, box, matrix, constant_rows):
     """Project a dual vector off a rowspace, scale to primitive integers,
     and recompute the threshold over the whole strategy set.  Only rows
     whose inner product is the same for every strategy may be projected
-    out; anything else would reorder the scores.  Returns the certificate
-    and the scores of all strategies."""
+    out; anything else would reorder the scores."""
     ints = clear_denominators(project_out_rowspace(raw, constant_rows))
-    scores = _scores(ints, matrix)
     coeffs = tuple(Fraction(c) for c in ints)
     value = sum(c * p for c, p in zip(coeffs, box.table))
-    cert = SeparatingCertificate(box.shape, coeffs, Fraction(max(scores)), value)
-    return cert, scores
-
-
-def _certificate_visibility(box, matrix, constant_rows):
-    """Separator from the dual of the visibility LP: how far towards the box
-    one can move from uniform while staying a mixture of strategies.  The
-    crossing point lies on a face, which pins the dual down to the facet
-    normal (up to the equality rowspace)."""
-    shape = box.shape
-    u = uniform(shape).table
-    n = shape.table_size
-    k = len(matrix)
-    rows = [col + [ui - p, 0]
-            for col, ui, p in zip(matrix.T.tolist(), u, box.table)]
-    rhs = list(u)
-    rows.append([1] * k + [0, 0])
-    rhs.append(1)
-    rows.append([0] * k + [1, 1])
-    rhs.append(1)
-    objective = [0] * k + [1, 0]
-    res = maximize(rows, rhs, objective)
-    if res.status != "optimal":
-        raise AssertionError(f"visibility LP ended {res.status}, not optimal")
-    if res.objective >= 1:
-        raise AssertionError("certificate requested for a member box")
-    cert, _ = _normalized_separator([-y for y in res.dual[:n]], box, matrix,
-                                    constant_rows)
-    if cert.value <= cert.threshold:
-        raise AssertionError("separator extraction failed; dual degenerate")
-    return cert
-
-
-def _certificate_colgen(box, matrix, constant_rows):
-    """Separator by column generation: Farkas duals of growing subset
-    feasibility problems, until one cuts off every strategy."""
-    centred = [p - u for p, u in zip(box.table, uniform(box.shape).table)]
-    # a positive rescale of the centred box, so the order is unchanged
-    merit = _scores(clear_denominators(centred), matrix)
-    order = sorted(range(len(matrix)), key=merit.__getitem__, reverse=True)
-    active = order[:64]
-    active_set = set(active)
-    while True:
-        res = find_nonneg_solution(matrix[active].T.tolist(), list(box.table))
-        if res.status != "infeasible":
-            raise AssertionError(
-                f"subset feasibility LP ended {res.status}, not infeasible")
-        cert, scores = _normalized_separator([-y for y in res.dual], box,
-                                             matrix, constant_rows)
-        if cert.value > cert.threshold:
-            return cert
-        cutoff = max(scores[j] for j in active)
-        violators = sorted((j for j in range(len(matrix))
-                            if j not in active_set and scores[j] > cutoff),
-                           key=scores.__getitem__, reverse=True)
-        if not violators:
-            raise AssertionError("no progress in column generation")
-        for j in violators[:64]:
-            active.append(j)
-            active_set.add(j)
+    return SeparatingCertificate(box.shape, coeffs,
+                                 Fraction(max(_scores(ints, matrix))), value)
 
 
 def _membership(box, strategies, constant_rows):
-    """A LocalModel or a SeparatingCertificate, re-verified against the
-    deduplicated strategies before it is returned."""
+    """A LocalModel or a SeparatingCertificate, found by column generation
+    over the deduplicated strategies and re-verified against all of them
+    before it is returned.
+
+    The active columns start as the 64 strategies that score highest
+    against the box centred at uniform, kept in strategy order.  Each round
+    solves the feasibility LP on them: weights give the LocalModel, and
+    otherwise the negated Farkas vector is a form the box beats and no
+    active strategy does.  When the box also beats every other strategy
+    the form is the certificate; else the strategies scoring above the
+    active maximum join, best first and at most as many as are active."""
     box.require_valid()
     strategies, matrix = _dedup_strategies(strategies)
-    weights = _mixture_weights(box.table, matrix)
-    if weights is not None:
-        kept = sorted(weights)
-        res = LocalModel(tuple(strategies[j] for j in kept),
-                         tuple(weights[j] for j in kept))
-        if not res.verify(box):
-            raise AssertionError("local model does not reproduce the box")
-        return res
-    if len(strategies) <= 600:
-        res = _certificate_visibility(box, matrix, constant_rows)
-    else:
-        res = _certificate_colgen(box, matrix, constant_rows)
-    if not res.verify(box, strategies):
-        raise AssertionError("separating certificate does not verify")
-    return res
+    centred = [p - u for p, u in zip(box.table, uniform(box.shape).table)]
+    # a positive rescale of the centred box, so the order is unchanged
+    merit = _scores(clear_denominators(centred), matrix)
+    active = sorted(sorted(range(len(matrix)), key=merit.__getitem__,
+                           reverse=True)[:64])
+    while True:
+        res = find_nonneg_solution(matrix[active].T.tolist(), list(box.table))
+        if res.status == "optimal":
+            used = [(j, w) for j, w in zip(active, res.x) if w]
+            model = LocalModel(tuple(strategies[j] for j, _ in used),
+                               tuple(w for _, w in used))
+            if not model.verify(box):
+                raise AssertionError("local model does not reproduce the box")
+            return model
+        raw = clear_denominators([-y for y in res.dual])
+        scores = _scores(raw, matrix)
+        if sum(c * p for c, p in zip(raw, box.table)) > max(scores):
+            cert = _normalized_separator(raw, box, matrix, constant_rows)
+            if not cert.verify(box, strategies):
+                raise AssertionError("separating certificate does not verify")
+            return cert
+        cutoff = max(scores[j] for j in active)
+        taken = set(active)
+        violators = sorted((j for j in range(len(matrix))
+                            if j not in taken and scores[j] > cutoff),
+                           key=scores.__getitem__, reverse=True)
+        if not violators:
+            raise AssertionError("no progress in column generation")
+        active = sorted(active + violators[:len(active)])
 
 
 def is_local(box, cap=200_000):
     """A LocalModel if the box is a mixture of deterministic strategies,
     else a SeparatingCertificate (truthy and falsy respectively).  Either
-    is verified before it is returned."""
+    is verified before it is returned.  The certificate is the Farkas
+    separator the column generation stopped on, not necessarily a facet
+    of the local polytope."""
     rows = [list(r) for r, _ in build_hrep(box.shape).equalities]
     return _membership(box, enumerate_local_strategies(box.shape, cap), rows)
 

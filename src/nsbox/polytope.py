@@ -6,13 +6,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
 from . import relabel
-from .boxes import Box, BoxShape, InvalidBoxError, ShapeError, _equality_rows
+from .boxes import (_MAX_TABLE_SIZE, Box, BoxShape, InvalidBoxError, ShapeError,
+                    _equality_rows)
 from .dd import EnumerationCapError, extreme_rays
 from .families import dbox
 from .linalg import _int_products, _max_abs, clear_denominators, int_rank, nullspace_int
@@ -61,25 +61,35 @@ def normalization_rows(shape):
             in _equality_rows(shape)[:len(shape.joint_inputs)]]
 
 
+def _equality_count(shape):
+    """How many rows ``_equality_rows`` gives: one per joint input, then per
+    party k and each of its inputs but the last, one per joint input and
+    joint output of the other parties."""
+    sums = [sum(p) for p in shape.outputs]
+    return len(shape.joint_inputs) + sum(
+        (len(shape.outputs[k]) - 1) * prod(sums[:k] + sums[k + 1:])
+        for k in range(shape.parties))
+
+
 def build_hrep(shape):
     """Normalization and no-signalling equalities for a shape, one
-    no-signalling family per party against the joint rest."""
+    no-signalling family per party against the joint rest.  Refused when
+    the dense rows would hold more than the table-size cap of entries."""
     n = shape.table_size
+    cells = _equality_count(shape) * n
+    if cells > _MAX_TABLE_SIZE:
+        raise ShapeError(f"the H-representation of {cells} entries exceeds "
+                         f"the cap of {_MAX_TABLE_SIZE}")
     return HPolytope(n, tuple((_dense_row(n, plus, minus), Fraction(rhs))
                               for plus, minus, rhs, _ in _equality_rows(shape)),
                      shape)
 
 
-@lru_cache(maxsize=None)
-def _dimension_cached(shape):
-    h = build_hrep(shape)
-    rows = [clear_denominators(list(row)) for row, _ in h.equalities]
-    return shape.table_size - int_rank(rows)
-
-
 def dimension(shape):
-    """Affine dimension of the no-signalling polytope of a shape."""
-    return _dimension_cached(shape)
+    """Affine dimension of the no-signalling polytope of a shape: the
+    product over parties of (sum over inputs of (outputs - 1)) + 1, less
+    one."""
+    return prod(sum(d - 1 for d in p) + 1 for p in shape.outputs) - 1
 
 
 def _presolve_zeros(eq_int):
@@ -166,9 +176,6 @@ def _scaled(z):
     the lcm of the t and row i of scaled is x·den/t, so the point of row i
     is scaled[i] / den.  Scaled rows order exactly as the points do."""
     t = z[:, 0].tolist()
-    if min(t) <= 0:
-        raise AssertionError(
-            "homogenization ray with t <= 0 on a bounded polytope")
     den = lcm(*t)
     scale = [den // v for v in t]
     if _max_abs(z) * max(scale) >= 2 ** 63:
@@ -196,7 +203,8 @@ def _edge_ends(z, w):
             p = np.where(take, xi, p)
             q = np.where(take, step, q)
     if not q.all():
-        raise AssertionError("an edge of the polytope is unbounded")
+        raise ShapeError("the set is unbounded: an edge from a vertex has no "
+                         "far end")
     ends = np.concatenate([(q * z[0])[:, None],
                            q[:, None] * np.array(z[1:], dtype=w.dtype) + p[:, None] * w], axis=1)
     return ends // np.gcd.reduce(ends, axis=1)[:, None]
@@ -314,7 +322,8 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
     """All vertices of {x >= 0, equalities}.
 
     Deterministic: vertices come back sorted by their flat tables.  Raises
-    EnumerationCapError (never truncates silently) if caps are hit.
+    EnumerationCapError (never truncates silently) if caps are hit, and
+    ShapeError if the set is unbounded.
 
     When ``h.shape`` is set and every relabelling generator of the shape
     maps the polytope onto itself (checked exactly on the equalities), the
@@ -334,11 +343,16 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
         columns = slice(None)
     else:
         rays = extreme_rays(coord_rows, max_rays=max_rays, time_budget=time_budget)
-        if not rays:
+        # rays with t = 0 are recession directions, the others vertices
+        z = _int_products(rays, coord_rows) if rays else np.zeros((0, 1), np.int64)
+        if not z[:, 0].any():
             return VRep((), full=True)
+        if not z[:, 0].all():
+            raise ShapeError("the set is unbounded: the homogenized cone has "
+                             "a ray with t = 0")
         # vertex i is z[i, 1:] / t[i]; scaled to the common denominator of
         # all t, the integer rows order exactly as the Fraction tables do
-        den, scaled = _scaled(_int_products(rays, coord_rows))
+        den, scaled = _scaled(z)
         nums, inverse = np.unique(scaled, return_inverse=True)
         values = [Fraction(v, den) for v in nums.tolist()]
         rows, columns = inverse.reshape(scaled.shape), keep

@@ -17,7 +17,9 @@ from nsbox.families import (dbox, local_deterministic, pr, svetlichny_box,
 from nsbox.fileio import (dumps_box, dumps_functional, dumps_wiring,
                           loads_box, loads_functional, loads_wiring)
 from nsbox.locality import (chsh, chsh_functional, convex_membership,
-                            enumerate_local_strategies, is_local, svetlichny)
+                            enumerate_local_strategies,
+                            enumerate_twoway_strategies, is_local,
+                            is_two_way_local, svetlichny)
 from nsbox.polytope import (build_hrep, classify_vertices, dimension,
                             enumerate_vertices, kbox_census)
 from nsbox.relabel import (Relabelling, compose, equivalent_under_relabelling,
@@ -241,3 +243,12 @@ def test_12_every_four_output_vertex_is_a_kbox():
         assert {c.k: (c.size, c.lifted) for c in census.classes} == {
             None: (256, True), 2: (10368, True), 3: (110592, True),
             4: (82944, False)}
+
+
+def test_13_full_support_two_way_box_within_budget():
+    box = mix(xyplusz(), uniform(TRI_SHAPE), Fraction(50, 64))
+    with budget(2.0):
+        cert = is_two_way_local(box)
+    assert not cert
+    assert cert.value > cert.threshold
+    assert cert.verify(box, enumerate_twoway_strategies(TRI_SHAPE))

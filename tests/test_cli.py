@@ -26,6 +26,8 @@ def test_dim(capsys):
     code, out, _ = run(capsys, "dim", "2,2/2,2")
     assert code == 0
     assert out == "8\n"
+    # a shape whose dense H-representation would not fit in memory
+    assert run(capsys, "dim", "65536:2/2")[:2] == (0, "131073\n")
 
 
 def test_preset_wire_expect(tmp_path, capsys):
@@ -140,6 +142,11 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
              ["protocol3-error", "2", "3", "20"],
              ["bell", str(pr_box), "--chsh", "-1", "0", "0"],
              ["bell", str(pr_box), "--chsh", "0", "0", "5"]]
+    # shapes within the table cap whose dense H-representation is not
+    big_box = tmp_path / "big.box"
+    big_box.write_text("shape 65536:2/2\ntable\n" + "1/4 1/4 1/4 1/4\n" * 65536)
+    argvs += [["vertices", "65536:2/2", "-o", str(tmp_path / "big")],
+              ["local", str(big_box)]]
     for i, doc in enumerate(docs):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(doc))

@@ -9,12 +9,15 @@ from nsbox.dd import EnumerationCapError
 from nsbox.families import (dbox, local_deterministic, pr, svetlichny_box,
                             two_way_vertex, uniform, xyplusz, xyz_box)
 from nsbox import locality
+from nsbox.linalg import clear_denominators
 from nsbox.locality import (SeparatingCertificate, chsh, chsh_functional,
                             convex_membership, correlator,
                             enumerate_local_strategies,
                             enumerate_twoway_strategies, evaluate_functional,
                             is_local, is_two_way_local, svetlichny,
                             svetlichny_functional)
+from nsbox.polytope import build_hrep, normalization_rows
+from nsbox.simplex import find_nonneg_solution, maximize
 
 CHSH_SHAPE = BoxShape.homogeneous(2, 2, 2)
 
@@ -280,3 +283,132 @@ def test_results_are_verified_before_they_are_returned(monkeypatch):
     monkeypatch.setattr(locality.LocalModel, "verify", lambda self, box: False)
     with pytest.raises(AssertionError):
         is_local(uniform(CHSH_SHAPE))
+
+
+# ------------------------------------------- the loop against the earlier solver
+
+def _reference_membership(box, strategies, constant_rows):
+    """Membership as solved before one column-generation loop served both
+    answers: one feasibility LP over every strategy, then for a
+    certificate the visibility LP (600 strategies or fewer) or column
+    generation started from the 64 strategies of highest merit."""
+    box.require_valid()
+    strategies, matrix = locality._dedup_strategies(strategies)
+    weights = locality._mixture_weights(box.table, matrix)
+    if weights is not None:
+        kept = sorted(weights)
+        return locality.LocalModel(tuple(strategies[j] for j in kept),
+                                   tuple(weights[j] for j in kept))
+    if len(strategies) <= 600:
+        return _reference_visibility(box, matrix, constant_rows)
+    return _reference_colgen(box, matrix, constant_rows)
+
+
+def _reference_visibility(box, matrix, constant_rows):
+    """Separator from the dual of the LP that moves from uniform towards
+    the box as far as the strategies' mixtures reach."""
+    u = uniform(box.shape).table
+    k = len(matrix)
+    rows = [col + [ui - p, 0]
+            for col, ui, p in zip(matrix.T.tolist(), u, box.table)]
+    rows += [[1] * k + [0, 0], [0] * k + [1, 1]]
+    res = maximize(rows, list(u) + [1, 1], [0] * k + [1, 0])
+    assert res.status == "optimal" and res.objective < 1
+    return locality._normalized_separator(
+        [-y for y in res.dual[:box.shape.table_size]], box, matrix,
+        constant_rows)
+
+
+def _reference_colgen(box, matrix, constant_rows):
+    """Separator from Farkas duals of subset LPs, 64 new columns a round."""
+    centred = [p - u for p, u in zip(box.table, uniform(box.shape).table)]
+    merit = locality._scores(clear_denominators(centred), matrix)
+    active = sorted(range(len(matrix)), key=merit.__getitem__,
+                    reverse=True)[:64]
+    while True:
+        res = find_nonneg_solution(matrix[active].T.tolist(), list(box.table))
+        assert res.status == "infeasible"
+        cert = locality._normalized_separator([-y for y in res.dual], box,
+                                              matrix, constant_rows)
+        if cert.value > cert.threshold:
+            return cert
+        scores = locality._scores([int(c) for c in cert.coefficients], matrix)
+        cutoff = max(scores[j] for j in active)
+        violators = sorted((j for j in range(len(matrix))
+                            if j not in active and scores[j] > cutoff),
+                           key=scores.__getitem__, reverse=True)
+        assert violators
+        active += violators[:64]
+
+
+def _check_against_reference(box, two_way=False):
+    if two_way:
+        strategies = enumerate_twoway_strategies(box.shape)
+        rows = [list(r) for r in normalization_rows(box.shape)]
+        got = is_two_way_local(box)
+    else:
+        strategies = enumerate_local_strategies(box.shape)
+        rows = [list(r) for r, _ in build_hrep(box.shape).equalities]
+        got = is_local(box)
+    want = _reference_membership(box, strategies, rows)
+    assert bool(got) == bool(want)
+    for res in (got, want):
+        assert res.verify(box) if res else res.verify(box, strategies)
+    return got
+
+
+def test_loop_matches_the_reference_across_visibility_one_half():
+    verdicts = {}
+    for name, top in (("pr", pr()), ("dbox3", dbox(3)),
+                      ("svetlichny", svetlichny_box())):
+        for w in (Fraction(1, 4), Fraction(1, 2), Fraction(9, 16),
+                  Fraction(3, 4)):
+            box = mix(top, uniform(top.shape), w)
+            verdicts[name, w] = bool(_check_against_reference(box))
+    assert verdicts["pr", Fraction(1, 2)] and not verdicts["pr", Fraction(9, 16)]
+    assert not any(verdicts[name, Fraction(3, 4)]
+                   for name in ("pr", "dbox3", "svetlichny"))
+
+
+def _random_tripartite_box(rng):
+    """A seeded mixture of deterministic and genuinely tripartite boxes,
+    mostly without full support."""
+    tops = [xyplusz(), svetlichny_box(), two_way_vertex(), xyz_box()]
+    tops += [locality.DeterministicStrategy(
+        TRIPARTITE, tuple(tuple(rng.randrange(2) for _ in range(2))
+                          for _ in range(3))).box() for _ in range(4)]
+    picks = rng.sample(tops, 3)
+    weights = [Fraction(rng.randint(1, 6)) for _ in picks]
+    box = picks[0]
+    total = weights[0]
+    for b, w in zip(picks[1:], weights[1:]):
+        total += w
+        box = mix(b, box, w / total)
+    return box
+
+
+def test_loop_matches_the_reference_on_random_boxes():
+    rng = random.Random(97)
+    for _ in range(6):
+        _check_against_reference(Box(CHSH_SHAPE, _random_box_table(rng)))
+    for _ in range(6):
+        box = _random_tripartite_box(rng)
+        _check_against_reference(box)
+        _check_against_reference(box, two_way=True)
+
+
+def test_loop_matches_the_reference_on_full_support_two_way_boxes():
+    u = uniform(TRIPARTITE)
+    for top, w in ((svetlichny_box(), Fraction(50, 64)),
+                   (svetlichny_box(), Fraction(60, 64)),
+                   (mix(xyplusz(), svetlichny_box(), Fraction(1, 2)),
+                    Fraction(3, 4))):
+        box = mix(top, u, w)
+        assert all(box.table)
+        assert not _check_against_reference(box, two_way=True)
+
+
+@pytest.mark.slow
+def test_loop_matches_the_reference_on_a_full_support_two_way_model():
+    box = mix(svetlichny_box(), uniform(TRIPARTITE), Fraction(31, 64))
+    assert _check_against_reference(box, two_way=True)

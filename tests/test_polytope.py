@@ -10,6 +10,7 @@ from nsbox import polytope, relabel
 from nsbox.boxes import Box, BoxShape, InvalidBoxError, ShapeError, mix
 from nsbox.families import dbox, local_deterministic, pr, uniform
 from nsbox.dd import EnumerationCapError, extreme_rays
+from nsbox.linalg import clear_denominators, int_rank
 from nsbox.polytope import (HPolytope, VRep, _homogenized_cone, _symmetry_maps,
                             _VertexSet, build_hrep, classify_vertices,
                             dimension, enumerate_vertices, is_extremal,
@@ -24,6 +25,37 @@ def test_dimension_table():
     assert dimension(BoxShape.homogeneous(2, 2, 3)) == 24
     assert dimension(BoxShape(((2, 2), (3, 3)))) == 14
     assert dimension(BoxShape.homogeneous(3, 2, 2)) == 26
+
+
+@pytest.mark.parametrize("text", ["2,2/2,2", "3,2,4", "2,3/3,2", "2,2/2,2/3",
+                                  "1/1", "3,4/3,4", "2,2,2/2,2,2", "1,2/2"])
+def test_dimension_matches_the_rank_of_the_hrep(text):
+    shape = BoxShape.from_string(text)
+    h = build_hrep(shape)
+    rows = [clear_denominators(list(row)) for row, _ in h.equalities]
+    assert dimension(shape) == shape.table_size - int_rank(rows)
+    assert len(h.equalities) == polytope._equality_count(shape)
+
+
+def test_hrep_size_is_checked_before_the_rows_are_built(monkeypatch):
+    def unreachable(shape):
+        raise AssertionError("rows built before the size check")
+    monkeypatch.setattr(polytope, "_equality_rows", unreachable)
+    shape = BoxShape.from_string("65536:2/2")
+    with pytest.raises(ShapeError, match="H-representation"):
+        build_hrep(shape)
+    assert dimension(shape) == 131073
+
+
+def test_unbounded_sets_are_refused():
+    for h in (HPolytope(2, (((1, -1), 0),)),
+              HPolytope(3, (((1, -1, 0), 1),)),
+              HPolytope(2, (((1, -1), 0),), BoxShape(((2,),)))):
+        with pytest.raises(ShapeError, match="unbounded"):
+            enumerate_vertices(h)
+    # empty, although its recession cone is not
+    empty = HPolytope(3, (((1, -1, 0), 0), ((0, 0, 1), -1)))
+    assert enumerate_vertices(empty).vertices == ()
 
 
 def test_normalization_rows_sum_blocks():
