@@ -72,7 +72,11 @@ def _cmd_vertices(args):
                               time_budget=args.timeout)
     classes = classify_vertices(vrep)
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot make directory {out}: {exc.strerror}") \
+            from None
     width = max(4, len(str(len(vrep.vertices) - 1)))
     names = [f"vertex_{i:0{width}d}.box" for i in range(len(vrep.vertices))]
     for name, box in zip(names, vrep.vertices):

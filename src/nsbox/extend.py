@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .boxes import Box, BoxShape, ShapeError, marginal, mix, tensor
+from .boxes import (_MAX_JOINT_INPUTS, Box, BoxShape, ShapeError, marginal,
+                    mix, tensor)
 from .families import uniform
 from .polytope import HPolytope, build_hrep, enumerate_vertices
 
@@ -27,6 +28,9 @@ def _env_shape(env_inputs, env_outputs):
         raise ShapeError("the environment needs at least one input")
     if not (isinstance(env_outputs, int) and env_outputs >= 1):
         raise ShapeError("the environment needs at least one output")
+    if env_inputs > _MAX_JOINT_INPUTS:
+        raise ShapeError(f"{env_inputs} environment inputs exceed the cap of "
+                         f"{_MAX_JOINT_INPUTS} joint inputs")
     return BoxShape(((env_outputs,) * env_inputs,))
 
 

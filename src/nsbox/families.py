@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .boxes import Box, BoxShape, ShapeError, tensor
+from .boxes import _MAX_TABLE_SIZE, Box, BoxShape, ShapeError, tensor
 
 
 def _check_bits(**kwargs):
@@ -81,6 +81,10 @@ def xyz_box(n=3):
     n = int(n)
     if n < 2:
         raise ShapeError(f"xyz box needs n >= 2 parties, got {n}")
+    # the table has 4**n entries; refused before any tuple is built
+    if n > _MAX_TABLE_SIZE.bit_length() or 4 ** n > _MAX_TABLE_SIZE:
+        raise ShapeError(f"an xyz box of {n} parties exceeds the cap of "
+                         f"{_MAX_TABLE_SIZE} table entries")
     return _parity_box(n, lambda ins: int(all(ins)))
 
 
@@ -92,9 +96,11 @@ def two_way_vertex():
 
 
 def uniform(shape):
-    """The maximally mixed box of a shape."""
+    """The maximally mixed box of a shape (a BoxShape or its string)."""
     if isinstance(shape, str):
         shape = BoxShape.from_string(shape)
+    if not isinstance(shape, BoxShape):
+        raise ShapeError(f"uniform needs a shape, got {shape!r}")
 
     def fn(outs, ins):
         total = 1

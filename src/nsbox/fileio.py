@@ -90,8 +90,17 @@ def _read_text(path):
                          f"{exc.start}") from None
 
 
+def _write_text(path, text):
+    """Write a file; a path that cannot be written (a directory, a missing
+    parent) is a ParseError naming the path."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def save_box(box, path):
-    Path(path).write_text(dumps_box(box))
+    _write_text(path, dumps_box(box))
 
 
 def load_box(path):
@@ -131,7 +140,7 @@ def loads_functional(text):
 
 
 def save_functional(f, path):
-    Path(path).write_text(dumps_functional(f))
+    _write_text(path, dumps_functional(f))
 
 
 def load_functional(path):
@@ -255,7 +264,7 @@ def loads_wiring(text, base_dir="."):
 
 
 def save_wiring(wiring, path):
-    Path(path).write_text(dumps_wiring(wiring))
+    _write_text(path, dumps_wiring(wiring))
 
 
 def load_wiring(path):

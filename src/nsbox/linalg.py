@@ -12,14 +12,18 @@ from math import gcd, lcm
 import numpy as np
 
 
+def _rational(v):
+    """A rational that is neither int nor Fraction (numpy integers, floats,
+    strings) as a Fraction of Python ints."""
+    v = Fraction(v)
+    return Fraction(int(v.numerator), int(v.denominator))
+
+
 def clear_denominators(row):
-    """Scale a Fraction row to coprime integers (sign preserved)."""
-    den = 1
-    for v in row:
-        d = Fraction(v).denominator
-        den = den * d // gcd(den, d)
-    ints = [int(Fraction(v) * den) for v in row]
-    return reduce_content(ints)
+    """Scale a row of rationals to coprime integers (sign preserved)."""
+    row = [v if isinstance(v, (int, Fraction)) else _rational(v) for v in row]
+    den = lcm(*(v.denominator for v in row))
+    return reduce_content([v.numerator * (den // v.denominator) for v in row])
 
 
 def reduce_content(ints):

@@ -277,6 +277,15 @@ def _dedup_strategies(strategies):
     return kept, _support_matrix(list(seen), kept[0].shape.table_size)
 
 
+@lru_cache(maxsize=8)
+def _strategy_matrix(enumerate_strategies, shape, cap):
+    """``_dedup_strategies`` of a shape's strategies as (tuple, matrix),
+    cached per (enumerator, shape, cap), so the matrix is read-only."""
+    kept, matrix = _dedup_strategies(enumerate_strategies(shape, cap))
+    matrix.setflags(write=False)
+    return tuple(kept), matrix
+
+
 def _scores(coeffs, matrix):
     """Integer coefficients dotted with every strategy table."""
     return _int_matmul([coeffs], matrix)[0]
@@ -294,10 +303,11 @@ def _normalized_separator(raw, box, matrix, constant_rows):
                                  Fraction(max(_scores(ints, matrix))), value)
 
 
-def _membership(box, strategies, constant_rows):
+def _membership(box, strategies, matrix, constant_rows):
     """A LocalModel or a SeparatingCertificate, found by column generation
-    over the deduplicated strategies and re-verified against all of them
-    before it is returned.
+    over deduplicated strategies and their 0/1 matrix (as from
+    ``_strategy_matrix``), and re-verified from the strategies' own
+    supports before it is returned.
 
     The active columns start as the 64 strategies that score highest
     against the box centred at uniform, kept in strategy order.  Each round
@@ -307,7 +317,6 @@ def _membership(box, strategies, constant_rows):
     the form is the certificate; else the strategies scoring above the
     active maximum join, best first and at most as many as are active."""
     box.require_valid()
-    strategies, matrix = _dedup_strategies(strategies)
     centred = [p - u for p, u in zip(box.table, uniform(box.shape).table)]
     # a positive rescale of the centred box, so the order is unchanged
     merit = _scores(clear_denominators(centred), matrix)
@@ -346,7 +355,8 @@ def is_local(box, cap=200_000):
     separator the column generation stopped on, not necessarily a facet
     of the local polytope."""
     rows = [list(r) for r, _ in build_hrep(box.shape).equalities]
-    return _membership(box, enumerate_local_strategies(box.shape, cap), rows)
+    return _membership(box, *_strategy_matrix(enumerate_local_strategies,
+                                              box.shape, cap), rows)
 
 
 def is_two_way_local(box, cap=200_000):
@@ -354,7 +364,8 @@ def is_two_way_local(box, cap=200_000):
     box.  Pair strategies may signal inside the pair, so only the
     normalization rows are safe to project out of certificates."""
     rows = [list(r) for r in normalization_rows(box.shape)]
-    return _membership(box, enumerate_twoway_strategies(box.shape, cap), rows)
+    return _membership(box, *_strategy_matrix(enumerate_twoway_strategies,
+                                              box.shape, cap), rows)
 
 
 def _require_binary(box):

@@ -4,7 +4,7 @@ and orbit classification."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 
@@ -41,6 +41,10 @@ class HPolytope:
 class VRep:
     vertices: tuple[Box, ...]
     full: bool = True
+    # the relabelling orbits, one ascending tuple of vertex indices each,
+    # when the enumeration walked them under the shape's generators
+    _orbits: tuple[tuple[int, ...], ...] | None = field(
+        default=None, compare=False, repr=False)
 
 
 def _dense_row(n, plus, minus):
@@ -214,13 +218,15 @@ class _VertexSet:
     """Vertices found so far, as value-id rows over the flat table: ids
     number the distinct entries in the order found and are stored in the
     narrowest unsigned dtype that holds them, so a vertex's key is its
-    row's bytes."""
+    row's bytes.  ``keys`` maps each key, in the order found, to the number
+    of the orbit whose walk found it."""
 
     def __init__(self, ambient, keep):
         self.ambient, self.keep = ambient, keep
         self.ids = {Fraction(0): 0}
         self.dtype = np.dtype(np.uint8)
-        self.keys = set()
+        self.keys = {}
+        self.next_orbit = 0
 
     def code(self, z):
         """The value-id rows of the points of integer rows z = (t, x_keep)."""
@@ -232,21 +238,28 @@ class _VertexSet:
             old = self.rows()
             self.dtype = np.dtype(next(t for t in (np.uint16, np.uint32, np.uint64)
                                        if len(self.ids) <= np.iinfo(t).max + 1))
-            self.keys = set(relabel._row_keys(old.astype(self.dtype)))
+            self.keys = dict(zip(relabel._row_keys(old.astype(self.dtype)),
+                                 self.keys.values()))
         rows = np.zeros((len(z), self.ambient), dtype=self.dtype)
         rows[:, self.keep] = np.array(ids, dtype=self.dtype)[inverse.reshape(scaled.shape)]
         return rows
+
+    def add_orbit(self, keys):
+        """Record the keys of one orbit's walk under the next orbit number."""
+        self.keys.update(dict.fromkeys(keys, self.next_orbit))
+        self.next_orbit += 1
 
     def rows(self):
         return np.frombuffer(b"".join(self.keys), dtype=self.dtype).reshape(-1, self.ambient)
 
     def sorted_rows(self):
-        """(values, rows): the distinct entries in increasing order and the
-        vertices as rows of indices into them."""
+        """(values, rows, orbits): the distinct entries in increasing order,
+        the vertices as rows of indices into them and each vertex's orbit
+        number."""
         values = sorted(self.ids)
         rank = np.empty(len(values), dtype=np.min_scalar_type(len(values)))
         rank[[self.ids[v] for v in values]] = np.arange(len(values))
-        return values, rank[self.rows()]
+        return values, rank[self.rows()], np.array(list(self.keys.values()))
 
 
 def _edge_rows(coord_rows):
@@ -262,9 +275,9 @@ def _edge_rows(coord_rows):
 
 
 def _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget):
-    """(values, rows) as ``_VertexSet.sorted_rows`` for the vertices of a
-    polytope that the gather maps keep, by adjacency decomposition, or None
-    when the polytope is empty.
+    """(values, rows, orbits) as ``_VertexSet.sorted_rows`` for the
+    vertices of a polytope that the gather maps keep, by adjacency
+    decomposition, or None when the polytope is empty.
 
     A start vertex comes from one LP.  For each orbit's first vertex v the
     edge directions are the extreme rays of its tangent cone {u : u_T >= 0}
@@ -288,7 +301,7 @@ def _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget):
         rows = found.code(ends)
         for end, row, key in zip(ends.tolist(), rows, relabel._row_keys(rows)):
             if key not in found.keys:
-                found.keys.update(relabel._walk(row[None], maps))
+                found.add_orbit(relabel._walk(row[None], maps))
                 queue.append(end)
         if len(found.keys) > max_rays:
             raise EnumerationCapError(
@@ -330,8 +343,9 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
     vertices are found orbit by orbit: one vertex cone per orbit, walked
     along its edges (adjacency decomposition).  ``max_rays`` then caps each
     cone's intermediate rays and the vertex count, and ``time_budget``
-    covers the whole call.  Otherwise they are the extreme rays of the
-    homogenized cone, by one double description run.
+    covers the whole call; the VRep keeps the walked orbits, which
+    ``classify_vertices`` reads.  Otherwise they are the extreme rays of
+    the homogenized cone, by one double description run.
     """
     eq_int, keep, coord_rows = _homogenized_cone(h)
     maps = _symmetry_maps(h, eq_int, keep, coord_rows)
@@ -339,7 +353,7 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
         found = _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget)
         if found is None:
             return VRep((), full=True)
-        values, rows = found
+        values, rows, orbit_of = found
         columns = slice(None)
     else:
         rays = extreme_rays(coord_rows, max_rays=max_rays, time_budget=time_budget)
@@ -356,17 +370,28 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
         nums, inverse = np.unique(scaled, return_inverse=True)
         values = [Fraction(v, den) for v in nums.tolist()]
         rows, columns = inverse.reshape(scaled.shape), keep
+        orbit_of = None
     # ids follow value order, so sorting the id rows sorts the tables;
     # each distinct entry is one Fraction (lexsort's primary key is its last)
-    rows = rows[np.lexsort(rows.T[::-1])]
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
     table = np.full((len(rows), h.ambient), Fraction(0), dtype=object)
     table[:, columns] = np.array(values, dtype=object)[rows]
     vertices = [tuple(v) for v in table.tolist()]
-    if h.shape is not None:
-        boxes = tuple(Box(h.shape, v) for v in vertices)
-    else:
-        boxes = tuple(vertices)
-    return VRep(boxes, full=True)
+    if h.shape is None:
+        return VRep(tuple(vertices), full=True)
+    boxes = tuple(Box(h.shape, v) for v in vertices)
+    if orbit_of is None:
+        return VRep(boxes, full=True)
+    return VRep(boxes, full=True, _orbits=_orbit_members(orbit_of[order]))
+
+
+def _orbit_members(orbit_of):
+    """The vertex indices of each orbit, given each vertex's orbit number:
+    one ascending tuple per orbit, ordered by least member."""
+    by_orbit = np.argsort(orbit_of, kind="stable")
+    groups = np.split(by_orbit, np.cumsum(np.bincount(orbit_of))[:-1])
+    return tuple(sorted(tuple(g.tolist()) for g in groups))
 
 
 def is_extremal(box, polytope=None):
@@ -402,13 +427,23 @@ def classify_vertices(vrep, allow_party_permutation=True):
     """Partition a complete vertex list into relabelling orbits.
 
     Returns OrbitClass tuples sorted by representative table; representatives
-    are the lexicographically smallest members.  Orbits are walked over the
-    vertices' value-id rows, whose bytes order exactly as the tables do
+    are the lexicographically smallest members.  A VRep from the orbit-wise
+    path of ``enumerate_vertices`` carries the orbits its enumeration walked
+    under the same generators, with the vertices sorted by table, so with
+    party permutations allowed the classes are read from it and nothing is
+    walked.  Any other VRep (full DD, built from boxes, or classified
+    without party permutations) has its orbits walked over the vertices'
+    value-id rows, whose bytes order exactly as the tables do
     lexicographically, so the least row in an orbit is its representative."""
     if not vrep.vertices:
         return ()
     if not vrep.full:
         raise ShapeError("classification needs a complete vertex list")
+    if vrep._orbits is not None and allow_party_permutation:
+        # members ascend and the vertices are sorted, so members[0] is the
+        # least table, and the orbits come ordered by it
+        return tuple(OrbitClass(vrep.vertices[m[0]], len(m), m)
+                     for m in vrep._orbits)
     shape = vrep.vertices[0].shape
     _, maps = relabel._generator_maps(shape, allow_party_permutation)
     _, codes = relabel._encode([b.table for b in vrep.vertices])

@@ -198,11 +198,13 @@ def preset(name, *params):
         raise WiringError("P3 needs at least one component box")
     if any(p < 2 for p in params[:2]):
         raise WiringError("box dimensions must be at least 2")
-    # P3 evaluates 4 joint inputs times two sides of d outputs per box
-    if key == "P3" and not _within_cap(
-            chain((2, 2), repeat(params[0], 2 * params[2]))):
-        raise WiringError(f"P3{params} would enumerate more than "
-                          f"{_MAX_ASSIGNMENTS} joint assignments")
+    if key == "P3":
+        # 4 joint inputs times two sides of d outputs per box; as d >= 2,
+        # the cap's bit length in factors of d already passes the cap
+        sides = min(2 * params[2], _MAX_ASSIGNMENTS.bit_length())
+        if not _within_cap(chain((2, 2), repeat(params[0], sides))):
+            raise WiringError(f"P3{params} would enumerate more than "
+                              f"{_MAX_ASSIGNMENTS} joint assignments")
     maker = {"P1": _p1, "P2": _p2, "P3": _p3,
              "P5": _p5, "P6": _p6, "P7": _p7}[key]
     return maker(*params)

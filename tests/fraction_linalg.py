@@ -2,8 +2,20 @@
 integer kernel in ``nsbox.linalg``."""
 
 from fractions import Fraction
+from math import gcd
 
-from nsbox.linalg import clear_denominators
+from nsbox.linalg import clear_denominators, reduce_content
+
+
+def clear_denominators_reference(row):
+    """Scale a row to coprime integers in Fraction arithmetic: the lcm of
+    the denominators, one Fraction product per entry, then the content."""
+    den = 1
+    for v in row:
+        d = Fraction(v).denominator
+        den = den * d // gcd(den, d)
+    ints = [int(Fraction(v) * den) for v in row]
+    return reduce_content(ints)
 
 
 def rref(rows):

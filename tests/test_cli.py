@@ -1,7 +1,12 @@
+import argparse
+import contextlib
+import io
 import json
 
+from hypothesis import given, settings, strategies as st
+
 from nsbox.boxes import BoxShape
-from nsbox.cli import main
+from nsbox.cli import _build_parser, main
 from nsbox.families import svetlichny_box, two_way_vertex, uniform, xyplusz
 from nsbox.fileio import dumps_functional, load_box, loads_box, save_box
 from nsbox.locality import chsh_functional
@@ -141,7 +146,15 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
              ["validate", str(binary)], ["wire", str(binary)],
              ["protocol3-error", "2", "3", "20"],
              ["bell", str(pr_box), "--chsh", "-1", "0", "0"],
-             ["bell", str(pr_box), "--chsh", "0", "0", "5"]]
+             ["bell", str(pr_box), "--chsh", "0", "0", "5"],
+             ["protocol3-error", "2", "2", str(2 ** 64)],
+             ["make", "uniform", "3", "-o", str(tmp_path / "x.box")],
+             ["make", "xyz", str(10 ** 30), "-o", str(tmp_path / "x.box")],
+             ["extend", str(pr_box), "--env-inputs", str(10 ** 30),
+              "--env-outputs", "1"],
+             ["wire", str(wiring), "-o", str(tmp_path)],
+             ["make", "pr", "-o", str(tmp_path / "missing" / "x.box")],
+             ["vertices", "2,2/2,2", "-o", str(binary)]]
     # shapes within the table cap whose dense H-representation is not
     big_box = tmp_path / "big.box"
     big_box.write_text("shape 65536:2/2\ntable\n" + "1/4 1/4 1/4 1/4\n" * 65536)
@@ -155,6 +168,93 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:") and len(err.splitlines()) == 1, (argv, err)
+
+
+def _subcommands():
+    """Each subcommand's argparse actions (help aside) and required
+    mutually exclusive groups, read from the parser."""
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {name: ([a for a in p._actions if a.dest != "help"],
+                   [g._group_actions for g in p._mutually_exclusive_groups
+                    if g.required])
+            for name, p in sub.choices.items()}
+
+
+SUBCOMMANDS = _subcommands()
+# small and huge integers, small or malformed shapes, family and preset
+# names, and files made fresh for each argv; the integers stay small
+# enough that no argv enumerates for long
+INTEGERS = ["-1", "0", "1", "2", "3", str(2 ** 64), str(10 ** 30)]
+VALUES = INTEGERS + ["2,2/2,2", "1/1", "2/3", "65536:2/2", "x", "0/0",
+                     "pr", "dbox", "xyz", "uniform", "svetlichny", "P1", "P3",
+                     "P5", "{out}", "{box}", "{dir}", "{binary}", "{wiring}"]
+FLAGS = sorted({a for actions, _ in SUBCOMMANDS.values() for a in actions
+                if a.option_strings}, key=lambda a: a.option_strings)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, then values for its positionals and for its required
+    options and groups, each with even odds, and up to two more of its
+    flags.  A well-formed argv has as many values as each action takes,
+    integers where it wants them; otherwise counts may be one off, values
+    come from the whole alphabet and flags from every subcommand."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    actions, groups = SUBCOMMANDS[command]
+    well_formed = draw(st.booleans())
+
+    def values(action):
+        if action.nargs is None:
+            least = most = 1
+        elif action.nargs == "*":
+            least, most = 0, 3
+        else:
+            least = most = action.nargs
+        pool = VALUES
+        if well_formed and action.type is int:
+            pool = INTEGERS
+        elif not well_formed:
+            least, most = max(0, least - 1), most + 1
+        return draw(st.lists(st.sampled_from(pool), min_size=least,
+                             max_size=most))
+
+    argv = [command]
+    for a in actions:
+        if not a.option_strings:
+            argv += values(a)
+    options = [a for a in actions if a.option_strings]
+    flags = st.sampled_from(options if well_formed else FLAGS)
+    chosen = [a for a in options if a.required and draw(st.booleans())]
+    chosen += [draw(st.sampled_from(g)) for g in groups if draw(st.booleans())]
+    if options or not well_formed:
+        chosen += draw(st.lists(flags, max_size=2))
+    for a in chosen:
+        argv += [draw(st.sampled_from(a.option_strings))] + values(a)
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_any_argv_exits_0_1_or_2(tmp_path_factory, argv):
+    work = tmp_path_factory.mktemp("argv")
+    files = {"out": work / "out", "box": work / "boxes" / "pr.box",
+             "dir": work / "boxes", "binary": work / "binary.box",
+             "wiring": work / "p5.json"}
+    files["dir"].mkdir()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["make", "pr", "-o", str(files["box"])]) == 0
+        assert main(["preset", "P5", "-o", str(files["wiring"])]) == 0
+    files["binary"].write_bytes(bytes(range(256)))
+    argv = [t.format(**files) for t in argv]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:   # argparse's usage errors
+        code = exc.code
+    assert code in (0, 1, 2), argv
 
 
 def test_vertices_and_classify(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fraction_linalg import nullspace, rref, solve
+from fraction_linalg import clear_denominators_reference, nullspace, rref, solve
 from nsbox.linalg import (_bareiss, _int_inverse, clear_denominators, int_rank,
                           nullspace_int, project_out_rowspace, reduce_content)
 
@@ -14,6 +15,30 @@ def test_clear_denominators_scales_positively():
     assert clear_denominators([F(1, 2), F(-1, 3), F(0)]) == [3, -2, 0]
     assert clear_denominators([F(4), F(-6)]) == [2, -3]
     assert clear_denominators([F(0), F(0)]) == [0, 0]
+
+
+def test_clear_denominators_matches_the_fraction_reference():
+    rng = random.Random(11)
+
+    def entry():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-10 ** 6, 10 ** 6)
+        if kind == 2:
+            return F(rng.randint(-50, 50), rng.randint(1, 12))
+        if kind == 3:
+            return F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
+        return F(-rng.randint(1, 9), rng.choice([1, 2, 3, 2 ** 70]))
+
+    rows = [[entry() for _ in range(rng.randint(1, 12))] for _ in range(400)]
+    rows += [[0] * 5, [F(0)] * 3, [], [F(0), 0, F(-7, 3)], [2, 4, -6],
+             [np.int64(-4), 0.5, True, F(3, 8)]]
+    for row in rows:
+        got = clear_denominators(row)
+        assert got == clear_denominators_reference(row), row
+        assert all(type(v) is int for v in got)
 
 
 def test_reduce_content_keeps_direction():

@@ -285,6 +285,40 @@ def test_results_are_verified_before_they_are_returned(monkeypatch):
         is_local(uniform(CHSH_SHAPE))
 
 
+def test_strategy_matrix_is_cached_read_only():
+    locality._strategy_matrix.cache_clear()
+    boxes = (two_way_vertex(), svetlichny_box())
+    first = [is_two_way_local(b) for b in boxes]
+    kept, matrix = locality._strategy_matrix(enumerate_twoway_strategies,
+                                             TRIPARTITE, 200_000)
+    assert locality._strategy_matrix.cache_info().hits >= 1
+    assert [is_two_way_local(b) for b in boxes] == first
+    assert first[0] and not first[1]
+    want_kept, want_matrix = locality._dedup_strategies(
+        enumerate_twoway_strategies(TRIPARTITE))
+    assert kept == tuple(want_kept)
+    assert matrix.tolist() == want_matrix.tolist()
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 1
+    assert is_local(pr()) == is_local(pr())
+    with pytest.raises(ValueError):
+        locality._strategy_matrix(enumerate_local_strategies, CHSH_SHAPE,
+                                  200_000)[1][0, 0] = 1
+
+
+def test_answers_are_verified_from_the_supports(monkeypatch):
+    # a matrix whose first two rows are swapped no longer matches the
+    # strategies' supports, which the verification reads
+    kept, matrix = locality._strategy_matrix(enumerate_local_strategies,
+                                             CHSH_SHAPE, 200_000)
+    swapped = matrix.copy()
+    swapped[[0, 1]] = matrix[[1, 0]]
+    monkeypatch.setattr(locality, "_strategy_matrix",
+                        lambda *args: (kept, swapped))
+    with pytest.raises(AssertionError):
+        is_local(kept[0].box())
+
+
 # ------------------------------------------- the loop against the earlier solver
 
 def _reference_membership(box, strategies, constant_rows):

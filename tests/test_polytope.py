@@ -252,13 +252,17 @@ def _full_dd(h):
         HPolytope(h.ambient, h.equalities)).vertices]
 
 
-@pytest.mark.parametrize("text", ["2,2/2,2", "3,3/3,3", "2,3/3,2", "3,4/3,4",
-                                  "2,2,2/2,2,2", "2,2/2,2/3"])
-def test_orbit_path_matches_full_dd(text):
+def _shuffled_hrep(text):
     h = build_hrep(BoxShape.from_string(text))
     rows = list(h.equalities)
     random.Random(text).shuffle(rows)
-    h = HPolytope(h.ambient, tuple(rows), h.shape)
+    return HPolytope(h.ambient, tuple(rows), h.shape)
+
+
+@pytest.mark.parametrize("text", ["2,2/2,2", "3,3/3,3", "2,3/3,2", "3,4/3,4",
+                                  "2,2,2/2,2,2", "2,2/2,2/3"])
+def test_orbit_path_matches_full_dd(text):
+    h = _shuffled_hrep(text)
     assert _takes_orbit_path(h)
     got = enumerate_vertices(h).vertices
     assert [b.table for b in got] == _full_dd(h)
@@ -286,15 +290,37 @@ def _uniform_marginal_rows(shape):
     return rows
 
 
+def _marginal_hrep(text):
+    shape = BoxShape.from_string(text)
+    return _with_rows(build_hrep(shape), _uniform_marginal_rows(shape))
+
+
 @pytest.mark.parametrize("text", ["2,2/2,2", "3,3/3,3", "2,3/3,2", "2,2/2,2/2"])
 def test_orbit_path_without_deterministic_vertices(text):
     # no deterministic vertex, so the LP start is some other vertex
-    shape = BoxShape.from_string(text)
-    h = _with_rows(build_hrep(shape), _uniform_marginal_rows(shape))
+    h = _marginal_hrep(text)
     assert _takes_orbit_path(h)
     got = enumerate_vertices(h).vertices
     assert [b.table for b in got] == _full_dd(h)
     assert got and not any(b.is_deterministic() for b in got)
+
+
+@pytest.mark.parametrize("build, text", [
+    *((_shuffled_hrep, text) for text in ["2,2/2,2", "3,3/3,3", "2,3/3,2",
+                                          "3,4/3,4", "2,2,2/2,2,2", "2,2/2,2/3"]),
+    *((_marginal_hrep, text) for text in ["2,2/2,2", "3,3/3,3", "2,3/3,2",
+                                          "2,2/2,2/2"])])
+def test_orbit_handoff_matches_the_walk(build, text):
+    # the orbits the enumeration walked against a fresh walk of its vertices
+    h = build(text)
+    vrep = enumerate_vertices(h)
+    assert vrep._orbits is not None
+    fresh = VRep(vrep.vertices)
+    assert fresh._orbits is None
+    assert vrep == fresh and repr(vrep) == repr(fresh)
+    assert classify_vertices(vrep) == classify_vertices(fresh)
+    assert (classify_vertices(vrep, allow_party_permutation=False)
+            == classify_vertices(fresh, allow_party_permutation=False))
 
 
 def test_a_pinned_entry_takes_full_dd():
@@ -304,7 +330,9 @@ def test_a_pinned_entry_takes_full_dd():
     pin[0] = Fraction(1)
     h = _with_rows(h, [(tuple(pin), Fraction(1, 2))])
     assert not _takes_orbit_path(h)
-    got = enumerate_vertices(h).vertices
+    vrep = enumerate_vertices(h)
+    assert vrep._orbits is None
+    got = vrep.vertices
     assert [b.table for b in got] == _full_dd(h)
     assert {b.table[0] for b in got} == {Fraction(1, 2)}
 
@@ -336,14 +364,32 @@ def test_orbit_path_caps_raise():
 def test_vertex_ids_widen_past_one_byte():
     found = _VertexSet(3, [0, 2])
     first = found.code(np.array([[7, 1, 6]]))
-    found.keys.update(relabel._row_keys(first))
+    found.add_orbit(relabel._row_keys(first))
     many = found.code(np.array([[301, v, 301 - v] for v in range(1, 300)]))
     assert found.dtype == np.uint16 and many.dtype == np.uint16
     assert relabel._row_keys(found.code(np.array([[7, 1, 6]]))) == list(found.keys)
-    values, rows = found.sorted_rows()
+    values, rows, _ = found.sorted_rows()
     assert values == sorted({Fraction(0), Fraction(1, 7), Fraction(6, 7)}
                             | {Fraction(v, 301) for v in range(1, 301)})
     assert [values[i] for i in rows[0]] == [Fraction(1, 7), 0, Fraction(6, 7)]
+
+
+def test_widening_keeps_the_orbit_numbers():
+    found = _VertexSet(3, [0, 2])
+    for z in ([[5, 1, 4], [5, 4, 1]], [[7, 1, 6]], [[3, 1, 2]]):
+        found.add_orbit(relabel._row_keys(found.code(np.array(z))))
+    before = {tuple(map(int, np.frombuffer(k, dtype=found.dtype))): n
+              for k, n in found.keys.items()}
+    found.code(np.array([[301, v, 301 - v] for v in range(1, 300)]))
+    assert found.dtype == np.uint16
+    after = {tuple(map(int, np.frombuffer(k, dtype=found.dtype))): n
+             for k, n in found.keys.items()}
+    assert after == before and sorted(after.values()) == [0, 0, 1, 2]
+    values, rows, orbits = found.sorted_rows()
+    assert [[values[i] for i in row] for row in rows.tolist()] == [
+        [Fraction(1, 5), 0, Fraction(4, 5)], [Fraction(4, 5), 0, Fraction(1, 5)],
+        [Fraction(1, 7), 0, Fraction(6, 7)], [Fraction(1, 3), 0, Fraction(2, 3)]]
+    assert orbits.tolist() == [0, 0, 1, 2]
 
 
 def test_census_matches_classes_by_canonical_form(monkeypatch):
