@@ -8,6 +8,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
+import numpy as np
+
 Rational = Fraction
 
 # Joint inputs are materialised when a shape is built; shapes with more are
@@ -239,9 +241,11 @@ class Box:
     def marginal(self, parties):
         """Box on a party subset (ascending original order), outputs summed out.
 
-        Well-definedness is checked: if the summed-out parties can steer the
-        kept marginal through their inputs, the marginal does not exist and
-        InvalidBoxError is raised.
+        Each entry sums one group of ``_marginal_map``, once per joint input
+        of the summed-out parties.  Well-definedness is checked: if those
+        sums differ, the summed-out parties steer the kept marginal through
+        their inputs, the marginal does not exist and InvalidBoxError is
+        raised.
         """
         keep = sorted(set(int(k) for k in parties))
         if not keep:
@@ -250,26 +254,16 @@ class Box:
             raise ShapeError(f"party subset {keep} out of range for {self.shape}")
         if len(keep) != len(tuple(parties)):
             raise ShapeError("party subset has repeats")
-        drop = [j for j in range(self.shape.parties) if j not in keep]
-        new_shape = BoxShape(tuple(self.shape.outputs[k] for k in keep))
-        result = None
-        for dins in iproduct(*[range(self.shape.inputs[j]) for j in drop]):
-            table = []
-            for kins, kouts in new_shape.entries():
-                ins = _merge_many(keep, kins, drop, dins)
-                ddims = [self.shape.outputs[j][x] for j, x in zip(drop, dins)]
-                total = Fraction(0)
-                for douts in iproduct(*[range(d) for d in ddims]):
-                    total += self.prob(_merge_many(keep, kouts, drop, douts), ins)
-                table.append(total)
-            table = tuple(table)
-            if result is None:
-                result = table
-            elif result != table:
-                raise InvalidBoxError(ValidationReport((
-                    f"marginal over parties {keep} ill-defined: depends on the "
-                    f"dropped parties' inputs {tuple(drop)}",)))
-        return Box(new_shape, result)
+        kept, groups = _marginal_map(self.shape, tuple(keep))
+        table = self.table
+        result, *rest = [tuple(sum(table[i] for i in group) for group in entries)
+                         for entries in groups]
+        if any(other != result for other in rest):
+            drop = tuple(j for j in range(self.shape.parties) if j not in keep)
+            raise InvalidBoxError(ValidationReport((
+                f"marginal over parties {keep} ill-defined: depends on the "
+                f"dropped parties' inputs {drop}",)))
+        return Box(kept, result)
 
     def is_deterministic(self):
         return all(v == 0 or v == 1 for v in self.table)
@@ -278,13 +272,31 @@ class Box:
         return f"Box({self.shape}, <{len(self.table)} entries>)"
 
 
-def _merge_many(idx_a, vals_a, idx_b, vals_b):
-    out = [None] * (len(idx_a) + len(idx_b))
-    for j, v in zip(idx_a, vals_a):
-        out[j] = v
-    for j, v in zip(idx_b, vals_b):
-        out[j] = v
-    return tuple(out)
+@lru_cache(maxsize=64)
+def _marginal_map(shape, keep):
+    """Which flat entries sum into each entry of the marginal on the
+    parties ``keep`` (an ascending tuple), as (kept, groups).  ``kept`` is
+    the kept parties' shape, None when ``keep`` is empty.  ``groups`` has
+    one item per joint input of the dropped parties, in iproduct order: one
+    ascending tuple of flat indices per marginal entry, in ``kept``'s table
+    order."""
+    drop = tuple(j for j in range(shape.parties) if j not in keep)
+    kept = BoxShape(tuple(shape.outputs[k] for k in keep)) if keep else None
+    # position in keep + drop of each party's input
+    where = [(keep + drop).index(j) for j in range(shape.parties)]
+    groups = []
+    for dins in iproduct(*[range(shape.inputs[j]) for j in drop]):
+        width = math.prod(shape.outputs[j][x] for j, x in zip(drop, dins))
+        entries = []
+        for kins in kept.joint_inputs if kept else [()]:
+            joint = kins + dins
+            ins = tuple(joint[i] for i in where)
+            dims = shape.outputs_at(ins)
+            off = shape._offsets[ins]
+            block = np.arange(off, off + math.prod(dims)).reshape(dims)
+            entries += map(tuple, block.transpose(keep + drop).reshape(-1, width).tolist())
+        groups.append(tuple(entries))
+    return kept, tuple(groups)
 
 
 @lru_cache(maxsize=32)
@@ -292,32 +304,24 @@ def _equality_rows(shape):
     """The equalities every valid box of a shape satisfies, each once, as
     (plus, minus, rhs, label): the entries at ``plus`` minus those at
     ``minus`` sum to rhs.  First normalization, one row per joint input;
-    then no-signalling, one family per party against the joint rest.  The
-    label is the violation message, with ``{lo}`` and ``{hi}`` for the two
-    sides."""
-    rows = []
-    for ins in shape.joint_inputs:
-        off, size = shape.block(ins)
-        rows.append((tuple(range(off, off + size)), (), 1,
-                     f"input {ins}: block sums to {{lo}}, not 1"))
-
-    def side(k, x, others, oins, oouts):
-        ins = _merge_many((k,), (x,), others, oins)
-        return tuple(shape.index(_merge_many((k,), (a,), others, oouts), ins)
-                     for a in range(shape.outputs[k][x]))
-
+    then no-signalling, one family per party k against the joint rest:
+    the rest's marginal (``_marginal_map`` dropping k) at each input x of
+    k but the last equals that at x + 1.  The label is the violation
+    message, with ``{lo}`` and ``{hi}`` for the two sides."""
+    _, blocks = _marginal_map(shape, ())
+    rows = [(block, (), 1, f"input {ins}: block sums to {{lo}}, not 1")
+            for ins, (block,) in zip(shape.joint_inputs, blocks)]
     for k in range(shape.parties):
-        others = [j for j in range(shape.parties) if j != k]
+        others = tuple(j for j in range(shape.parties) if j != k)
+        rest, groups = _marginal_map(shape, others)
         for x in range(shape.inputs[k] - 1):
-            for oins in iproduct(*[range(shape.inputs[j]) for j in others]):
-                odims = [shape.outputs[j][xx] for j, xx in zip(others, oins)]
-                for oouts in iproduct(*[range(d) for d in odims]):
-                    rows.append((
-                        side(k, x, others, oins, oouts),
-                        side(k, x + 1, others, oins, oouts), 0,
-                        f"party {k} signals: marginal of parties {tuple(others)} "
-                        f"at output {oouts}|input {oins} is {{lo}} for "
-                        f"input {x} but {{hi}} for input {x + 1}"))
+            rows += ((plus, minus, 0,
+                      f"party {k} signals: marginal of parties {others} "
+                      f"at output {oouts}|input {oins} is {{lo}} for "
+                      f"input {x} but {{hi}} for input {x + 1}")
+                     for (oins, oouts), plus, minus
+                     in zip(rest.entries() if rest else [((), ())],
+                            groups[x], groups[x + 1]))
     return tuple(rows)
 
 

@@ -68,10 +68,15 @@ def _cmd_dim(args):
 
 def _cmd_vertices(args):
     shape = parse_shape(args.shape)
+    out = Path(args.output)
+    # refused before the enumeration; the directory is made after it, so a
+    # failed enumeration leaves none behind
+    if out.exists() and not out.is_dir():
+        raise ParseError(f"cannot make directory {out}: it exists and is "
+                         f"not a directory")
     vrep = enumerate_vertices(build_hrep(shape), max_rays=args.max_rays,
                               time_budget=args.timeout)
     classes = classify_vertices(vrep)
-    out = Path(args.output)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

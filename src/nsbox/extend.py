@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .boxes import (_MAX_JOINT_INPUTS, Box, BoxShape, ShapeError, marginal,
-                    mix, tensor)
+from .boxes import (_MAX_JOINT_INPUTS, Box, BoxShape, ShapeError,
+                    _marginal_map, marginal, mix, tensor)
 from .families import uniform
-from .polytope import HPolytope, build_hrep, enumerate_vertices
+from .polytope import HPolytope, _dense_row, build_hrep, enumerate_vertices
 
 
 @dataclass(frozen=True)
@@ -36,25 +36,19 @@ def _env_shape(env_inputs, env_outputs):
 
 def build_extension_polytope(base, env_inputs, env_outputs):
     """No-signalling constraints for parties A, B, E plus one row per
-    (outcome pair, joint input) pinning the summed-over-E table to the
-    base box.  Always nonempty: the base tensored with any environment
+    environment input and base entry, in that order, pinning the AB
+    marginal's group of that entry (``_marginal_map`` keeping A and B) to
+    the base.  Always nonempty: the base tensored with any environment
     distribution satisfies every row."""
     base.require_valid()
     if base.shape.parties != 2:
         raise ShapeError("extensions are built over bipartite bases")
     env = _env_shape(env_inputs, env_outputs)
     shape = BoxShape(base.shape.outputs + env.outputs)
-    h = build_hrep(shape)
-    extra = []
-    for ins in shape.joint_inputs:
-        x, y, e_in = ins
-        for a in range(shape.outputs[0][x]):
-            for b in range(shape.outputs[1][y]):
-                row = [Fraction(0)] * shape.table_size
-                for e in range(env_outputs):
-                    row[shape.index((a, b, e), ins)] = Fraction(1)
-                extra.append((tuple(row), base.prob((a, b), (x, y))))
-    hrep = HPolytope(shape.table_size, h.equalities + tuple(extra), shape)
+    _, groups = _marginal_map(shape, (0, 1))
+    extra = tuple((_dense_row(shape.table_size, group, ()), p)
+                  for entries in groups for group, p in zip(entries, base.table))
+    hrep = HPolytope(shape.table_size, build_hrep(shape).equalities + extra, shape)
     return ExtensionPolytope(base, shape, hrep)
 
 

@@ -27,12 +27,8 @@ def clear_denominators(row):
 
 
 def reduce_content(ints):
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return list(ints)
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else list(ints)
 
 
 def _max_abs(m):

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import lcm
 
 import numpy as np
 
@@ -211,11 +210,9 @@ class SeparatingCertificate:
         their supports in Python ints."""
         if self.evaluate(box) != self.value or self.value <= self.threshold:
             return False
-        den = lcm(*(c.denominator for c in self.coefficients))
-        coeffs = [c.numerator * (den // c.denominator)
-                  for c in self.coefficients]
-        # an integer score s satisfies s <= threshold * den iff s <= bound
-        bound = self.threshold.numerator * den // self.threshold.denominator
+        # scaled by one positive factor, so an integer score s of the
+        # scaled form satisfies s <= bound iff the form's is <= threshold
+        *coeffs, bound = clear_denominators([*self.coefficients, self.threshold])
         for s in strategies:
             if s.shape != self.shape:
                 raise ShapeError("functional and strategy have different shapes")

@@ -290,8 +290,7 @@ def _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget):
     lp = find_nonneg_solution([row[1:] for row in eq_int], [-row[0] for row in eq_int])
     if lp.status != "optimal":
         return None
-    den = lcm(*(v.denominator for v in lp.x))
-    start = [den] + [int(lp.x[c] * den) for c in keep]
+    start = clear_denominators([1] + [lp.x[c] for c in keep])
     x_rows = _edge_rows(coord_rows)
 
     found = _VertexSet(h.ambient, keep)

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .linalg import clear_denominators
 
 
 @dataclass(frozen=True)
@@ -46,16 +48,6 @@ def _reduced(row):
     if g > 1:
         row = [v // g for v in row]
     return row
-
-
-def _integer_row(values):
-    """Rationals (ints or Fractions) as one reduced numerator list with the
-    denominator appended."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v)
-              for v in values]
-    den = lcm(*(v.denominator for v in values))
-    return _reduced([v.numerator * (den // v.denominator) for v in values]
-                    + [den])
 
 
 def _value(row, j):
@@ -131,7 +123,7 @@ def _run(tableau, basis, cost, n):
 def _objective_row(tableau, basis, cost, width):
     """The reduced-cost row: cost with every basic column cleared by its
     row, as integers over one denominator."""
-    obj = _integer_row(list(cost) + [0] * (width - len(cost)))
+    obj = clear_denominators([*cost, *[0] * (width - len(cost)), 1])
     for row, e in zip(tableau, basis):
         obj = _eliminate(obj, row, e)
     return obj
@@ -146,7 +138,7 @@ def maximize(rows, rhs, objective):
     flipped = [Fraction(b) < 0 for b in rhs]
     tableau = []
     for i, (row, b) in enumerate(zip(rows, rhs)):
-        line = _integer_row(list(row) + [int(j == i) for j in range(m)] + [b])
+        line = clear_denominators([*row, *(int(j == i) for j in range(m)), b, 1])
         if flipped[i]:
             # negate the row and its rhs, but not its artificial column
             line = [-v for v in line[:n]] + line[n:n + m] + [-line[-2], line[-1]]

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
@@ -8,7 +8,8 @@ from nsbox import boxes
 from nsbox.boxes import (Box, BoxShape, InvalidBoxError, ShapeError,
                          has_unique_completion, marginal, mix, product,
                          tensor)
-from nsbox.families import dbox, local_deterministic, pr, two_way_vertex, uniform
+from nsbox.families import (dbox, local_deterministic, pr, svetlichny_box,
+                             two_way_vertex, uniform, xyplusz, xyz_box)
 
 HALF = Fraction(1, 2)
 
@@ -221,6 +222,102 @@ def test_ill_defined_marginal_is_refused():
     signalling = Box.from_function(shape, fn)
     with pytest.raises(InvalidBoxError):
         signalling.marginal([1])
+
+
+def _reference_marginal(box, parties):
+    """The marginal as a per-entry loop over ``prob`` computed it before
+    marginals read ``boxes._marginal_map``."""
+    keep = sorted(set(parties))
+    drop = [j for j in range(box.shape.parties) if j not in keep]
+
+    def merged(kvals, dvals):
+        out = [None] * box.shape.parties
+        for j, v in zip(keep + drop, kvals + dvals):
+            out[j] = v
+        return tuple(out)
+    new_shape = BoxShape(tuple(box.shape.outputs[k] for k in keep))
+    result = None
+    for dins in iproduct(*[range(box.shape.inputs[j]) for j in drop]):
+        table = []
+        for kins, kouts in new_shape.entries():
+            ins = merged(kins, dins)
+            ddims = [box.shape.outputs[j][x] for j, x in zip(drop, dins)]
+            total = Fraction(0)
+            for douts in iproduct(*[range(d) for d in ddims]):
+                total += box.prob(merged(kouts, douts), ins)
+            table.append(total)
+        table = tuple(table)
+        if result is None:
+            result = table
+        elif result != table:
+            raise InvalidBoxError(boxes.ValidationReport((
+                f"marginal over parties {keep} ill-defined: depends on the "
+                f"dropped parties' inputs {tuple(drop)}",)))
+    return Box(new_shape, result)
+
+
+def _check_every_marginal(box):
+    """Compare ``marginal`` with the reference on every party subset; the
+    number of subsets where both refused."""
+    refused = 0
+    for r in range(1, box.shape.parties + 1):
+        for keep in combinations(range(box.shape.parties), r):
+            try:
+                want = _reference_marginal(box, keep)
+            except InvalidBoxError as exc:
+                with pytest.raises(InvalidBoxError) as got:
+                    box.marginal(keep)
+                assert got.value.report == exc.report
+                refused += 1
+                continue
+            got = box.marginal(keep)
+            assert got == want, (box, keep)
+            assert {type(v) for v in got.table} == {Fraction}
+    return refused
+
+
+def _strategy_mixture(shape, rng, terms=4):
+    """A seeded mixture of deterministic strategies: each party answers
+    each of its inputs with one fixed output."""
+    table = [Fraction(0)] * shape.table_size
+    weights = [rng.randint(1, 5) for _ in range(terms)]
+    for w in weights:
+        choice = [[rng.randrange(d) for d in per_party] for per_party in shape.outputs]
+        for ins in shape.joint_inputs:
+            outs = tuple(choice[k][x] for k, x in enumerate(ins))
+            table[shape.index(outs, ins)] += Fraction(w, sum(weights))
+    return Box(shape, table)
+
+
+@pytest.mark.parametrize("box", [
+    pr(), pr(1, 1, 0), dbox(3), local_deterministic(0, 1, 1, 0), two_way_vertex(),
+    xyplusz(), svetlichny_box(), xyz_box(3), uniform(BoxShape.from_string("2,3/3,2/2"))],
+    ids=repr)
+def test_marginal_matches_the_loop_reference_on_stock_boxes(box):
+    assert _check_every_marginal(box) == 0
+
+
+@pytest.mark.parametrize("text", ["2,3/3,2", "2,2/2,2/3", "3,2,4"])
+def test_marginal_matches_the_loop_reference_on_strategy_mixtures(text):
+    rng = random.Random(text)
+    shape = BoxShape.from_string(text)
+    for _ in range(10):
+        box = _strategy_mixture(shape, rng)
+        assert box.validate().ok
+        assert _check_every_marginal(box) == 0
+
+
+@pytest.mark.parametrize("text", ["2,2/2,2", "2,3/3,2", "2,2/2,2/3", "3,2,4"])
+def test_marginal_of_a_signalling_box_is_refused_like_the_reference(text):
+    # every party answers the sum of all inputs, so a marginal is refused
+    # exactly when a dropped party has more than one input
+    shape = BoxShape.from_string(text)
+    box = Box.from_function(shape, lambda outs, ins: Fraction(int(all(
+        a == sum(ins) % d for a, d in zip(outs, shape.outputs_at(ins))))))
+    steered = [keep for r in range(1, shape.parties)
+               for keep in combinations(range(shape.parties), r)
+               if any(shape.inputs[j] > 1 for j in range(shape.parties) if j not in keep)]
+    assert _check_every_marginal(box) == len(steered)
 
 
 def test_mix_is_entrywise():

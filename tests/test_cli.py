@@ -2,9 +2,11 @@ import argparse
 import contextlib
 import io
 import json
+import os
 
 from hypothesis import given, settings, strategies as st
 
+from nsbox import cli
 from nsbox.boxes import BoxShape
 from nsbox.cli import _build_parser, main
 from nsbox.families import svetlichny_box, two_way_vertex, uniform, xyplusz
@@ -248,12 +250,18 @@ def test_any_argv_exits_0_1_or_2(tmp_path_factory, argv):
         assert main(["preset", "P5", "-o", str(files["wiring"])]) == 0
     files["binary"].write_bytes(bytes(range(256)))
     argv = [t.format(**files) for t in argv]
+    # plain values such as "0/0" or "x" can be output paths; they resolve
+    # inside the scratch directory, not in the directory pytest runs from
+    cwd = os.getcwd()
+    os.chdir(work)
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     except SystemExit as exc:   # argparse's usage errors
         code = exc.code
+    finally:
+        os.chdir(cwd)
     assert code in (0, 1, 2), argv
 
 
@@ -274,6 +282,21 @@ def test_vertices_and_classify(tmp_path, capsys):
     assert code == 0
     assert out.splitlines() == ["0 vertex_0000.box 16",
                                 "1 vertex_0008.box 8"]
+
+
+def test_vertices_refuses_a_file_output_before_enumerating(tmp_path, capsys,
+                                                          monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("enumerated before checking the output path")
+
+    monkeypatch.setattr(cli, "enumerate_vertices", unreachable)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    code, out, err = run(capsys, "vertices", "3,4/3,4", "-o", str(taken))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert taken.read_text() == "keep me\n"
 
 
 def test_classify_needs_boxes(tmp_path, capsys):

@@ -1,12 +1,13 @@
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
-from nsbox.boxes import ShapeError, marginal, tensor
+from nsbox.boxes import BoxShape, ShapeError, marginal, tensor
 from nsbox.extend import (all_extensions_factorize, build_extension_polytope,
                           product_extension)
 from nsbox.families import dbox, local_deterministic, pr, uniform
-from nsbox.polytope import enumerate_vertices
+from nsbox.polytope import HPolytope, build_hrep, enumerate_vertices
 
 
 def test_extremal_bases_admit_only_product_extensions():
@@ -55,3 +56,39 @@ def test_extension_guards():
         build_extension_polytope(pr(), 1, 0)
     with pytest.raises(ShapeError):
         build_extension_polytope(pr(), 1.5, 2)
+
+
+def _reference_rows(base, env_inputs, env_outputs):
+    """The pinning rows as a per-entry loop built them before the extension
+    read ``boxes._marginal_map``: one per joint input and outcome pair."""
+    shape = BoxShape(base.shape.outputs + ((env_outputs,) * env_inputs,))
+    extra = []
+    for ins in shape.joint_inputs:
+        x, y, _ = ins
+        for a in range(shape.outputs[0][x]):
+            for b in range(shape.outputs[1][y]):
+                row = [Fraction(0)] * shape.table_size
+                for e in range(env_outputs):
+                    row[shape.index((a, b, e), ins)] = Fraction(1)
+                extra.append((tuple(row), base.prob((a, b), (x, y))))
+    return shape, extra
+
+
+@pytest.mark.parametrize("name", ["pr", "dbox3", "uniform"])
+@pytest.mark.parametrize("env", [(1, 2), (2, 2), (2, 3)], ids=str)
+def test_extension_rows_match_the_loop_reference(name, env):
+    base = {"pr": pr(), "dbox3": dbox(3), "uniform": uniform(pr().shape)}[name]
+    ext = build_extension_polytope(base, *env)
+    shape, extra = _reference_rows(base, *env)
+    plain = build_hrep(shape).equalities
+    assert ext.shape == shape
+    assert ext.hrep.equalities[:len(plain)] == plain
+    assert len(ext.hrep.equalities) == len(plain) + len(extra)
+    assert set(ext.hrep.equalities[len(plain):]) == set(extra)
+    if env[0] == 1:
+        assert ext.hrep.equalities[len(plain):] == tuple(extra)
+    # the uniform base's polytope has 8100 vertices at (2, 2) and more than
+    # two million at (2, 3)
+    if name != "uniform" or env == (1, 2):
+        reference = HPolytope(shape.table_size, plain + tuple(extra), shape)
+        assert enumerate_vertices(ext.hrep) == enumerate_vertices(reference)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nsbox import simplex
+from nsbox.linalg import clear_denominators
 from nsbox.simplex import LPResult, find_nonneg_solution, maximize
 
 
@@ -274,8 +275,8 @@ def _beale_tableau():
 
 def test_cycling_example_reaches_the_bland_fallback_in_both():
     rows, obj = _beale_tableau()
-    int_rows = [simplex._integer_row(r) for r in rows]
-    int_obj = simplex._integer_row(obj)
+    int_rows = [clear_denominators([*r, 1]) for r in rows]
+    int_obj = clear_denominators([*obj, 1])
     basis, int_basis = [4, 5, 6], [4, 5, 6]
     assert _reference_run(rows, basis, obj, 7) == ("optimal", True)
     # without the fallback the integer loop would cycle here for good
