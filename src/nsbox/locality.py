@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -40,7 +40,12 @@ class DeterministicStrategy:
     assignments: tuple[tuple[int, ...], ...]
 
     def support(self):
-        """The flat table index hit at each joint input, in table order."""
+        """The flat table index hit at each joint input, in table order;
+        computed once per strategy."""
+        return self._support
+
+    @cached_property
+    def _support(self):
         return tuple(
             off + sum(a[x] * st for a, x, st in zip(self.assignments, ins, strides))
             for ins, off, strides in _layout(self.shape))
@@ -61,7 +66,12 @@ class TwoWayStrategy:
     single_map: tuple[int, ...]
 
     def support(self):
-        """The flat table index hit at each joint input, in table order."""
+        """The flat table index hit at each joint input, in table order;
+        computed once per strategy."""
+        return self._support
+
+    @cached_property
+    def _support(self):
         i, j = self.pair
         k = self.single
         width = self.shape.inputs[j]
@@ -239,15 +249,15 @@ def convex_membership(target, boxes):
 def _mixture_weights(target_table, tables):
     """LP feasibility over the rows of a 2-D array of tables: Fractions
     from convex_membership, 0/1 int64 strategy matrices from
-    comm.min_oneway_comm_with_SR.  Tables putting mass outside the target's
+    comm.min_oneway_comm_with_SR, which the simplex takes as integer rows
+    with no rescaling.  Tables putting mass outside the target's
     support are pruned up front; that is exact, since any decomposition
     must give them weight zero."""
     outside = np.array([v <= 0 for v in target_table], dtype=bool)
     support_ok = np.flatnonzero(~(tables[:, outside] != 0).any(axis=1))
     if not len(support_ok):
         return None
-    res = find_nonneg_solution(tables[support_ok].T.tolist(),
-                               list(target_table))
+    res = find_nonneg_solution(tables[support_ok].T, list(target_table))
     if res.status != "optimal":
         return None
     weights = {}
@@ -320,7 +330,7 @@ def _membership(box, strategies, matrix, constant_rows):
     active = sorted(sorted(range(len(matrix)), key=merit.__getitem__,
                            reverse=True)[:64])
     while True:
-        res = find_nonneg_solution(matrix[active].T.tolist(), list(box.table))
+        res = find_nonneg_solution(matrix[active].T, list(box.table))
         if res.status == "optimal":
             used = [(j, w) for j, w in zip(active, res.x) if w]
             model = LocalModel(tuple(strategies[j] for j, _ in used),

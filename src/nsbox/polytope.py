@@ -287,7 +287,7 @@ def _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget):
     is connected and the maps send edges to edges, so every orbit is
     reached."""
     t0 = time.monotonic()
-    lp = find_nonneg_solution([row[1:] for row in eq_int], [-row[0] for row in eq_int])
+    lp = find_nonneg_solution(np.array(eq_int)[:, 1:], [-row[0] for row in eq_int])
     if lp.status != "optimal":
         return None
     start = clear_denominators([1] + [lp.x[c] for c in keep])

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import chain, repeat
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fraction_linalg import nullspace
-from nsbox import polytope, relabel
+from nsbox import dd, polytope, relabel
 from nsbox.boxes import Box, BoxShape, InvalidBoxError, ShapeError, mix
 from nsbox.families import dbox, local_deterministic, pr, uniform
 from nsbox.dd import EnumerationCapError, extreme_rays
@@ -348,15 +350,20 @@ def test_an_empty_invariant_polytope_has_no_vertices():
     assert _full_dd(h) == []
 
 
-def test_orbit_path_caps_raise():
+def test_orbit_path_caps_raise(monkeypatch):
     # 1161 vertices; no vertex cone reaches 1000 rays
     h = build_hrep(BoxShape.from_string("3,3/3,3"))
     with pytest.raises(EnumerationCapError, match="vertex cap 1000"):
         enumerate_vertices(h, max_rays=1000)
-    # the LP start takes about 0.01 s, the first vertex cone about 0.2 s
     h = build_hrep(BoxShape.from_string("3,4/3,4"))
     with pytest.raises(EnumerationCapError, match="time budget 0s .* 1 orbits left"):
         enumerate_vertices(h, time_budget=0)
+    # the orbit loop's clock stands still and the DD row loop's jumps a
+    # second after its first reading, so the budget trips inside the first
+    # vertex cone whatever the host's speed
+    dd_clock = chain([0.0], repeat(1.0))
+    monkeypatch.setattr(polytope, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    monkeypatch.setattr(dd, "time", SimpleNamespace(monotonic=lambda: next(dd_clock)))
     with pytest.raises(EnumerationCapError, match="time budget .* in a vertex cone"):
         enumerate_vertices(h, time_budget=0.1)
 

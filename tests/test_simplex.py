@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
 from nsbox import simplex
@@ -275,14 +277,118 @@ def _beale_tableau():
 
 def test_cycling_example_reaches_the_bland_fallback_in_both():
     rows, obj = _beale_tableau()
-    int_rows = [clear_denominators([*r, 1]) for r in rows]
-    int_obj = clear_denominators([*obj, 1])
+    tableau = np.array([clear_denominators([*r, 1]) for r in [*rows, obj]])
     basis, int_basis = [4, 5, 6], [4, 5, 6]
     assert _reference_run(rows, basis, obj, 7) == ("optimal", True)
     # without the fallback the integer loop would cycle here for good
-    status, int_obj = simplex._run(int_rows, int_basis, int_obj, 7)
+    status, tableau = simplex._run(tableau, int_basis, 7)
     assert status == "optimal"
     assert int_basis == basis
-    for row, int_row in zip(rows, int_rows):
+    for row, int_row in zip(rows, tableau[:-1]):
         assert [simplex._value(int_row, j) for j in range(len(row))] == row
-    assert [simplex._value(int_obj, j) for j in range(len(obj))] == obj
+    assert [simplex._value(tableau[-1], j) for j in range(len(obj))] == obj
+
+
+# ------------------------------------------------ the int64 guard
+
+def _wide_lp(rng):
+    """An LP with entries near 2**28: the phase-1 objective row, a sum of
+    at most five of them, stays under 2**30.5, so the first pivot fits
+    int64, and its products (near 2**57) no longer pass the guard."""
+    m = rng.randint(2, 5)
+    n = rng.randint(3, 7)
+    big = 2 ** 28
+
+    def entry():
+        return rng.choice((-1, 1)) * rng.randint(big // 2, big - 1)
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    rhs = [entry() for _ in range(m)]
+    obj = [rng.randint(-3, 3) for _ in range(n)]
+    return rows, rhs, obj
+
+
+def _recording_pivots(monkeypatch):
+    """Patch simplex._pivot to log (dtype in, dtype out) of every pivot."""
+    log = []
+    pivot = simplex._pivot
+
+    def recording(T, basis, r, e):
+        before = T.dtype
+        T = pivot(T, basis, r, e)
+        log.append((before, T.dtype))
+        return T
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    return log
+
+
+def test_guard_switch_keeps_the_rational_answers():
+    rng = random.Random("lp/wide")
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(40):
+        rows, rhs, obj = _wide_lp(rng)
+        want = _reference_maximize(rows, rhs, obj)
+        assert maximize(rows, rhs, obj) == want
+        assert maximize(np.array(rows), rhs, obj) == want
+        seen[want.status] += 1
+    assert seen["optimal"] and seen["infeasible"], seen
+
+
+def test_guard_switches_to_python_ints_part_way(monkeypatch):
+    log = _recording_pivots(monkeypatch)
+    rng = random.Random("lp/wide")
+    switched = 0
+    for _ in range(40):
+        rows, rhs, obj = _wide_lp(rng)
+        log.clear()
+        maximize(np.array(rows), rhs, obj)
+        if log and log[0][0] == np.int64 and log[-1][1] == object:
+            switched += 1
+    assert switched >= 10
+    # small entries never leave int64
+    log.clear()
+    maximize(np.array([[1, 2, 1], [3, 1, 0]]), [5, 6], [2, 3, 1])
+    assert log and all(d == np.int64 for pair in log for d in pair)
+
+
+def test_both_builds_give_the_same_primitive_lines():
+    rng = random.Random("lp/build")
+    for _ in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        big = rng.choice((5, 2 ** 40, 2 ** 70))
+        rows = [[rng.randint(-big, big) for _ in range(n)] for _ in range(m)]
+        rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m)]
+        via_list = simplex._rational_tableau(rows, rhs, n)
+        via_array = simplex._integer_tableau(np.array(rows), rhs)
+        assert via_list.dtype == via_array.dtype
+        assert via_list.tolist() == via_array.tolist()
+        for line in via_list[:-1].tolist():
+            assert line[-1] > 0 and gcd(*line) == 1
+        assert maximize(np.array(rows), rhs, [1] * n) == _reference_maximize(
+            rows, rhs, [1] * n)
+
+
+def _locality_lps(monkeypatch, query, box):
+    """The feasibility LPs that ``query(box)`` solves, as (rows, rhs)."""
+    from nsbox import locality
+    lps = []
+
+    def recording(rows, rhs):
+        lps.append((rows, rhs))
+        return find_nonneg_solution(rows, rhs)
+    monkeypatch.setattr(locality, "find_nonneg_solution", recording)
+    query(box)
+    monkeypatch.undo()
+    return lps
+
+
+@pytest.mark.parametrize("name", ["pr", "xyplusz", "svetlichny_box"])
+def test_integer_array_rows_match_list_rows(monkeypatch, name):
+    from nsbox import families
+    from nsbox.locality import is_local, is_two_way_local
+    query = is_local if name == "pr" else is_two_way_local
+    lps = _locality_lps(monkeypatch, query, getattr(families, name)())
+    assert lps
+    for rows, rhs in lps:
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+        assert find_nonneg_solution(rows, rhs) == find_nonneg_solution(
+            rows.tolist(), rhs)
