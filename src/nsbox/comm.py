@@ -1,15 +1,28 @@
 """Simulation protocols over component boxes, with optional one-way
 classical messages and shared randomness: one validator, one exact
 evaluator (wirings lower to these protocols), and a brute-force search for
-the cheapest message budget."""
+the cheapest message budget.
+
+The evaluator is exact on integer arrays: dense int64 event and output
+tables over their scope domains, dense component numerators over each
+component's lcm denominator, and the (joint input, shared value, output
+assignment) triples as one mixed-radix range walked in blocks.  Sums are
+numerators over den = lcm(shared denominators) * the component
+denominators, int64 while den * triples per joint input < 2**62 and Python
+ints past that."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm, prod
+from numbers import Integral
+
+import numpy as np
 
 from .boxes import Box, ShapeError, _as_fraction
+from .dd import _BUDGET
 from .families import dbox
 from .locality import (EnumerationCapError, _layout, _mixture_weights,
                        _support_matrix)
@@ -29,10 +42,6 @@ class Component:
 
     box: Box
     parties: tuple[int, ...]
-
-
-def _side_output_range(box, side):
-    return max(box.shape.outputs[side])
 
 
 def _within_cap(factors):
@@ -115,25 +124,26 @@ class CommProtocol:
                    if isinstance(ev, Message))
 
 
-def _scope_domains(protocol, boxes):
-    """Per-party value domains of the growing scopes, in event order."""
-    shape = protocol.shape
-    lam_values = [v for v, _ in protocol.shared.values]
-    domains = [[range(shape.inputs[k]), lam_values]
-               for k in range(shape.parties)]
-    per_event = []
-    for ev in protocol.events:
-        if isinstance(ev, BoxUse):
-            per_event.append([list(d) for d in domains[ev.party]])
-            domains[ev.party].append(
-                range(_side_output_range(boxes[ev.component], ev.side)))
-        else:
-            per_event.append([list(d) for d in domains[ev.sender]])
-            domains[ev.receiver].append(range(2 ** ev.width))
-    return domains, per_event
+def _dense_table(table, doms, tops, owner, what, outside):
+    """A scope table as an int64 array over its scope domain, first entry
+    slowest; refuses missing scopes, non-integers and values past tops[x]."""
+    vals = []
+    for key in iproduct(*doms):
+        if key not in table:
+            raise WiringError(f"{owner} has no {what} for scope {key}")
+        val = table[key]
+        if isinstance(val, bool) or not isinstance(val, Integral):
+            raise WiringError(f"{owner} maps scope {key} to {val!r}, which is not an integer")
+        if not 0 <= val < tops[key[0]]:
+            raise WiringError(outside.format(key=key, val=val))
+        vals.append(val)
+    return np.array(vals, dtype=np.int64)
 
 
 def _validate_protocol(protocol, boxes):
+    """Check a protocol against its boxes.  Returns per event (dense table,
+    party read, party grown, radix of the growth, event) and per party its
+    dense output table."""
     shape = protocol.shape
     if len(protocol.outputs) != shape.parties:
         raise WiringError("one output table per party is required")
@@ -148,7 +158,8 @@ def _validate_protocol(protocol, boxes):
         if any(not 0 <= p < shape.parties for p in comp.parties):
             raise WiringError("component assigned to a nonexistent party")
 
-    used = set()
+    used, steps = set(), []
+    domains = [[range(n), [v for v, _ in protocol.shared.values]] for n in shape.inputs]
     for n, ev in enumerate(protocol.events):
         if isinstance(ev, BoxUse):
             if not 0 <= ev.component < len(boxes):
@@ -168,6 +179,9 @@ def _validate_protocol(protocol, boxes):
                 raise WiringError(f"component {ev.component} side {ev.side} "
                                   "is used twice")
             used.add(key)
+            src = dst = ev.party
+            table, entry, allowed = ev.inputs, "input", "the component's input range"
+            top, grown = comp.box.shape.inputs[ev.side], max(comp.box.shape.outputs[ev.side])
         elif isinstance(ev, Message):
             if not (0 <= ev.sender < shape.parties
                     and 0 <= ev.receiver < shape.parties):
@@ -175,106 +189,95 @@ def _validate_protocol(protocol, boxes):
             if ev.sender == ev.receiver:
                 raise WiringError(f"event {n} sends a message to its own "
                                   "sender")
-            if not (isinstance(ev.width, int) and ev.width >= 1):
+            if isinstance(ev.width, bool) or not isinstance(ev.width, Integral) or ev.width < 1:
                 raise WiringError(f"event {n} needs a positive bit width")
+            src, dst, table, entry = ev.sender, ev.receiver, ev.values, "entry"
+            top, grown, allowed = 2 ** ev.width, 2 ** ev.width, "the allowed range"
         else:
             raise WiringError(f"event {n} is neither a box use nor a message")
-    expected = {(c, s) for c, comp in enumerate(protocol.components)
-                for s in range(len(comp.parties))}
+        steps.append((_dense_table(table, domains[src], (top,) * shape.inputs[src], f"event {n}",
+                                   entry, f"event {n} maps scope {{key}} to {{val}}, outside "
+                                   f"{allowed}"), src, dst, grown, ev))
+        domains[dst].append(range(grown))
+    expected = {(c, s) for c, b in enumerate(boxes) for s in range(b.shape.parties)}
     if used != expected:
-        missing = sorted(expected - used)
-        raise WiringError(f"unused component sides: {missing}")
+        raise WiringError(f"unused component sides: {sorted(expected - used)}")
+    return steps, [_dense_table(
+        protocol.outputs[k], domains[k], shape.outputs[k], f"party {k}",
+        "final output", f"party {k} output {{val}} is outside the declared output range")
+        for k in range(shape.parties)]
 
-    domains, per_event = _scope_domains(protocol, boxes)
-    for n, (ev, doms) in enumerate(zip(protocol.events, per_event)):
-        if isinstance(ev, BoxUse):
-            table, top = ev.inputs, boxes[ev.component].shape.inputs[ev.side]
-            entry, allowed = "input", "the component's input range"
-        else:
-            table, top = ev.values, 2 ** ev.width
-            entry, allowed = "entry", "the allowed range"
-        for key in iproduct(*doms):
-            if key not in table:
-                raise WiringError(f"event {n} has no {entry} for scope {key}")
-            val = table[key]
-            if not 0 <= val < top:
-                raise WiringError(f"event {n} maps scope {key} to {val}, "
-                                  f"outside {allowed}")
-    for k in range(shape.parties):
-        for key in iproduct(*domains[k]):
-            if key not in protocol.outputs[k]:
-                raise WiringError(
-                    f"party {k} has no final output for scope {key}")
-            val = protocol.outputs[k][key]
-            if not 0 <= val < shape.outputs[k][key[0]]:
-                raise WiringError(
-                    f"party {k} output {val} is outside the declared "
-                    "output range")
+
+def _numerators(box, den, dtype):
+    """den times the box's entries, dense over (joint input, joint output
+    over the side ranges), zero where an output is past its input's count."""
+    shape = box.shape
+    outs = np.indices([max(o) for o in shape.outputs]).reshape(shape.parties, 1, -1)
+    limits = np.array([shape.outputs_at(ins) for ins in shape.joint_inputs]).T[..., None]
+    _, offsets, strides = map(np.array, zip(*_layout(shape)))
+    flat = offsets[:, None] + (outs * strides.T[..., None]).sum(0)
+    nums = np.array([v.numerator * (den // v.denominator) for v in box.table], dtype)
+    return np.where((outs < limits).all(0), nums.take(flat, mode="clip"), 0).ravel()
 
 
 def evaluate_comm_protocol(protocol, components=None):
     """The box a protocol simulates and the total message bits it uses.
 
-    For every joint protocol input and shared value, every joint
-    assignment of component outputs is weighted by the shared value's
-    probability times the component probabilities at the inputs the
-    traces induce; messages are deterministic once those are fixed.
-    Components may be overridden positionally; they are validated first,
-    so signalling components are rejected.  More than _MAX_ASSIGNMENTS
-    joint assignments are refused before anything is validated."""
+    A triple weighs the shared value's probability times the component
+    probabilities at the inputs its traces induce.  Each block (at most
+    _BUDGET elements over all its arrays) advances the scope codes event by
+    event by gathers from the dense tables and adds the weights, products of
+    gathered numerators, into numerators over den.  Components may be
+    overridden positionally; they are validated first, so signalling ones
+    are rejected.  More than _MAX_ASSIGNMENTS triples, or entries of a dense
+    component array, are refused before anything is validated."""
     boxes = ([c.box for c in protocol.components] if components is None
              else list(components))
-    shape = protocol.shape
-    if not _within_cap([*shape.inputs, len(protocol.shared.values),
-                        *(_side_output_range(b, s) for b in boxes
-                          for s in range(b.shape.parties))]):
-        raise EnumerationCapError(
-            f"evaluation would enumerate more than {_MAX_ASSIGNMENTS} "
-            "joint assignments")
+    shape, K = protocol.shape, protocol.shape.parties
+    sides = [(c, s) for c, b in enumerate(boxes) for s in range(b.shape.parties)]
+    radix = [*shape.inputs, len(protocol.shared.values),   # digits of a triple
+             *(max(boxes[c].shape.outputs[s]) for c, s in sides)]
+    sizes = [prod(max(o) for o in b.shape.outputs) for b in boxes]
+    if not (_within_cap(radix) and all(len(b.shape.joint_inputs) * size <= _MAX_ASSIGNMENTS
+                                       for b, size in zip(boxes, sizes))):
+        raise EnumerationCapError(f"evaluation would enumerate more than "
+                                  f"{_MAX_ASSIGNMENTS} joint assignments")
     for b in boxes:
         b.require_valid()
-    _validate_protocol(protocol, boxes)
+    steps, out_tables = _validate_protocol(protocol, boxes)
 
-    sides = [(c, s) for c, comp in enumerate(protocol.components)
-             for s in range(len(comp.parties))]
-    pos = {cs: i for i, cs in enumerate(sides)}
-    ranges = [range(_side_output_range(boxes[c], s)) for c, s in sides]
-
-    table = [Fraction(0)] * shape.table_size
-    for ins in shape.joint_inputs:
-        for lam, p_lam in protocol.shared.values:
-            if not p_lam:
-                continue
-            for assign in iproduct(*ranges):
-                scopes = [[ins[k], lam] for k in range(shape.parties)]
-                comp_ins = [[None] * len(comp.parties)
-                            for comp in protocol.components]
-                for ev in protocol.events:
-                    if isinstance(ev, BoxUse):
-                        key = tuple(scopes[ev.party])
-                        comp_ins[ev.component][ev.side] = ev.inputs[key]
-                        scopes[ev.party].append(
-                            assign[pos[(ev.component, ev.side)]])
-                    else:
-                        key = tuple(scopes[ev.sender])
-                        scopes[ev.receiver].append(ev.values[key])
-                weight = p_lam
-                for c, box in enumerate(boxes):
-                    cins = tuple(comp_ins[c])
-                    couts = tuple(assign[pos[(c, s)]]
-                                  for s in range(box.shape.parties))
-                    if any(o >= box.shape.outputs[s][x]
-                           for s, (o, x) in enumerate(zip(couts, cins))):
-                        weight = Fraction(0)
-                        break
-                    weight *= box.prob(couts, cins)
-                    if not weight:
-                        break
-                if weight:
-                    outs = tuple(protocol.outputs[k][tuple(scopes[k])]
-                                 for k in range(shape.parties))
-                    table[shape.index(outs, ins)] += weight
-    return Box(shape, tuple(table)), protocol.bits
+    place = [prod(radix[i + 1:]) for i in range(len(radix))]
+    at = {cs: place[K + 1 + i] for i, cs in enumerate(sides)}   # place of a side's digit
+    mult = {(c, s): prod(boxes[c].shape.inputs[s + 1:]) * sizes[c] for c, s in sides}
+    dens = [lcm(*(p.denominator for _, p in protocol.shared.values)),
+            *(lcm(*(v.denominator for v in b.table)) for b in boxes)]
+    dtype = np.int64 if prod(dens) * place[K - 1] < 2 ** 62 else object
+    shared = np.array([p.numerator * (dens[0] // p.denominator)
+                       for _, p in protocol.shared.values], dtype)
+    nums = [_numerators(b, d, dtype) for b, d in zip(boxes, dens[1:])]
+    _, offsets, out_strides = map(np.array, zip(*_layout(shape)))
+    acc = np.zeros(shape.table_size, dtype)
+    total, block = prod(radix), max(1, _BUDGET // (K + len(boxes) + 4))
+    for start in range(0, total, block):
+        t = np.arange(start, min(start + block, total))
+        lam, ji = t // place[K] % radix[K], t // place[K - 1]
+        codes = [t // place[k] % radix[k] * radix[K] + lam for k in range(K)]
+        idx = [t // at[c, b.shape.parties - 1] % sizes[c] for c, b in enumerate(boxes)]
+        for table, src, dst, r, ev in steps:
+            val = table[codes[src]]
+            if isinstance(ev, BoxUse):
+                idx[ev.component] += val * mult[ev.component, ev.side]
+                val = t // at[ev.component, ev.side] % r
+            codes[dst] = codes[dst] * r + val
+        weight, flat = shared[lam], offsets[ji]
+        for num, i in zip(nums, idx):
+            weight = weight * num[i]
+        for k, table in enumerate(out_tables):
+            flat = flat + table[codes[k]] * out_strides[ji, k]
+        keep = weight != 0
+        np.add.at(acc, flat[keep], weight[keep])
+    den = prod(dens)
+    return Box(shape, tuple(Fraction(v, den) for v in acc.tolist())), protocol.bits
 
 
 def protocol4(d):
@@ -324,11 +327,8 @@ def min_oneway_comm_with_SR(target, max_bits, cap=200_000):
     if shape.parties != 2:
         raise ShapeError("communication bounds are for bipartite boxes")
     for c in range(max_bits + 1):
-        count = 1
-        for x in range(shape.inputs[0]):
-            count *= 2 ** c * shape.outputs[0][x]
-        for y in range(shape.inputs[1]):
-            count *= shape.outputs[1][y] ** (2 ** c)
+        count = (prod(2 ** c * n for n in shape.outputs[0])
+                 * prod(n ** (2 ** c) for n in shape.outputs[1]))
         if count > cap:
             raise EnumerationCapError(
                 f"{count} strategies at {c} bits exceeds the cap ({cap})")
