@@ -1,4 +1,9 @@
-"""Correlation boxes: exact conditional probability tables p(outputs | inputs)."""
+"""Correlation boxes: exact conditional probability tables p(outputs | inputs).
+
+The flat table runs over joint inputs with party 0 slowest, and inside each
+joint input's block over joint outputs, again party 0 slowest.  Only this
+module knows that layout: ``_layout`` holds it once per shape and ``flat``
+looks positions up in it, so every re-indexing of a table is a gather."""
 
 from __future__ import annotations
 
@@ -7,6 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from numbers import Integral
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +39,13 @@ class InvalidBoxError(ValueError):
         self.report = report
 
 
+def _as_int(v, what, error=ShapeError):
+    """v as an int; bools and non-integers are refused, not truncated."""
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        raise error(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _as_fraction(v):
     if isinstance(v, Fraction):
         return v
@@ -51,7 +66,7 @@ class BoxShape:
     outputs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        outs = tuple(tuple(int(d) for d in per_party) for per_party in self.outputs)
+        outs = tuple(tuple(_as_int(d, "an output count") for d in p) for p in self.outputs)
         if not outs:
             raise ShapeError("a shape needs at least one party")
         for k, per_party in enumerate(outs):
@@ -71,14 +86,6 @@ class BoxShape:
         if size > _MAX_TABLE_SIZE:
             raise ShapeError(f"{size} table entries exceed the cap of "
                              f"{_MAX_TABLE_SIZE}")
-        joint = tuple(iproduct(*[range(len(p)) for p in outs]))
-        offsets = {}
-        pos = 0
-        for ins in joint:
-            offsets[ins] = pos
-            pos += math.prod(outs[k][x] for k, x in enumerate(ins))
-        object.__setattr__(self, "_joint_inputs", joint)
-        object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_size", size)
 
     @classmethod
@@ -138,7 +145,7 @@ class BoxShape:
 
     @property
     def joint_inputs(self):
-        return self._joint_inputs
+        return tuple(_layout(self).blocks)
 
     def outputs_at(self, ins):
         return tuple(self.outputs[k][x] for k, x in enumerate(ins))
@@ -149,7 +156,7 @@ class BoxShape:
     def block(self, ins):
         """(offset, size) of the table slice for one joint input."""
         try:
-            off = self._offsets[tuple(ins)]
+            off = _layout(self).blocks[tuple(ins)][0]
         except KeyError:
             raise ShapeError(f"joint input {tuple(ins)!r} not in shape {self}") from None
         return off, math.prod(self.outputs_at(ins))
@@ -169,9 +176,50 @@ class BoxShape:
 
     def entries(self):
         """Yield (joint_input, joint_output) pairs in canonical table order."""
-        for ins in self._joint_inputs:
+        for ins in self.joint_inputs:
             for outs in self.joint_outputs(ins):
                 yield ins, outs
+
+
+class _Layout(NamedTuple):
+    """A shape's table layout (J joint inputs, N entries, n parties); read-only."""
+
+    blocks: MappingProxyType  # joint input -> (offset, output strides), in table order
+    counts: np.ndarray        # (n, most inputs): outputs[k][x], 0 past party k's inputs
+    inputs: np.ndarray        # (J, n): the digits of each joint input
+    offsets: np.ndarray       # (J,): block offsets
+    strides: np.ndarray       # (J, n): output strides in each block
+    joint: np.ndarray         # (N,): each entry's joint-input number
+    outs: np.ndarray          # (N, n): each entry's output digits
+
+
+@lru_cache(maxsize=64)
+def _layout(shape):
+    """A shape's layout: the blocks follow each other, and outputs outs at
+    joint input j sit at ``offsets[j] + sum(outs * strides[j])``."""
+    width = max(shape.inputs)
+    counts = np.array([p + (0,) * (width - len(p)) for p in shape.outputs])
+    inputs = np.indices(shape.inputs).reshape(shape.parties, -1).T
+    dims = counts[np.arange(shape.parties), inputs]
+    strides = np.ones_like(dims)
+    strides[:, :-1] = np.cumprod(dims[:, :0:-1], axis=1)[:, ::-1]
+    sizes = dims.prod(axis=1)
+    offsets = np.cumsum(sizes) - sizes
+    joint = np.repeat(np.arange(len(sizes)), sizes)
+    outs = (np.arange(shape.table_size) - offsets[joint])[:, None] // strides[joint] % dims[joint]
+    blocks = zip(offsets.tolist(), map(tuple, strides.tolist()))
+    arrays = (counts, inputs, offsets, strides, joint, outs)
+    for a in arrays:
+        a.setflags(write=False)
+    return _Layout(MappingProxyType(dict(zip(map(tuple, inputs.tolist()), blocks))), *arrays)
+
+
+def flat(shape, ins, outs):
+    """Flat indices from input and output digit arrays, whose last axes run
+    over the parties and which broadcast together; outputs must be in range."""
+    lay = _layout(shape)
+    j = np.ravel_multi_index(tuple(np.moveaxis(ins, -1, 0)), shape.inputs)
+    return lay.offsets[j] + (outs * lay.strides[j]).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -247,7 +295,7 @@ class Box:
         their inputs, the marginal does not exist and InvalidBoxError is
         raised.
         """
-        keep = sorted(set(int(k) for k in parties))
+        keep = sorted(set(_as_int(k, "a party") for k in parties))
         if not keep:
             raise ShapeError("marginal needs a nonempty party subset")
         if keep[0] < 0 or keep[-1] >= self.shape.parties:
@@ -279,23 +327,22 @@ def _marginal_map(shape, keep):
     the kept parties' shape, None when ``keep`` is empty.  ``groups`` has
     one item per joint input of the dropped parties, in iproduct order: one
     ascending tuple of flat indices per marginal entry, in ``kept``'s table
-    order."""
-    drop = tuple(j for j in range(shape.parties) if j not in keep)
+    order.  One stable sort of the entries by (dropped joint input, kept flat
+    index) lines them up; each dropped joint input's run splits evenly."""
+    drop = [j for j in range(shape.parties) if j not in keep]
     kept = BoxShape(tuple(shape.outputs[k] for k in keep)) if keep else None
-    # position in keep + drop of each party's input
-    where = [(keep + drop).index(j) for j in range(shape.parties)]
-    groups = []
-    for dins in iproduct(*[range(shape.inputs[j]) for j in drop]):
-        width = math.prod(shape.outputs[j][x] for j, x in zip(drop, dins))
-        entries = []
-        for kins in kept.joint_inputs if kept else [()]:
-            joint = kins + dins
-            ins = tuple(joint[i] for i in where)
-            dims = shape.outputs_at(ins)
-            off = shape._offsets[ins]
-            block = np.arange(off, off + math.prod(dims)).reshape(dims)
-            entries += map(tuple, block.transpose(keep + drop).reshape(-1, width).tolist())
-        groups.append(tuple(entries))
+    lay = _layout(shape)
+    ins = lay.inputs[lay.joint]
+    radix = [shape.inputs[j] for j in drop]
+    dins = ins[:, drop] @ np.array([math.prod(radix[m + 1:]) for m in range(len(drop))], np.intp)
+    ksize = kept.table_size if keep else 1
+    kflat = flat(kept, ins[:, keep], lay.outs[:, keep]) if keep else 0
+    order = np.argsort(dins * ksize + kflat, kind="stable").tolist()
+    groups, start = [], 0
+    for run in np.bincount(dins).tolist():
+        chunk = iter(order[start:start + run])
+        groups.append(tuple(zip(*[chunk] * (run // ksize))))
+        start += run
     return kept, tuple(groups)
 
 
@@ -359,32 +406,21 @@ def product(a, b):
                 per.append(a.shape.outputs[k][xa] * b.shape.outputs[k][xb])
         new_outputs.append(tuple(per))
     shape = BoxShape(tuple(new_outputs))
-
-    def fn(outs, ins):
-        ins_a, ins_b, outs_a, outs_b = [], [], [], []
-        for k, (x, o) in enumerate(zip(ins, outs)):
-            ma = a.shape.inputs[k]
-            xa, xb = x % ma, x // ma
-            da = a.shape.outputs[k][xa]
-            ins_a.append(xa)
-            ins_b.append(xb)
-            outs_a.append(o % da)
-            outs_b.append(o // da)
-        return (a.prob(tuple(outs_a), tuple(ins_a))
-                * b.prob(tuple(outs_b), tuple(ins_b)))
-
-    return Box.from_function(shape, fn)
+    lay = _layout(shape)
+    ins_b, ins_a = np.divmod(lay.inputs[lay.joint], a.shape.inputs)
+    outs_b, outs_a = np.divmod(lay.outs, _layout(a.shape).counts[np.arange(n), ins_a])
+    at_a, at_b = flat(a.shape, ins_a, outs_a).tolist(), flat(b.shape, ins_b, outs_b).tolist()
+    return Box(shape, tuple(a.table[i] * b.table[j] for i, j in zip(at_a, at_b)))
 
 
 def tensor(a, b):
     """Juxtapose two boxes on disjoint party sets (a's parties first)."""
     shape = BoxShape(a.shape.outputs + b.shape.outputs)
-    na = a.shape.parties
-
-    def fn(outs, ins):
-        return a.prob(outs[:na], ins[:na]) * b.prob(outs[na:], ins[na:])
-
-    return Box.from_function(shape, fn)
+    lay, na = _layout(shape), a.shape.parties
+    ins, outs = lay.inputs[lay.joint], lay.outs
+    at_a = flat(a.shape, ins[:, :na], outs[:, :na]).tolist()
+    at_b = flat(b.shape, ins[:, na:], outs[:, na:]).tolist()
+    return Box(shape, tuple(a.table[i] * b.table[j] for i, j in zip(at_a, at_b)))
 
 
 def has_unique_completion(box):

@@ -7,7 +7,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .boxes import InvalidBoxError, ShapeError
+from .boxes import InvalidBoxError, ShapeError, _layout
 from .comm import min_oneway_comm_with_SR
 from .dd import EnumerationCapError
 from .extend import all_extensions_factorize
@@ -23,13 +23,8 @@ from .wiring import WiringError, evaluate_wiring, preset, protocol3_error
 
 
 def _strategy_line(strategy, weight):
-    box = strategy.box()
-    blocks = []
-    for ins in box.shape.joint_inputs:
-        outs = next(o for o in box.shape.joint_outputs(ins)
-                    if box.prob(o, ins) == 1)
-        blocks.append(",".join(str(v) for v in outs))
-    return f"{format_fraction(weight)} {' '.join(blocks)}"
+    outs = _layout(strategy.shape).outs[list(strategy.support())].tolist()
+    return f"{format_fraction(weight)} {' '.join(','.join(map(str, o)) for o in outs)}"
 
 
 def _print_blocks(shape, values):

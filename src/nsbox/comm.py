@@ -21,11 +21,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .boxes import Box, ShapeError, _as_fraction
+from .boxes import Box, ShapeError, _as_fraction, _as_int, _layout, flat
 from .dd import _BUDGET
 from .families import dbox
-from .locality import (EnumerationCapError, _layout, _mixture_weights,
-                       _support_matrix)
+from .locality import EnumerationCapError, _mixture_weights, _support_matrix
 
 # joint assignments (protocol inputs x shared values x component outputs)
 # an exact enumeration may visit
@@ -63,7 +62,8 @@ class SharedRandomness:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple((int(v), _as_fraction(p)) for v, p in self.values)
+        vals = tuple((_as_int(v, "a shared value", WiringError), _as_fraction(p))
+                     for v, p in self.values)
         if not vals:
             raise WiringError("shared randomness needs at least one value")
         if any(p < 0 for _, p in vals):
@@ -125,8 +125,11 @@ class CommProtocol:
 
 
 def _dense_table(table, doms, tops, owner, what, outside):
-    """A scope table as an int64 array over its scope domain, first entry
-    slowest; refuses missing scopes, non-integers and values past tops[x]."""
+    """A scope table as an int64 array over its scope domain, first entry slowest;
+    refuses domains past the cap, missing scopes, non-integers and values past tops[x]."""
+    if not _within_cap(map(len, doms)):
+        raise EnumerationCapError(f"{owner}'s {what} table would have more than "
+                                  f"{_MAX_ASSIGNMENTS} scopes")
     vals = []
     for key in iproduct(*doms):
         if key not in table:
@@ -191,6 +194,9 @@ def _validate_protocol(protocol, boxes):
                                   "sender")
             if isinstance(ev.width, bool) or not isinstance(ev.width, Integral) or ev.width < 1:
                 raise WiringError(f"event {n} needs a positive bit width")
+            if ev.width > _MAX_ASSIGNMENTS.bit_length():
+                raise EnumerationCapError(f"event {n}: a {ev.width}-bit message has more "
+                                          f"than {_MAX_ASSIGNMENTS} values")
             src, dst, table, entry = ev.sender, ev.receiver, ev.values, "entry"
             top, grown, allowed = 2 ** ev.width, 2 ** ev.width, "the allowed range"
         else:
@@ -211,13 +217,12 @@ def _validate_protocol(protocol, boxes):
 def _numerators(box, den, dtype):
     """den times the box's entries, dense over (joint input, joint output
     over the side ranges), zero where an output is past its input's count."""
-    shape = box.shape
-    outs = np.indices([max(o) for o in shape.outputs]).reshape(shape.parties, 1, -1)
-    limits = np.array([shape.outputs_at(ins) for ins in shape.joint_inputs]).T[..., None]
-    _, offsets, strides = map(np.array, zip(*_layout(shape)))
-    flat = offsets[:, None] + (outs * strides.T[..., None]).sum(0)
+    shape, lay = box.shape, _layout(box.shape)
+    outs = np.indices([max(o) for o in shape.outputs]).reshape(shape.parties, -1).T
+    ins = lay.inputs[:, None]
+    inside = (outs < lay.counts[np.arange(shape.parties), ins]).all(axis=-1)
     nums = np.array([v.numerator * (den // v.denominator) for v in box.table], dtype)
-    return np.where((outs < limits).all(0), nums.take(flat, mode="clip"), 0).ravel()
+    return np.where(inside, nums.take(flat(shape, ins, outs), mode="clip"), 0).ravel()
 
 
 def evaluate_comm_protocol(protocol, components=None):
@@ -255,7 +260,7 @@ def evaluate_comm_protocol(protocol, components=None):
     shared = np.array([p.numerator * (dens[0] // p.denominator)
                        for _, p in protocol.shared.values], dtype)
     nums = [_numerators(b, d, dtype) for b, d in zip(boxes, dens[1:])]
-    _, offsets, out_strides = map(np.array, zip(*_layout(shape)))
+    lay = _layout(shape)
     acc = np.zeros(shape.table_size, dtype)
     total, block = prod(radix), max(1, _BUDGET // (K + len(boxes) + 4))
     for start in range(0, total, block):
@@ -269,13 +274,13 @@ def evaluate_comm_protocol(protocol, components=None):
                 idx[ev.component] += val * mult[ev.component, ev.side]
                 val = t // at[ev.component, ev.side] % r
             codes[dst] = codes[dst] * r + val
-        weight, flat = shared[lam], offsets[ji]
+        weight, pos = shared[lam], lay.offsets[ji]
         for num, i in zip(nums, idx):
             weight = weight * num[i]
         for k, table in enumerate(out_tables):
-            flat = flat + table[codes[k]] * out_strides[ji, k]
+            pos = pos + table[codes[k]] * lay.strides[ji, k]
         keep = weight != 0
-        np.add.at(acc, flat[keep], weight[keep])
+        np.add.at(acc, pos[keep], weight[keep])
     den = prod(dens)
     return Box(shape, tuple(Fraction(v, den) for v in acc.tolist())), protocol.bits
 
@@ -307,12 +312,12 @@ def _oneway_tables(shape, c):
                      for x in xs]
     bob_keys = [(y, m) for y in range(shape.inputs[1]) for m in msgs]
     bob_choices = [range(shape.outputs[1][y]) for y, _ in bob_keys]
-    layout = _layout(shape)
+    blocks = _layout(shape).blocks.items()
     for alice in iproduct(*alice_choices):
         for bob in iproduct(*bob_choices):
             bfun = dict(zip(bob_keys, bob))
             yield tuple(off + alice[x][1] * sa + bfun[(y, alice[x][0])] * sb
-                        for (x, y), off, (sa, sb) in layout)
+                        for (x, y), (off, (sa, sb)) in blocks)
 
 
 def min_oneway_comm_with_SR(target, max_bits, cap=200_000):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .boxes import _MAX_TABLE_SIZE, Box, BoxShape, ShapeError, tensor
+from .boxes import _MAX_TABLE_SIZE, Box, BoxShape, ShapeError, _as_int, tensor
 
 
 def _check_bits(**kwargs):
@@ -40,7 +40,7 @@ def pr(alpha=0, beta=0, gamma=0):
 
 def dbox(k):
     """The d-box: 1/k on (b - a) mod k = X*Y."""
-    k = int(k)
+    k = _as_int(k, "dbox's k")
     if k < 2:
         raise ShapeError(f"dbox needs k >= 2, got {k}")
     shape = BoxShape.homogeneous(2, 2, k)
@@ -78,7 +78,7 @@ def svetlichny_box():
 
 def xyz_box(n=3):
     """n-party box with a1 + ... + an = X1*X2*...*Xn (mod 2)."""
-    n = int(n)
+    n = _as_int(n, "the xyz box's party count")
     if n < 2:
         raise ShapeError(f"xyz box needs n >= 2 parties, got {n}")
     # the table has 4**n entries; refused before any tuple is built
@@ -102,13 +102,8 @@ def uniform(shape):
     if not isinstance(shape, BoxShape):
         raise ShapeError(f"uniform needs a shape, got {shape!r}")
 
-    def fn(outs, ins):
-        total = 1
-        for d in shape.outputs_at(ins):
-            total *= d
-        return Fraction(1, total)
-
-    return Box.from_function(shape, fn)
+    sizes = (shape.block(ins)[1] for ins in shape.joint_inputs)
+    return Box(shape, tuple(Fraction(1, size) for size in sizes for _ in range(size)))
 
 
 _FAMILIES = {

@@ -10,26 +10,12 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .boxes import Box, BoxShape, ShapeError
+from .boxes import Box, BoxShape, ShapeError, _layout
 from .dd import EnumerationCapError
 from .families import _check_bits, uniform
 from .linalg import _int_matmul, clear_denominators, project_out_rowspace
 from .polytope import build_hrep, normalization_rows
 from .simplex import find_nonneg_solution
-
-
-@lru_cache(maxsize=32)
-def _layout(shape):
-    """(joint input, block offset, per-party strides) in table order: the
-    output tuple outs at ins sits at offset + sum(outs[k] * strides[k])."""
-    out = []
-    for ins in shape.joint_inputs:
-        dims = shape.outputs_at(ins)
-        strides = [1] * len(dims)
-        for k in range(len(dims) - 2, -1, -1):
-            strides[k] = strides[k + 1] * dims[k + 1]
-        out.append((ins, shape.block(ins)[0], tuple(strides)))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -48,7 +34,7 @@ class DeterministicStrategy:
     def _support(self):
         return tuple(
             off + sum(a[x] * st for a, x, st in zip(self.assignments, ins, strides))
-            for ins, off, strides in _layout(self.shape))
+            for ins, (off, strides) in _layout(self.shape).blocks.items())
 
     def box(self):
         return _support_box(self.shape, self.support())
@@ -76,7 +62,7 @@ class TwoWayStrategy:
         k = self.single
         width = self.shape.inputs[j]
         out = []
-        for ins, off, st in _layout(self.shape):
+        for ins, (off, st) in _layout(self.shape).blocks.items():
             ai, aj = self.pair_map[ins[i] * width + ins[j]]
             out.append(off + ai * st[i] + aj * st[j]
                        + self.single_map[ins[k]] * st[k])
@@ -413,18 +399,20 @@ def chsh(box, alpha=0, beta=0, gamma=0):
     return sum(signs[ins] * correlator(box, ins) for ins in signs)
 
 
+def _correlator_form(shape, signs):
+    """Coefficients of the sum over joint inputs ins of signs[ins] times the
+    correlator at ins: signs[ins] * (-1) ** sum(outputs) on each entry."""
+    lay = _layout(shape)
+    at_ins = np.array([signs[ins] for ins in lay.blocks])[lay.joint]
+    return tuple(map(Fraction, (at_ins * (1 - lay.outs.sum(axis=1) % 2 * 2)).tolist()))
+
+
 def chsh_functional(alpha=0, beta=0, gamma=0):
     """Coefficient form of chsh(..., alpha, beta, gamma); bound 2 over
     deterministic strategies, algebraic maximum 4."""
     shape = BoxShape.homogeneous(2, 2, 2)
-    signs = _chsh_signs(alpha, beta, gamma)
-
-    coeffs = [Fraction(0)] * shape.table_size
-    for ins, sign in signs.items():
-        for outs in shape.joint_outputs(ins):
-            par = -1 if sum(outs) % 2 else 1
-            coeffs[shape.index(outs, ins)] = Fraction(sign * par)
-    return BellFunctional(shape, tuple(coeffs), Fraction(2), Fraction(4))
+    coeffs = _correlator_form(shape, _chsh_signs(alpha, beta, gamma))
+    return BellFunctional(shape, coeffs, Fraction(2), Fraction(4))
 
 
 def svetlichny_functional(eps=0, zeta=0, eta=0):
@@ -433,15 +421,9 @@ def svetlichny_functional(eps=0, zeta=0, eta=0):
     boxes, algebraic maximum 8."""
     _check_bits(eps=eps, zeta=zeta, eta=eta)
     shape = BoxShape.homogeneous(3, 2, 2)
-    coeffs = [Fraction(0)] * shape.table_size
-    for ins in shape.joint_inputs:
-        x, y, z = ins
-        e = int(x == y == z) ^ (eps & x) ^ (zeta & y) ^ (eta & z)
-        sign = (-1) ** e
-        for outs in shape.joint_outputs(ins):
-            par = -1 if sum(outs) % 2 else 1
-            coeffs[shape.index(outs, ins)] = Fraction(sign * par)
-    return BellFunctional(shape, tuple(coeffs), Fraction(4), Fraction(8))
+    signs = {(x, y, z): (-1) ** (int(x == y == z) ^ (eps & x) ^ (zeta & y) ^ (eta & z))
+             for x, y, z in shape.joint_inputs}
+    return BellFunctional(shape, _correlator_form(shape, signs), Fraction(4), Fraction(8))
 
 
 def svetlichny(box):

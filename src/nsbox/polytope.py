@@ -12,7 +12,7 @@ import numpy as np
 
 from . import relabel
 from .boxes import (_MAX_TABLE_SIZE, Box, BoxShape, InvalidBoxError, ShapeError,
-                    _equality_rows)
+                    _equality_rows, _layout, flat)
 from .dd import EnumerationCapError, extreme_rays
 from .families import dbox
 from .linalg import _int_products, _max_abs, clear_denominators, int_rank, nullspace_int
@@ -471,18 +471,14 @@ def lift_box(box, target_shape):
     outcomes, zero probability on the new ones)."""
     if box.shape.inputs != target_shape.inputs:
         raise ShapeError("lifting cannot change input structure")
-    for k in range(box.shape.parties):
-        for x in range(box.shape.inputs[k]):
-            if box.shape.outputs[k][x] > target_shape.outputs[k][x]:
-                raise ShapeError("lifting cannot drop outputs")
-
-    def fn(outs, ins):
-        for k, a in enumerate(outs):
-            if a >= box.shape.outputs[k][ins[k]]:
-                return Fraction(0)
-        return box.prob(outs, ins)
-
-    return Box.from_function(target_shape, fn)
+    counts, lay = _layout(box.shape).counts, _layout(target_shape)
+    if (counts > lay.counts).any():
+        raise ShapeError("lifting cannot drop outputs")
+    ins, outs = lay.inputs[lay.joint], lay.outs
+    inside = (outs < counts[np.arange(box.shape.parties), ins]).all(axis=1)
+    at = np.where(inside, flat(box.shape, ins, outs), box.shape.table_size)
+    table = box.table + (Fraction(0),)
+    return Box(target_shape, tuple(table[i] for i in at.tolist()))
 
 
 @dataclass(frozen=True)

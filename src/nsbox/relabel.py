@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .boxes import Box, BoxShape, ShapeError
+from .boxes import Box, BoxShape, ShapeError, _layout, flat
 
 
 def _check_perm(p, n, what):
@@ -69,16 +69,16 @@ class Relabelling:
         """The action on flat tables: ``(new_shape, gather)`` such that the
         relabelled table is ``old_table[gather]``."""
         new_shape = self.check_against(shape)
+        lay = _layout(shape)
+        ins, outs = lay.inputs[lay.joint], lay.outs
+        ins2, outs2 = np.empty_like(ins), np.empty_like(outs)
+        for k, j in enumerate(self.party_perm):
+            width = max(shape.outputs[k])
+            perms = np.array([list(p) + [0] * (width - len(p)) for p in self.output_perms[k]])
+            ins2[:, j] = np.take(self.input_perms[k], ins[:, k])
+            outs2[:, j] = perms[ins[:, k], outs[:, k]]
         gather = np.empty(shape.table_size, dtype=np.intp)
-        n = shape.parties
-        for i, (ins, outs) in enumerate(shape.entries()):
-            ins2 = [0] * n
-            outs2 = [0] * n
-            for k in range(n):
-                j = self.party_perm[k]
-                ins2[j] = self.input_perms[k][ins[k]]
-                outs2[j] = self.output_perms[k][ins[k]][outs[k]]
-            gather[new_shape.index(outs2, ins2)] = i
+        gather[flat(new_shape, ins2, outs2)] = np.arange(shape.table_size)
         return new_shape, gather
 
 

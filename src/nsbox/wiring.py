@@ -5,10 +5,9 @@ conversion protocols between named boxes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, product as iproduct, repeat
 
-from .boxes import BoxShape
+from .boxes import BoxShape, _as_int
 from .comm import (BoxUse, CommProtocol, Component, SharedRandomness,
                    WiringError, _MAX_ASSIGNMENTS, _within_cap,
                    evaluate_comm_protocol)
@@ -190,10 +189,7 @@ def preset(name, *params):
     if len(params) != arity[key]:
         raise WiringError(f"{key} takes {arity[key]} parameters, "
                           f"got {len(params)}")
-    try:
-        params = tuple(int(p) for p in params)
-    except ValueError as exc:
-        raise WiringError(f"bad parameters for {key}: {exc}") from None
+    params = tuple(_as_int(p, f"a {key} parameter", WiringError) for p in params)
     if key == "P3" and params[2] < 1:
         raise WiringError("P3 needs at least one component box")
     if any(p < 2 for p in params[:2]):
@@ -214,12 +210,6 @@ def protocol3_error(d, dp, n):
     """Worst-case (over joint inputs) total variation distance between the
     chained-conversion output and the exact target box; zero exactly when
     d' divides d**n."""
-    got = evaluate_wiring(preset("P3", d, dp, n))
-    want = dbox(dp)
-    worst = Fraction(0)
-    for ins in got.shape.joint_inputs:
-        off, size = got.shape.block(ins)
-        tv = sum(abs(got.table[off + i] - want.table[off + i])
-                 for i in range(size)) / 2
-        worst = max(worst, tv)
-    return worst
+    got, want = evaluate_wiring(preset("P3", d, dp, n)), dbox(dp)
+    return max(sum(abs(g - w) for g, w in zip(got.block(ins), want.block(ins))) / 2
+               for ins in got.shape.joint_inputs)

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
+import numpy as np
 import pytest
+from shape_helpers import distinct_box, random_shape
 
 from nsbox import boxes
 from nsbox.boxes import (Box, BoxShape, InvalidBoxError, ShapeError,
@@ -33,9 +35,22 @@ def test_heterogeneous_blocks():
 
 
 def test_entries_matches_flat_order():
-    shape = BoxShape(((2, 3), (2,)))
-    flat = [shape.index(outs, ins) for ins, outs in shape.entries()]
-    assert flat == list(range(shape.table_size))
+    """The layout's entry decode, ``entries``, ``index`` and ``flat`` all
+    follow the table order: joint inputs, then joint outputs, party 0
+    slowest in both."""
+    rng = random.Random(13)
+    for shape in [BoxShape(((2, 3), (2,)))] + [random_shape(rng) for _ in range(100)]:
+        want = [(ins, outs) for ins in iproduct(*map(range, shape.inputs))
+                for outs in iproduct(*map(range, shape.outputs_at(ins)))]
+        assert list(shape.entries()) == want
+        assert [shape.index(outs, ins) for ins, outs in want] == list(range(shape.table_size))
+        lay = boxes._layout(shape)
+        ins = lay.inputs[lay.joint]
+        assert list(zip(map(tuple, ins.tolist()), map(tuple, lay.outs.tolist()))) == want
+        assert boxes.flat(shape, ins, lay.outs).tolist() == list(range(shape.table_size))
+        assert boxes._layout(shape) is lay
+        with pytest.raises(ValueError):
+            lay.outs[0, 0] = 1
 
 
 def test_shape_string_round_trip():
@@ -91,6 +106,13 @@ def test_index_range_checks():
         shape.index((2, 0), (0, 0))
     with pytest.raises(ShapeError):
         shape.block((0, 5))
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", Fraction(2)])
+def test_shape_refuses_non_integer_output_counts(bad):
+    with pytest.raises(ShapeError, match="output count must be an integer"):
+        BoxShape(((2, bad), (2, 2)))
+    assert BoxShape(((np.int64(2), np.uint8(3)),)) == BoxShape(((2, 3),))
 
 
 def test_box_rejects_wrong_length_and_floats():
@@ -209,6 +231,13 @@ def test_marginal_party_subset_checks():
         marginal(box, (3,))
 
 
+@pytest.mark.parametrize("bad", [0.7, 0.0, True, "0"])
+def test_marginal_refuses_non_integer_parties(bad):
+    with pytest.raises(ShapeError, match="party must be an integer"):
+        marginal(pr(), [bad])
+    assert marginal(two_way_vertex(), [np.int64(2), 0]) == marginal(two_way_vertex(), [0, 2])
+
+
 def test_ill_defined_marginal_is_refused():
     shape = BoxShape.homogeneous(2, 2, 2)
     det = {
@@ -307,6 +336,13 @@ def test_marginal_matches_the_loop_reference_on_strategy_mixtures(text):
         assert _check_every_marginal(box) == 0
 
 
+def test_marginal_matches_the_loop_reference_on_random_shapes():
+    rng = random.Random(29)
+    for _ in range(40):
+        box = _strategy_mixture(random_shape(rng), rng)
+        assert _check_every_marginal(box) == 0
+
+
 @pytest.mark.parametrize("text", ["2,2/2,2", "2,3/3,2", "2,2/2,2/3", "3,2,4"])
 def test_marginal_of_a_signalling_box_is_refused_like_the_reference(text):
     # every party answers the sum of all inputs, so a marginal is refused
@@ -347,6 +383,50 @@ def test_tensor_juxtaposes_parties():
     assert t.shape.parties == 3
     assert marginal(t, (0, 1)) == pr()
     assert t.prob((0, 1, 0), (0, 1, 1)) == pr().prob((0, 1), (0, 1)) * HALF
+
+
+def _reference_product(a, b):
+    """``product`` as a per-entry callback that decodes each entry's digits
+    and reads both factors through ``prob``, as it was before it became two
+    gathers on the table layout."""
+    n = a.shape.parties
+    shape = BoxShape(tuple(
+        tuple(a.shape.outputs[k][xa] * b.shape.outputs[k][xb]
+              for xb in range(b.shape.inputs[k]) for xa in range(a.shape.inputs[k]))
+        for k in range(n)))
+
+    def fn(outs, ins):
+        ins_a, ins_b, outs_a, outs_b = [], [], [], []
+        for k, (x, o) in enumerate(zip(ins, outs)):
+            ma = a.shape.inputs[k]
+            xa, xb = x % ma, x // ma
+            da = a.shape.outputs[k][xa]
+            ins_a.append(xa)
+            ins_b.append(xb)
+            outs_a.append(o % da)
+            outs_b.append(o // da)
+        return (a.prob(tuple(outs_a), tuple(ins_a))
+                * b.prob(tuple(outs_b), tuple(ins_b)))
+
+    return Box.from_function(shape, fn)
+
+
+def _reference_tensor(a, b):
+    """``tensor`` as a per-entry callback, as it was before it became two
+    gathers on the table layout."""
+    na = a.shape.parties
+    return Box.from_function(
+        BoxShape(a.shape.outputs + b.shape.outputs),
+        lambda outs, ins: a.prob(outs[:na], ins[:na]) * b.prob(outs[na:], ins[na:]))
+
+
+def test_product_and_tensor_match_the_entrywise_references():
+    rng = random.Random(17)
+    for _ in range(60):
+        a = distinct_box(random_shape(rng, max_size=40), rng)
+        b = distinct_box(random_shape(rng, a.shape.parties, max_size=40), rng)
+        assert product(a, b) == _reference_product(a, b)
+        assert tensor(a, b) == _reference_tensor(a, b)
 
 
 def test_unique_completion():

@@ -143,6 +143,8 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
     pr_box = tmp_path / "pr.box"
     run(capsys, "make", "pr", "-o", str(pr_box))
     argvs = [["make", "dbox", "x", "-o", str(tmp_path / "x.box")],
+             ["make", "dbox", "2.9", "-o", str(tmp_path / "x.box")],
+             ["make", "xyz", "3.0", "-o", str(tmp_path / "x.box")],
              ["make", "dbox", "4000", "-o", str(tmp_path / "x.box")],
              ["validate", str(tmp_path)], ["wire", str(tmp_path)],
              ["validate", str(binary)], ["wire", str(binary)],
@@ -340,12 +342,8 @@ def test_local_verdicts(tmp_path, capsys):
     run(capsys, "make", "localdet", "1", "0", "0", "1", "-o", str(det))
     code, out, _ = run(capsys, "local", str(det))
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "LOCAL"
-    assert len(lines) == 2
-    weight, blocks = lines[1].split(" ", 1)
-    assert weight == "1/1"
-    assert len(blocks.split()) == 4
+    # the weight, then the joint output at each joint input
+    assert out == "LOCAL\n1/1 0,1 0,1 1,1 1,1\n"
 
 
 def test_local2_verdict(tmp_path, capsys):
@@ -353,7 +351,12 @@ def test_local2_verdict(tmp_path, capsys):
     save_box(two_way_vertex(), tw)
     code, out, _ = run(capsys, "local2", str(tw))
     assert code == 0
-    assert out.splitlines()[0] == "LOCAL"
+    assert out == ("LOCAL\n"
+                   "1/6 0,0,0 0,0,0 0,0,0 0,0,0 0,0,0 0,0,0 1,0,0 1,0,0\n"
+                   "1/6 0,0,0 0,0,0 0,0,0 0,0,0 1,1,0 1,1,0 0,1,0 0,1,0\n"
+                   "1/6 0,0,0 0,0,0 1,1,0 1,1,0 0,0,0 0,0,0 0,1,0 0,1,0\n"
+                   "1/6 1,1,0 1,1,0 0,0,0 0,0,0 0,0,0 0,0,0 0,1,0 0,1,0\n"
+                   "1/3 1,1,0 1,1,0 1,1,0 1,1,0 1,1,0 1,1,0 1,0,0 1,0,0\n")
 
 
 def test_protocol3_error(capsys):

@@ -40,6 +40,14 @@ def test_shared_randomness_checks_its_distribution():
     assert SharedRandomness.trivial().values == ((0, Fraction(1)),)
 
 
+@pytest.mark.parametrize("bad", [0.5, 3.0, True, "3", Fraction(3)])
+def test_shared_values_must_be_integers(bad):
+    with pytest.raises(WiringError, match="shared value must be an integer"):
+        SharedRandomness(((0, Fraction(1, 2)), (bad, Fraction(1, 2))))
+    assert SharedRandomness(((np.int8(0), Fraction(1, 2)), (np.int64(3), Fraction(1, 2)))
+                            ).values == ((0, Fraction(1, 2)), (3, Fraction(1, 2)))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_one_bit_and_shared_randomness_simulate_the_dbox(d):
     box, bits = evaluate_comm_protocol(protocol4(d))
@@ -416,6 +424,24 @@ def test_non_integer_scope_values_are_refused():
                          ({(x, 0): np.int64(x) for x in range(2)},
                           {(y, 0): np.int8(0) for y in range(2)}))
     assert evaluate_comm_protocol(proto) == _reference_comm_evaluate(proto)
+
+
+def test_message_widths_are_capped_before_any_table_is_built():
+    """A 40-bit message would have 2**40 values in its receiver's scope; a
+    22-bit one passes the width check but its receiver's output table would
+    have 2**23 scopes.  Both are refused before a table is built."""
+    shape = pr().shape
+    sent = {(x, 0): 0 for x in range(2)}
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapError, match="40-bit message"):
+        evaluate_comm_protocol(CommProtocol(
+            shape, SharedRandomness.trivial(), (), (Message(0, 1, 40, sent),), ({}, {})))
+    with pytest.raises(EnumerationCapError, match="party 1's final output table"):
+        evaluate_comm_protocol(CommProtocol(
+            shape, SharedRandomness.trivial(), (), (Message(0, 1, 22, sent),),
+            ({(x, 0): 0 for x in range(2)}, {})))
+    assert time.perf_counter() - start < 5
+    assert evaluate_comm_protocol(protocol4(3)) == (dbox(3), 1)
 
 
 def test_largest_chain_is_evaluated_in_bounded_memory():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from nsbox.boxes import ShapeError, marginal
@@ -22,6 +23,16 @@ def test_pr_family_support(alpha, beta, gamma):
 def test_pr_parameters_are_bits():
     with pytest.raises(ShapeError):
         pr(2, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [2.9, 3.0, True, "3"])
+def test_family_sizes_must_be_integers(bad):
+    with pytest.raises(ShapeError, match="dbox's k must be an integer"):
+        dbox(bad)
+    with pytest.raises(ShapeError, match="party count must be an integer"):
+        xyz_box(bad)
+    assert dbox(np.int64(3)) == dbox(3)
+    assert xyz_box(np.int8(3)) == xyz_box(3)
 
 
 def test_dbox_two_is_the_pr_box():

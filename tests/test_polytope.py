@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fraction_linalg import nullspace
+from shape_helpers import distinct_box, random_shape
 from nsbox import dd, polytope, relabel
 from nsbox.boxes import Box, BoxShape, InvalidBoxError, ShapeError, mix
 from nsbox.families import dbox, local_deterministic, pr, uniform
@@ -435,6 +436,27 @@ def test_lift_box_keeps_probabilities():
         lift_box(dbox(3), CHSH_SHAPE)  # cannot drop outputs
     with pytest.raises(ShapeError):
         lift_box(pr(), BoxShape(((3, 3, 3), (3, 3))))  # inputs differ
+
+
+def _reference_lift_box(box, target_shape):
+    """``lift_box`` as a per-entry callback, as it was before it became one
+    masked gather on the table layout."""
+    def fn(outs, ins):
+        for k, a in enumerate(outs):
+            if a >= box.shape.outputs[k][ins[k]]:
+                return Fraction(0)
+        return box.prob(outs, ins)
+
+    return Box.from_function(target_shape, fn)
+
+
+def test_lift_box_matches_the_entrywise_reference():
+    rng = random.Random(23)
+    for _ in range(60):
+        box = distinct_box(random_shape(rng), rng)
+        target = BoxShape(tuple(tuple(d + rng.randint(0, 2) for d in per_party)
+                                for per_party in box.shape.outputs))
+        assert lift_box(box, target) == _reference_lift_box(box, target)
 
 
 def test_chsh_census():

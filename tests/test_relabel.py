@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from shape_helpers import random_shape
 
 from nsbox import relabel
 from nsbox.boxes import Box, BoxShape, ShapeError
@@ -29,6 +30,23 @@ def _reference_apply(box, r):
             outs2[j] = r.output_perms[k][ins[k]][outs[k]]
         table[new_shape.index(tuple(outs2), tuple(ins2))] = box.prob(outs, ins)
     return Box(new_shape, tuple(table))
+
+
+def _reference_index_map(r, shape):
+    """``index_map`` as a per-entry loop over ``index``, as it was before it
+    became one gather on the table layout."""
+    new_shape = r.check_against(shape)
+    gather = [None] * shape.table_size
+    n = shape.parties
+    for i, (ins, outs) in enumerate(shape.entries()):
+        ins2 = [0] * n
+        outs2 = [0] * n
+        for k in range(n):
+            j = r.party_perm[k]
+            ins2[j] = r.input_perms[k][ins[k]]
+            outs2[j] = r.output_perms[k][ins[k]][outs[k]]
+        gather[new_shape.index(outs2, ins2)] = i
+    return new_shape, gather
 
 
 def _random_box(shape, rng, values):
@@ -140,6 +158,23 @@ def test_apply_matches_the_entrywise_reference():
     box = Box(SHAPE_2332, tuple(distinct))
     for r in rng.sample(group(SHAPE_2332), 40):
         assert apply_relabelling(box, r) == _reference_apply(box, r)
+
+
+def test_index_map_matches_the_entrywise_reference():
+    """Every generator and one random relabelling of random shapes, whose
+    party and input permutations may move output counts around."""
+    rng = random.Random(19)
+    for _ in range(60):
+        shape = random_shape(rng)
+        n = shape.parties
+        full = Relabelling(
+            tuple(rng.sample(range(n), n)),
+            tuple(tuple(rng.sample(range(m), m)) for m in shape.inputs),
+            tuple(tuple(tuple(rng.sample(range(d), d)) for d in per_party)
+                  for per_party in shape.outputs))
+        for r in generators(shape) + [full]:
+            new_shape, gather = r.index_map(shape)
+            assert (new_shape, gather.tolist()) == _reference_index_map(r, shape)
 
 
 @pytest.mark.parametrize("shape", [SHAPE_2222, SHAPE_2332])

@@ -30,3 +30,14 @@ def test_every_module_level_definition_is_used_or_exported():
             and stmt.name not in nsbox.__all__
             and not any(stmt.name in u for j, u in enumerate(uses) if j != i)]
     assert dead == []
+
+
+def test_only_boxes_walks_the_table_entries():
+    """The flat-table format lives in ``boxes``: other modules gather on
+    its layout rather than loop over ``shape.entries()``."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "boxes.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "entries"]
+    assert found == []

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from nsbox.boxes import Box, BoxShape, InvalidBoxError
@@ -37,6 +38,10 @@ def test_preset_argument_checking():
         preset("P3", 2, 2, 0)
     with pytest.raises(WiringError):
         preset("P2", "x", 2)
+    for bad in (2.5, 2.0, True, "2"):
+        with pytest.raises(WiringError, match="P1 parameter must be an integer"):
+            preset("P1", 2, bad)
+    assert preset("P1", np.int64(2), 2) == preset("P1", 2, 2)
     with pytest.raises(WiringError, match="joint assignments"):
         preset("P3", 2, 3, 20)   # refused before any step table is built
     with pytest.raises(WiringError, match="joint assignments"):
