@@ -156,7 +156,7 @@ class BoxShape:
     def block(self, ins):
         """(offset, size) of the table slice for one joint input."""
         try:
-            off = _layout(self).blocks[tuple(ins)][0]
+            off = _layout(self).blocks[tuple(ins)]
         except KeyError:
             raise ShapeError(f"joint input {tuple(ins)!r} not in shape {self}") from None
         return off, math.prod(self.outputs_at(ins))
@@ -184,7 +184,7 @@ class BoxShape:
 class _Layout(NamedTuple):
     """A shape's table layout (J joint inputs, N entries, n parties); read-only."""
 
-    blocks: MappingProxyType  # joint input -> (offset, output strides), in table order
+    blocks: MappingProxyType  # joint input -> block offset, in table order
     counts: np.ndarray        # (n, most inputs): outputs[k][x], 0 past party k's inputs
     inputs: np.ndarray        # (J, n): the digits of each joint input
     offsets: np.ndarray       # (J,): block offsets
@@ -207,11 +207,11 @@ def _layout(shape):
     offsets = np.cumsum(sizes) - sizes
     joint = np.repeat(np.arange(len(sizes)), sizes)
     outs = (np.arange(shape.table_size) - offsets[joint])[:, None] // strides[joint] % dims[joint]
-    blocks = zip(offsets.tolist(), map(tuple, strides.tolist()))
     arrays = (counts, inputs, offsets, strides, joint, outs)
     for a in arrays:
         a.setflags(write=False)
-    return _Layout(MappingProxyType(dict(zip(map(tuple, inputs.tolist()), blocks))), *arrays)
+    blocks = dict(zip(map(tuple, inputs.tolist()), offsets.tolist()))
+    return _Layout(MappingProxyType(blocks), *arrays)
 
 
 def flat(shape, ins, outs):

@@ -24,7 +24,7 @@ import numpy as np
 from .boxes import Box, ShapeError, _as_fraction, _as_int, _layout, flat
 from .dd import _BUDGET
 from .families import dbox
-from .locality import EnumerationCapError, _mixture_weights, _support_matrix
+from .locality import EnumerationCapError, _mixture_weights, _strategy_matrix
 
 # joint assignments (protocol inputs x shared values x component outputs)
 # an exact enumeration may visit
@@ -289,8 +289,9 @@ def protocol4(d):
     """One bit from Alice to Bob plus a shared uniform value simulates the
     d-box: Alice announces her input and outputs the shared value, Bob
     outputs (shared + X.Y) mod d."""
-    if not (isinstance(d, int) and d >= 2):
-        raise WiringError("d must be an integer at least 2")
+    d = _as_int(d, "d", WiringError)
+    if d < 2:
+        raise WiringError(f"d must be an integer at least 2, got {d}")
     shape = dbox(d).shape
     lam = range(d)
     send_x = Message(sender=0, receiver=1, width=1,
@@ -302,43 +303,21 @@ def protocol4(d):
                         outputs)
 
 
-def _oneway_tables(shape, c):
-    """Supports of all deterministic strategies where Alice picks a message
-    and an output from her input and Bob answers from his input and the
-    message: one flat table index per joint input, in table order."""
-    xs = range(shape.inputs[0])
-    msgs = range(2 ** c)
-    alice_choices = [[(m, a) for m in msgs for a in range(shape.outputs[0][x])]
-                     for x in xs]
-    bob_keys = [(y, m) for y in range(shape.inputs[1]) for m in msgs]
-    bob_choices = [range(shape.outputs[1][y]) for y, _ in bob_keys]
-    blocks = _layout(shape).blocks.items()
-    for alice in iproduct(*alice_choices):
-        for bob in iproduct(*bob_choices):
-            bfun = dict(zip(bob_keys, bob))
-            yield tuple(off + alice[x][1] * sa + bfun[(y, alice[x][0])] * sb
-                        for (x, y), (off, (sa, sb)) in blocks)
-
-
 def min_oneway_comm_with_SR(target, max_bits, cap=200_000):
     """Least number of one-way bits that lets shared randomness reproduce
     the target exactly, or None if every budget up to max_bits fails.
 
     Shared randomness convexifies, so budget c suffices exactly when the
-    target is a mixture of the deterministic c-bit strategies; zero bits
-    recovers plain locality."""
+    target is a mixture of the deterministic c-bit ("oneway") strategies;
+    zero bits recovers plain locality."""
+    if _as_int(max_bits, "max_bits") < 0:
+        raise ShapeError(f"max_bits must be at least 0, got {max_bits}")
     target.require_valid()
     shape = target.shape
     if shape.parties != 2:
         raise ShapeError("communication bounds are for bipartite boxes")
     for c in range(max_bits + 1):
-        count = (prod(2 ** c * n for n in shape.outputs[0])
-                 * prod(n ** (2 ** c) for n in shape.outputs[1]))
-        if count > cap:
-            raise EnumerationCapError(
-                f"{count} strategies at {c} bits exceeds the cap ({cap})")
-        supports = list(dict.fromkeys(_oneway_tables(shape, c)))
-        matrix = _support_matrix(supports, shape.table_size)
+        matrix = _strategy_matrix("oneway", shape, cap, c)[1]
         if _mixture_weights(target.table, matrix) is not None:
             return c
     return None

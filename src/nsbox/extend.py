@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .boxes import (_MAX_JOINT_INPUTS, Box, BoxShape, ShapeError,
+from .boxes import (_MAX_JOINT_INPUTS, Box, BoxShape, ShapeError, _as_int,
                     _marginal_map, marginal, mix, tensor)
 from .families import uniform
 from .polytope import HPolytope, _dense_row, build_hrep, enumerate_vertices
@@ -24,9 +24,9 @@ class ExtensionPolytope:
 
 
 def _env_shape(env_inputs, env_outputs):
-    if not (isinstance(env_inputs, int) and env_inputs >= 1):
+    if _as_int(env_inputs, "the environment's input count") < 1:
         raise ShapeError("the environment needs at least one input")
-    if not (isinstance(env_outputs, int) and env_outputs >= 1):
+    if _as_int(env_outputs, "the environment's output count") < 1:
         raise ShapeError("the environment needs at least one output")
     if env_inputs > _MAX_JOINT_INPUTS:
         raise ShapeError(f"{env_inputs} environment inputs exceed the cap of "

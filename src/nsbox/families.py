@@ -9,7 +9,7 @@ from .boxes import _MAX_TABLE_SIZE, Box, BoxShape, ShapeError, _as_int, tensor
 
 def _check_bits(**kwargs):
     for name, v in kwargs.items():
-        if v not in (0, 1):
+        if _as_int(v, f"parameter {name}") not in (0, 1):
             raise ShapeError(f"parameter {name} must be 0 or 1, got {v!r}")
 
 

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product as iproduct
+from math import lcm, prod
 
 import numpy as np
 
-from .boxes import Box, BoxShape, ShapeError, _layout
+from .boxes import Box, BoxShape, ShapeError, _as_int, _layout, flat
 from .dd import EnumerationCapError
 from .families import _check_bits, uniform
 from .linalg import _int_matmul, clear_denominators, project_out_rowspace
@@ -18,30 +19,38 @@ from .polytope import build_hrep, normalization_rows
 from .simplex import find_nonneg_solution
 
 
+class _Strategy:
+    """A deterministic strategy of ``_strategy_class``'s class ``_kind``;
+    ``_digits`` encodes its own fields as choice digits of its part (the
+    single party's for two-way strategies)."""
+
+    def support(self):
+        """The flat table index hit at each joint input, in table order;
+        computed once per strategy, by ``_supports``."""
+        if "_support" not in vars(self):
+            _supports([self])
+        return vars(self)["_support"]
+
+    def box(self):
+        """The deterministic box with a 1 at each index of the support."""
+        table = np.bincount(self.support(), minlength=self.shape.table_size)
+        return Box(self.shape, table.tolist())
+
+
 @dataclass(frozen=True)
-class DeterministicStrategy:
+class DeterministicStrategy(_Strategy):
     """One output per (party, input), chosen in advance."""
 
     shape: BoxShape
     assignments: tuple[tuple[int, ...], ...]
+    _kind = "local"
 
-    def support(self):
-        """The flat table index hit at each joint input, in table order;
-        computed once per strategy."""
-        return self._support
-
-    @cached_property
-    def _support(self):
-        return tuple(
-            off + sum(a[x] * st for a, x, st in zip(self.assignments, ins, strides))
-            for ins, (off, strides) in _layout(self.shape).blocks.items())
-
-    def box(self):
-        return _support_box(self.shape, self.support())
+    def _digits(self):
+        return sum(self.assignments, ())
 
 
 @dataclass(frozen=True)
-class TwoWayStrategy:
+class TwoWayStrategy(_Strategy):
     """A bipartition with the pair answering as one (possibly signalling)
     unit and the remaining party answering alone."""
 
@@ -50,86 +59,123 @@ class TwoWayStrategy:
     single: int
     pair_map: tuple[tuple[int, int], ...]   # indexed by pair joint input
     single_map: tuple[int, ...]
+    _kind = "twoway"
 
-    def support(self):
-        """The flat table index hit at each joint input, in table order;
-        computed once per strategy."""
-        return self._support
-
-    @cached_property
-    def _support(self):
-        i, j = self.pair
-        k = self.single
-        width = self.shape.inputs[j]
-        out = []
-        for ins, (off, st) in _layout(self.shape).blocks.items():
-            ai, aj = self.pair_map[ins[i] * width + ins[j]]
-            out.append(off + ai * st[i] + aj * st[j]
-                       + self.single_map[ins[k]] * st[k])
-        return tuple(out)
-
-    def box(self):
-        return _support_box(self.shape, self.support())
+    def _digits(self):
+        (i, j), outs = self.pair, self.shape.outputs
+        return (*(a * n + b for (a, b), n in zip(self.pair_map, outs[j] * len(outs[i]))),
+                *self.single_map)
 
 
-def _support_box(shape, support):
-    """The deterministic box with a 1 at each index of ``support``."""
-    table = [0] * shape.table_size
-    for i in support:
-        table[i] = 1
-    return Box(shape, tuple(table))
+def _supports(strategies):
+    """The strategies' supports as an (S, joint inputs) array.  Each is
+    computed once, from the strategy's own fields, never read from a cached
+    table: one ``flat`` gather per class part on the digits they encode."""
+    todo = {}
+    for s in strategies:
+        if "_support" not in vars(s):
+            todo.setdefault((s._kind, s.shape, getattr(s, "single", 0)), []).append(s)
+    for (kind, shape, part), group in todo.items():
+        outs = _strategy_class(kind, shape)[part][1](np.array([s._digits() for s in group]))
+        for s, row in zip(group, flat(shape, _layout(shape).inputs, outs).tolist()):
+            vars(s)["_support"] = tuple(row)
+    return np.array([vars(s)["_support"] for s in strategies], np.intp)
+
+
+@lru_cache(maxsize=16)
+def _strategy_class(kind, shape, bits=0):
+    """A strategy class as parts (radices, outs, make): a strategy picks one
+    digit below the radix of each choice slot, ``outs`` maps (S, slots)
+    digits to every party's output at every joint input, (S, J, parties),
+    and ``make`` builds the strategies from their digits.  "local": one slot
+    per (party, input), party-major.  "twoway": one part per single party k,
+    one slot per pair input (xi, xj) holding ai * (j's outputs at xj) + aj,
+    then one per input of k.  "oneway" (messages m < M = 2**bits): one slot
+    per input x of Alice holding m * (outputs at x) + a, then one per
+    (Bob's input, m); its strategies are their digit tuples."""
+    ins, counts = _layout(shape).inputs, _layout(shape).counts
+    if kind == "local":
+        starts = np.cumsum((0, *shape.inputs[:-1]))
+        cuts = list(zip(starts.tolist(), (starts + shape.inputs).tolist()))
+        return [([d for p in shape.outputs for d in p],
+                 lambda digits: digits[:, starts + ins],
+                 lambda digits: [DeterministicStrategy(shape, a) for a in zip(
+                     *(_shared(digits[:, a:b], tuple) for a, b in cuts))])]
+    if kind == "oneway":
+        m_count, xs = 2 ** bits, shape.inputs[0]
+
+        def outs(digits):
+            m, a = np.divmod(digits[:, ins[:, 0]], counts[0, ins[:, 0]])
+            return np.stack([a, np.take_along_axis(digits, xs + ins[:, 1] * m_count + m, 1)], -1)
+        return [([m_count * d for d in shape.outputs[0]]
+                 + [d for d in shape.outputs[1] for _ in range(m_count)], outs,
+                 lambda digits: list(map(tuple, digits.tolist())))]
+    if shape.parties != 3:
+        raise ShapeError("two-way locality is defined for three parties")
+    return [_bipartition(shape, *(m for m in range(3) if m != k), k) for k in range(3)]
+
+
+def _strategy_table(kind, shape, cap, bits=0):
+    """Every strategy of a class in iproduct order over each part's slots,
+    and per part (digits, outs), the (S, slots) digits decoded from the
+    strategy numbers.  The exact count is checked against the cap first."""
+    cap = _as_int(cap, "the strategy cap")
+    parts = _strategy_class(kind, shape, bits)
+    count = sum(prod(radices) for radices, _, _ in parts)
+    if count > cap:
+        at = f" at {bits} message bits" if kind == "oneway" else ""
+        raise EnumerationCapError(f"{count} {kind} strategies{at} exceed the cap of {cap}")
+    strategies, table = [], []
+    for radices, outs, make in parts:
+        place = np.cumprod([1, *radices[:0:-1]])[::-1]
+        digits = np.arange(prod(radices))[:, None] // place % radices
+        strategies += make(digits)
+        table.append((digits, outs))
+    return tuple(strategies), table
+
+
+def _bipartition(shape, i, j, k):
+    """The "twoway" part of ``_strategy_class`` whose single party is k."""
+    ins, counts = _layout(shape).inputs, _layout(shape).counts
+    npair, pair = shape.inputs[i] * shape.inputs[j], ins[:, i] * shape.inputs[j] + ins[:, j]
+    bs = shape.outputs[j] * shape.inputs[i]
+    radices = [a * b for a in shape.outputs[i] for b in shape.outputs[j]]
+    radices += shape.outputs[k]
+
+    def outs(digits):
+        got = np.empty((len(digits), *ins.shape), digits.dtype)
+        got[..., i], got[..., j] = np.divmod(digits[:, pair], counts[j, ins[:, j]])
+        got[..., k] = digits[:, npair + ins[:, k]]
+        return got
+
+    def make(digits):
+        return [TwoWayStrategy(shape, (i, j), k, pm, sm) for pm, sm in zip(
+            _shared(digits[:, :npair], lambda row: tuple(map(divmod, row, bs))),
+            _shared(digits[:, npair:], tuple))]
+    return radices, outs, make
+
+
+def _shared(digits, build):
+    """``build(row)`` for each row of digits, made once per distinct row and
+    shared by the rows equal to it, as the fields of strategies are.  Rows
+    are told apart by their mixed-radix codes over the column maxima."""
+    codes = digits @ np.cumprod([1, *digits.max(axis=0)[:0:-1] + 1])[::-1]
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    built = [build(row) for row in digits[first].tolist()]
+    return [built[g] for g in inverse.tolist()]
 
 
 def enumerate_local_strategies(shape, cap=200_000):
     """Every deterministic strategy of a shape; count is the product of all
     per-(party, input) output counts."""
-    total = 1
-    for k in range(shape.parties):
-        for x in range(shape.inputs[k]):
-            total *= shape.outputs[k][x]
-    if total > cap:
-        raise EnumerationCapError(
-            f"{total} deterministic strategies exceed the cap of {cap}")
-    per_party = []
-    for k in range(shape.parties):
-        choices = iproduct(*[range(shape.outputs[k][x])
-                             for x in range(shape.inputs[k])])
-        per_party.append([tuple(c) for c in choices])
-    return tuple(DeterministicStrategy(shape, assign)
-                 for assign in iproduct(*per_party))
+    return _strategy_table("local", shape, cap)[0]
 
 
 def enumerate_twoway_strategies(shape, cap=200_000):
     """Every bipartition strategy of a tripartite shape: the pair plays an
     arbitrary joint function of both its inputs, the single party plays
     alone.  Signalling inside the pair is allowed by construction."""
-    if shape.parties != 3:
-        raise ShapeError("two-way locality is defined for three parties")
-    out = []
-    for single in range(3):
-        i, j = [k for k in range(3) if k != single]
-        pair_inputs = [(xi, xj) for xi in range(shape.inputs[i])
-                       for xj in range(shape.inputs[j])]
-        total = 1
-        for xi, xj in pair_inputs:
-            total *= shape.outputs[i][xi] * shape.outputs[j][xj]
-        for xk in range(shape.inputs[single]):
-            total *= shape.outputs[single][xk]
-        if total * 3 > cap:
-            raise EnumerationCapError(
-                f"about {total * 3} bipartition strategies exceed the cap of {cap}")
-        pair_choices = iproduct(*[
-            [(ai, aj) for ai in range(shape.outputs[i][xi])
-             for aj in range(shape.outputs[j][xj])]
-            for xi, xj in pair_inputs])
-        pair_choices = [tuple(c) for c in pair_choices]
-        single_choices = [tuple(c) for c in iproduct(
-            *[range(shape.outputs[single][xk])
-              for xk in range(shape.inputs[single])])]
-        for pm in pair_choices:
-            for sm in single_choices:
-                out.append(TwoWayStrategy(shape, (i, j), single, pm, sm))
-    return tuple(out)
+    return _strategy_table("twoway", shape, cap)[0]
 
 
 @dataclass(frozen=True)
@@ -161,19 +207,19 @@ class LocalModel:
     weights: tuple[Fraction, ...]
 
     def mixture(self):
+        """One integer scatter of the weights' numerators over the strategies'
+        own supports, int64 while their absolute sum is below 2**62."""
         shape = self.strategies[0].shape
-        table = [Fraction(0)] * shape.table_size
-        for w, s in zip(self.weights, self.strategies):
-            for i in s.support():
-                table[i] += w
-        return Box(shape, tuple(table))
+        den = lcm(*(w.denominator for w in self.weights))
+        nums = [w.numerator * (den // w.denominator) for w in self.weights]
+        table = np.zeros(shape.table_size, np.int64 if sum(map(abs, nums)) < 2 ** 62 else object)
+        np.add.at(table, _supports(self.strategies),
+                  np.array(nums, table.dtype)[:, None])
+        return Box(shape, tuple(Fraction(v, den) for v in table.tolist()))
 
     def verify(self, target):
-        if any(w < 0 for w in self.weights):
-            return False
-        if sum(self.weights) != 1:
-            return False
-        return self.mixture().table == target.table
+        return (all(w >= 0 for w in self.weights) and sum(self.weights) == 1
+                and self.mixture().table == target.table)
 
     def __bool__(self):
         return True
@@ -202,19 +248,22 @@ class SeparatingCertificate:
 
     def verify(self, box, strategies):
         """Whether the form gives the box its value above the threshold and
-        no strategy more than the threshold.  Strategies are scored from
-        their supports in Python ints."""
+        no strategy more than the threshold.  The strategies are scored by one
+        integer gather of the coefficients over their own supports, int64
+        while max |coefficient| times the joint inputs is below 2**62."""
         if self.evaluate(box) != self.value or self.value <= self.threshold:
             return False
+        strategies = tuple(strategies)
+        if any(s.shape != self.shape for s in strategies):
+            raise ShapeError("functional and strategy have different shapes")
         # scaled by one positive factor, so an integer score s of the
         # scaled form satisfies s <= bound iff the form's is <= threshold
         *coeffs, bound = clear_denominators([*self.coefficients, self.threshold])
-        for s in strategies:
-            if s.shape != self.shape:
-                raise ShapeError("functional and strategy have different shapes")
-            if sum(coeffs[i] for i in s.support()) > bound:
-                return False
-        return True
+        joint = len(_layout(self.shape).offsets)
+        supports = _supports(strategies).reshape(-1, joint)
+        dtype = np.int64 if max(map(abs, coeffs)) * joint < 2 ** 62 else object
+        scores = np.array(coeffs, dtype)[supports].sum(axis=1)
+        return not len(scores) or int(scores.max()) <= bound
 
     def __bool__(self):
         return False
@@ -253,30 +302,19 @@ def _mixture_weights(target_table, tables):
     return weights
 
 
-def _support_matrix(supports, table_size):
-    """The 0/1 int64 matrix whose rows are the tables of the supports."""
-    matrix = np.zeros((len(supports), table_size), dtype=np.int64)
-    np.put_along_axis(matrix, np.array(supports, dtype=np.intp), 1, axis=1)
-    return matrix
-
-
-def _dedup_strategies(strategies):
-    """The strategies with distinct supports, first of each kept, and
-    their tables as the rows of one 0/1 int64 matrix."""
-    seen = {}
-    for s in strategies:
-        seen.setdefault(s.support(), s)
-    kept = list(seen.values())
-    return kept, _support_matrix(list(seen), kept[0].shape.table_size)
-
-
 @lru_cache(maxsize=8)
-def _strategy_matrix(enumerate_strategies, shape, cap):
-    """``_dedup_strategies`` of a shape's strategies as (tuple, matrix),
-    cached per (enumerator, shape, cap), so the matrix is read-only."""
-    kept, matrix = _dedup_strategies(enumerate_strategies(shape, cap))
+def _strategy_matrix(kind, shape, cap, bits=0):
+    """The first strategy of each distinct support of a class, in class
+    order, and their tables as the rows of one read-only 0/1 int64 matrix,
+    cached; the supports are one ``flat`` gather on the table's digits."""
+    (strategies, table), ins = _strategy_table(kind, shape, cap, bits), _layout(shape).inputs
+    supports = np.concatenate([flat(shape, ins, outs(digits)) for digits, outs in table])
+    _, first = np.unique(supports, axis=0, return_index=True)
+    first.sort()
+    matrix = np.zeros((len(first), shape.table_size), dtype=np.int64)
+    np.put_along_axis(matrix, supports[first], 1, axis=1)
     matrix.setflags(write=False)
-    return tuple(kept), matrix
+    return tuple(strategies[i] for i in first.tolist()), matrix
 
 
 def _scores(coeffs, matrix):
@@ -348,8 +386,7 @@ def is_local(box, cap=200_000):
     separator the column generation stopped on, not necessarily a facet
     of the local polytope."""
     rows = [list(r) for r, _ in build_hrep(box.shape).equalities]
-    return _membership(box, *_strategy_matrix(enumerate_local_strategies,
-                                              box.shape, cap), rows)
+    return _membership(box, *_strategy_matrix("local", box.shape, cap), rows)
 
 
 def is_two_way_local(box, cap=200_000):
@@ -357,62 +394,45 @@ def is_two_way_local(box, cap=200_000):
     box.  Pair strategies may signal inside the pair, so only the
     normalization rows are safe to project out of certificates."""
     rows = [list(r) for r in normalization_rows(box.shape)]
-    return _membership(box, *_strategy_matrix(enumerate_twoway_strategies,
-                                              box.shape, cap), rows)
-
-
-def _require_binary(box):
-    if any(d != 2 for party in box.shape.outputs for d in party):
-        raise ShapeError("correlators need binary outputs")
+    return _membership(box, *_strategy_matrix("twoway", box.shape, cap), rows)
 
 
 def correlator(box, ins):
     """Expectation of (-1) to the sum of all outputs at a joint input."""
-    _require_binary(box)
+    if any(d != 2 for party in box.shape.outputs for d in party):
+        raise ShapeError("correlators need binary outputs")
     ins = tuple(ins)
     block = box.block(ins)
     return sum((-1 if sum(outs) % 2 else 1) * p
                for outs, p in zip(box.shape.joint_outputs(ins), block))
 
 
-def _chsh_signs(alpha, beta, gamma):
-    _check_bits(alpha=alpha, beta=beta, gamma=gamma)
-    return {
-        (0, 0): (-1) ** gamma,
-        (0, 1): (-1) ** (beta + gamma),
-        (1, 0): (-1) ** (alpha + gamma),
-        (1, 1): (-1) ** (alpha + beta + gamma + 1),
-    }
-
-
-def _chsh_shape(shape):
-    if shape.parties != 2 or shape.inputs != (2, 2):
-        raise ShapeError("CHSH needs two parties with two inputs each")
-    if any(d != 2 for party in shape.outputs for d in party):
-        raise ShapeError("CHSH needs binary outputs")
-
-
 def chsh(box, alpha=0, beta=0, gamma=0):
-    """One of the eight CHSH correlator combinations."""
-    _chsh_shape(box.shape)
-    signs = _chsh_signs(alpha, beta, gamma)
-    return sum(signs[ins] * correlator(box, ins) for ins in signs)
+    """One of the eight CHSH correlator combinations, ``chsh_functional``'s."""
+    if box.shape.parties != 2 or box.shape.inputs != (2, 2):
+        raise ShapeError("CHSH needs two parties with two inputs each")
+    if any(d != 2 for party in box.shape.outputs for d in party):
+        raise ShapeError("CHSH needs binary outputs")
+    return evaluate_functional(box, chsh_functional(alpha, beta, gamma))
 
 
 def _correlator_form(shape, signs):
     """Coefficients of the sum over joint inputs ins of signs[ins] times the
     correlator at ins: signs[ins] * (-1) ** sum(outputs) on each entry."""
     lay = _layout(shape)
-    at_ins = np.array([signs[ins] for ins in lay.blocks])[lay.joint]
+    at_ins = np.array([signs[ins] for ins in shape.joint_inputs])[lay.joint]
     return tuple(map(Fraction, (at_ins * (1 - lay.outs.sum(axis=1) % 2 * 2)).tolist()))
 
 
 def chsh_functional(alpha=0, beta=0, gamma=0):
-    """Coefficient form of chsh(..., alpha, beta, gamma); bound 2 over
-    deterministic strategies, algebraic maximum 4."""
+    """The CHSH correlator combination signed by alpha, beta and gamma as a
+    coefficient form; bound 2 over deterministic strategies, algebraic
+    maximum 4."""
+    _check_bits(alpha=alpha, beta=beta, gamma=gamma)
+    signs = {(0, 0): (-1) ** gamma, (0, 1): (-1) ** (beta + gamma),
+             (1, 0): (-1) ** (alpha + gamma), (1, 1): (-1) ** (alpha + beta + gamma + 1)}
     shape = BoxShape.homogeneous(2, 2, 2)
-    coeffs = _correlator_form(shape, _chsh_signs(alpha, beta, gamma))
-    return BellFunctional(shape, coeffs, Fraction(2), Fraction(4))
+    return BellFunctional(shape, _correlator_form(shape, signs), Fraction(2), Fraction(4))
 
 
 def svetlichny_functional(eps=0, zeta=0, eta=0):

@@ -13,11 +13,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .boxes import Box, BoxShape, ShapeError, _layout, flat
+from .boxes import Box, BoxShape, ShapeError, _as_int, _layout, flat
 
 
 def _check_perm(p, n, what):
-    if len(p) != n or sorted(p) != list(range(n)):
+    if len(p) != n or sorted(_as_int(v, f"{what} entry") for v in p) != list(range(n)):
         raise ShapeError(f"{what}: {tuple(p)!r} is not a permutation of 0..{n - 1}")
 
 

@@ -376,6 +376,14 @@ def test_mincomm(tmp_path, capsys):
     assert out == "NONE\n"
 
 
+def test_mincomm_refuses_a_negative_budget(tmp_path, capsys):
+    pr_path = tmp_path / "pr.box"
+    run(capsys, "make", "pr", "-o", str(pr_path))
+    code, out, err = run(capsys, "mincomm", str(pr_path), "--max-bits", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: max_bits") and len(err.splitlines()) == 1
+
+
 def test_extend(tmp_path, capsys):
     pr_path = tmp_path / "pr.box"
     run(capsys, "make", "pr", "-o", str(pr_path))

@@ -13,12 +13,11 @@ from hypothesis import given, settings, strategies as st
 from nsbox import comm
 from nsbox.boxes import Box, BoxShape, ShapeError, mix
 from nsbox.comm import (BoxUse, CommProtocol, Component, Message,
-                        SharedRandomness, _oneway_tables,
-                        evaluate_comm_protocol, min_oneway_comm_with_SR,
-                        protocol4)
+                        SharedRandomness, evaluate_comm_protocol,
+                        min_oneway_comm_with_SR, protocol4)
 from nsbox.dd import EnumerationCapError
 from nsbox.families import dbox, local_deterministic, pr, uniform, xyplusz
-from nsbox.locality import DeterministicStrategy, is_local
+from nsbox.locality import DeterministicStrategy, _strategy_matrix, is_local
 from nsbox.wiring import (PartyProgram, WiringError, _lower, evaluate_wiring,
                           preset, protocol3_error)
 
@@ -60,6 +59,11 @@ def test_protocol4_rejects_bad_dimensions():
         protocol4(1)
     with pytest.raises(WiringError):
         protocol4("2")
+    with pytest.raises(WiringError):
+        protocol4(2.0)
+    with pytest.raises(WiringError):
+        protocol4(True)
+    assert protocol4(np.int64(2)) == protocol4(2)
 
 
 def test_dropping_the_message_leaves_a_local_box():
@@ -141,6 +145,19 @@ def test_mincomm_guards():
         min_oneway_comm_with_SR(dbox(5), 3, cap=100)
 
 
+@pytest.mark.parametrize("max_bits", [1.5, 1.0, True, "1", -1])
+def test_mincomm_refuses_a_bad_bit_budget(max_bits):
+    with pytest.raises(ShapeError):
+        min_oneway_comm_with_SR(pr(), max_bits)
+
+
+def test_mincomm_takes_numpy_integers_and_refuses_a_float_cap():
+    assert min_oneway_comm_with_SR(pr(), np.int64(2)) == 1
+    assert min_oneway_comm_with_SR(pr(), 2, cap=np.int64(1000)) == 1
+    with pytest.raises(ShapeError):
+        min_oneway_comm_with_SR(pr(), 2, cap=2.5)
+
+
 def test_evaluation_size_is_checked_before_validation():
     shape = pr().shape
     comps = tuple(Component(pr(), (0, 1)) for _ in range(11))
@@ -156,6 +173,48 @@ def test_evaluation_size_is_checked_before_validation():
     with pytest.raises(EnumerationCapError):
         evaluate_comm_protocol(CommProtocol(
             shape, SharedRandomness.trivial(), (big_comp,), (), ({}, {})))
+
+
+def _reference_oneway_supports(shape, c):
+    """The one-way strategies' supports as mincomm built them before the
+    strategy table: Alice picks (message, output) per input, Bob an output
+    per (input, message), one flat index per joint input."""
+    xs = range(shape.inputs[0])
+    msgs = range(2 ** c)
+    alice_choices = [[(m, a) for m in msgs for a in range(shape.outputs[0][x])]
+                     for x in xs]
+    bob_keys = [(y, m) for y in range(shape.inputs[1]) for m in msgs]
+    bob_choices = [range(shape.outputs[1][y]) for y, _ in bob_keys]
+    for alice in iproduct(*alice_choices):
+        for bob in iproduct(*bob_choices):
+            bfun = dict(zip(bob_keys, bob))
+            yield tuple(shape.index((alice[x][1], bfun[(y, alice[x][0])]), (x, y))
+                        for x, y in shape.joint_inputs)
+
+
+def _random_bipartite_shape(rng):
+    return BoxShape(tuple(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+                          for _ in range(2)))
+
+
+def test_oneway_table_matches_the_reference_on_seeded_shapes():
+    """Uneven output counts and single-output inputs, at 0, 1 and 2
+    message bits, wherever the count stays under a small cap."""
+    rng = random.Random(14)
+    checked = []
+    while len(checked) < 24:
+        shape, c = _random_bipartite_shape(rng), rng.randint(0, 2)
+        try:
+            kept, matrix = _strategy_matrix("oneway", shape, 5000, c)
+        except EnumerationCapError:
+            continue
+        want = list(dict.fromkeys(_reference_oneway_supports(shape, c)))
+        assert [tuple(np.flatnonzero(row).tolist()) for row in matrix] == want
+        assert len(kept) == len(want)
+        checked.append((shape, c))
+    assert {c for _, c in checked} == {0, 1, 2}
+    counts = [set(p) for shape, _ in checked for p in shape.outputs]
+    assert any(1 in p for p in counts) and any(len(p) > 1 for p in counts)
 
 
 def _reference_oneway_tables(shape, c):
@@ -183,9 +242,8 @@ def _reference_oneway_tables(shape, c):
 @pytest.mark.parametrize("c", [0, 1])
 def test_strategy_supports_match_the_fraction_tables(shape, c):
     shape = BoxShape.from_string(shape)
-    want = [tuple(i for i, v in enumerate(t) if v)
-            for t in dict.fromkeys(_reference_oneway_tables(shape, c))]
-    assert list(dict.fromkeys(_oneway_tables(shape, c))) == want
+    want = [[int(v) for v in t] for t in dict.fromkeys(_reference_oneway_tables(shape, c))]
+    assert _strategy_matrix("oneway", shape, 200_000, c)[1].tolist() == want
 
 
 def _reference_comm_evaluate(protocol, components=None):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from nsbox.boxes import BoxShape, ShapeError, marginal, tensor
@@ -56,6 +57,14 @@ def test_extension_guards():
         build_extension_polytope(pr(), 1, 0)
     with pytest.raises(ShapeError):
         build_extension_polytope(pr(), 1.5, 2)
+    with pytest.raises(ShapeError):
+        build_extension_polytope(pr(), True, 2)
+    with pytest.raises(ShapeError):
+        product_extension(pr(), 1, 2.0)
+
+
+def test_extensions_take_numpy_integers():
+    assert product_extension(pr(), np.int64(1), np.int64(2)) == product_extension(pr(), 1, 2)
 
 
 def _reference_rows(base, env_inputs, env_outputs):

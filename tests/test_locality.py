@@ -1,7 +1,9 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from nsbox.boxes import Box, BoxShape, ShapeError, mix
@@ -69,6 +71,38 @@ def test_chsh_functional_matches_chsh():
         assert evaluate_functional(box, f) == chsh(box, 1, 0, 1)
     assert chsh_functional().local_bound == 2
     assert chsh_functional().algebraic_max == 4
+
+
+def _reference_chsh(box, alpha, beta, gamma):
+    """CHSH as chsh summed it before it evaluated the coefficient form: the
+    signed correlators."""
+    signs = {(0, 0): (-1) ** gamma, (0, 1): (-1) ** (beta + gamma),
+             (1, 0): (-1) ** (alpha + gamma), (1, 1): (-1) ** (alpha + beta + gamma + 1)}
+    return sum(s * correlator(box, ins) for ins, s in signs.items())
+
+
+@pytest.mark.parametrize("box", [pr(), uniform(CHSH_SHAPE), local_deterministic(1, 0, 1, 1)],
+                         ids=["pr", "uniform", "deterministic"])
+def test_chsh_is_the_functional_on_every_sign_choice(box):
+    for bits in iproduct(range(2), repeat=3):
+        got = chsh(box, *bits)
+        assert got == _reference_chsh(box, *bits)
+        assert type(got) is Fraction
+
+
+@pytest.mark.parametrize("bad", [1.0, True, np.float64(0), "1"])
+def test_bit_parameters_must_be_integers(bad):
+    for call in (lambda: chsh(pr(), bad, 0, 0), lambda: chsh_functional(0, bad, 0),
+                 lambda: svetlichny_functional(bad), lambda: pr(bad),
+                 lambda: local_deterministic(0, 0, 0, bad)):
+        with pytest.raises(ShapeError):
+            call()
+
+
+def test_bit_parameters_take_numpy_integers():
+    assert chsh(pr(), np.int64(0), 0, 0) == 4
+    assert pr(np.int64(1)) == pr(1)
+    assert svetlichny_functional(np.int64(1)) == svetlichny_functional(1)
 
 
 def _random_box_table(rng):
@@ -223,10 +257,184 @@ def test_supports_match_the_strategy_definitions():
         assert s.support() == tuple(i for i, v in enumerate(table) if v)
 
 
+def _reference_local_strategies(shape):
+    """The deterministic strategies as enumerate_local_strategies listed
+    them before the strategy table: an iproduct per party, then over
+    parties."""
+    per_party = [[tuple(c) for c in iproduct(*[range(d) for d in outs])]
+                 for outs in shape.outputs]
+    return tuple(locality.DeterministicStrategy(shape, a) for a in iproduct(*per_party))
+
+
+def _reference_twoway_strategies(shape):
+    """The bipartition strategies as enumerate_twoway_strategies listed
+    them before the strategy table: per single party, an iproduct over the
+    pair's joint outputs at each pair input, then over the single party's
+    outputs."""
+    out = []
+    for single in range(3):
+        i, j = [k for k in range(3) if k != single]
+        pair_choices = iproduct(*[
+            [(ai, aj) for ai in range(shape.outputs[i][xi]) for aj in range(shape.outputs[j][xj])]
+            for xi in range(shape.inputs[i]) for xj in range(shape.inputs[j])])
+        pair_choices = [tuple(c) for c in pair_choices]
+        single_choices = list(iproduct(*[range(d) for d in shape.outputs[single]]))
+        out += [locality.TwoWayStrategy(shape, (i, j), single, pm, sm)
+                for pm in pair_choices for sm in single_choices]
+    return tuple(out)
+
+
+def _reference_support(strategy):
+    """The support as the per-block loops built it: one ``shape.index``
+    per joint input."""
+    shape = strategy.shape
+    out = []
+    for ins in shape.joint_inputs:
+        if isinstance(strategy, locality.TwoWayStrategy):
+            (i, j), k = strategy.pair, strategy.single
+            outs = [0] * 3
+            outs[i], outs[j] = strategy.pair_map[ins[i] * shape.inputs[j] + ins[j]]
+            outs[k] = strategy.single_map[ins[k]]
+        else:
+            outs = [a[x] for a, x in zip(strategy.assignments, ins)]
+        out.append(shape.index(outs, ins))
+    return tuple(out)
+
+
+def _reference_dedup(strategies):
+    """The strategies with distinct supports, first of each kept, and their
+    0/1 matrix, as the membership tests deduplicated them before the
+    strategy table."""
+    seen = {}
+    for s in strategies:
+        seen.setdefault(_reference_support(s), s)
+    matrix = np.zeros((len(seen), strategies[0].shape.table_size), dtype=np.int64)
+    for row, support in zip(matrix, seen):
+        row[list(support)] = 1
+    return list(seen.values()), matrix
+
+
+def test_supports_are_computed_in_bulk_from_the_fields():
+    """Mixed kinds and bipartitions in one call, on new objects with
+    nothing computed yet."""
+    strategies = [*enumerate_twoway_strategies(TRIPARTITE)[::7],
+                  *enumerate_local_strategies(TRIPARTITE)]
+    random.Random(3).shuffle(strategies)
+    fresh = [dataclasses.replace(s) for s in strategies]
+    want = [_reference_support(s) for s in strategies]
+    assert [tuple(row) for row in locality._supports(fresh).tolist()] == want
+    assert [s.support() for s in fresh] == want
+
+
+def _random_shape(rng, parties):
+    """Up to three inputs a party with one to three outputs each, so output
+    counts are uneven and some inputs have a single output."""
+    return BoxShape(tuple(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+                          for _ in range(parties)))
+
+
+@pytest.mark.parametrize("kind", ["local", "twoway"])
+def test_strategy_table_matches_the_reference_on_seeded_shapes(kind):
+    rng = random.Random(f"table/{kind}")
+    enumerate_, reference = {
+        "local": (enumerate_local_strategies, _reference_local_strategies),
+        "twoway": (enumerate_twoway_strategies, _reference_twoway_strategies)}[kind]
+    checked = []
+    while len(checked) < 12:
+        shape = _random_shape(rng, 3 if kind == "twoway" else rng.randint(1, 3))
+        try:
+            got = enumerate_(shape, cap=3000)
+        except EnumerationCapError:
+            continue
+        want = reference(shape)
+        assert got == want
+        assert [s.support() for s in got] == [_reference_support(s) for s in want]
+        kept, matrix = locality._strategy_matrix(kind, shape, 3000)
+        want_kept, want_matrix = _reference_dedup(want)
+        assert kept == tuple(want_kept)
+        assert matrix.tolist() == want_matrix.tolist()
+        checked.append(shape)
+    counts = [set(p) for shape in checked for p in shape.outputs]
+    assert any(1 in p for p in counts) and any(len(p) > 1 for p in counts)
+
+
+def test_strategy_counts_are_refused_before_any_array():
+    # 2**40 strategies: 40 binary inputs, plus the exact two-way sum
+    shape = BoxShape.from_string("20:2/20:2")
+    with pytest.raises(EnumerationCapError, match="1099511627776 local"):
+        enumerate_local_strategies(shape)
+    with pytest.raises(EnumerationCapError, match="1099511627776 local"):
+        is_local(uniform(shape))
+    with pytest.raises(EnumerationCapError, match="3072 twoway"):
+        enumerate_twoway_strategies(TRIPARTITE, cap=3071)
+    assert len(enumerate_twoway_strategies(TRIPARTITE, cap=3072)) == 3072
+
+
+@pytest.mark.parametrize("cap", [2.5, True, "16"])
+def test_strategy_caps_must_be_integers(cap):
+    with pytest.raises(ShapeError):
+        enumerate_local_strategies(CHSH_SHAPE, cap=cap)
+    with pytest.raises(ShapeError):
+        is_local(pr(), cap=cap)
+
+
+def _python_verify(cert, box, supports):
+    """SeparatingCertificate.verify as a Python sum per strategy support."""
+    *coeffs, bound = clear_denominators([*cert.coefficients, cert.threshold])
+    return (cert.evaluate(box) == cert.value and cert.value > cert.threshold
+            and all(sum(coeffs[i] for i in support) <= bound for support in supports))
+
+
+def test_certificate_scores_match_the_python_sum():
+    """Seeded forms over the two-way strategies: top times the xyplusz
+    separator plus noise, so xyplusz beats every strategy.  max |coefficient|
+    times the 8 joint inputs stays below 2**62 for the first two tops (the
+    int64 gather, the second near the guard) and passes it for the others
+    (Python ints).  Thresholds at, below and above the exact maximum."""
+    rng = random.Random(62)
+    strategies = enumerate_twoway_strategies(TRIPARTITE)
+    supports = [_reference_support(s) for s in strategies]
+    box = xyplusz()
+    direction = is_two_way_local(box).coefficients
+    for top in (2 ** 20, 2 ** 58, 2 ** 59, 2 ** 70):
+        for _ in range(2):
+            coeffs = tuple(top * d + rng.randint(-top // 16, top // 16) for d in direction)
+            best = max(sum(coeffs[i] for i in support) for support in supports)
+            value = sum(c * p for c, p in zip(coeffs, box.table))
+            assert value > best
+            results = []
+            for threshold in (best, best - 1, value - 1, Fraction(2 * best - 1, 2)):
+                cert = SeparatingCertificate(TRIPARTITE, coeffs, threshold, value)
+                results.append(cert.verify(box, strategies))
+                assert results[-1] == _python_verify(cert, box, supports)
+            assert results == [True, False, True, False]
+    cert = is_two_way_local(box)
+    assert cert.verify(box, strategies) and cert.verify(box, iter(strategies))
+    assert cert.verify(box, ())
+
+
+def test_mixture_matches_the_fraction_sum():
+    """Numerators over a common denominator below 2**62 (int64 scatter)
+    and past it (Python ints)."""
+    rng = random.Random(5)
+    strategies = enumerate_twoway_strategies(TRIPARTITE)
+    for top in (9, 2 ** 66):
+        picks = rng.sample(strategies, 5)
+        nums = [rng.randint(1, top) for _ in picks]
+        weights = tuple(Fraction(n, sum(nums)) for n in nums)
+        model = locality.LocalModel(tuple(picks), weights)
+        table = [Fraction(0)] * TRIPARTITE.table_size
+        for w, s in zip(weights, picks):
+            for i in _reference_support(s):
+                table[i] += w
+        assert model.mixture().table == tuple(table)
+        assert model.verify(Box(TRIPARTITE, table))
+
+
 def test_matrix_scores_match_fraction_dot_products():
     rng = random.Random(23)
     strategies = enumerate_twoway_strategies(TRIPARTITE)
-    kept, matrix = locality._dedup_strategies(strategies)
+    kept, matrix = locality._strategy_matrix("twoway", TRIPARTITE, 200_000)
     tables = [s.box().table for s in kept]
     assert len(kept) == len(set(tables)) == len({s.box().table for s in strategies})
     assert matrix.tolist() == [[int(v) for v in t] for t in tables]
@@ -289,28 +497,24 @@ def test_strategy_matrix_is_cached_read_only():
     locality._strategy_matrix.cache_clear()
     boxes = (two_way_vertex(), svetlichny_box())
     first = [is_two_way_local(b) for b in boxes]
-    kept, matrix = locality._strategy_matrix(enumerate_twoway_strategies,
-                                             TRIPARTITE, 200_000)
+    kept, matrix = locality._strategy_matrix("twoway", TRIPARTITE, 200_000)
     assert locality._strategy_matrix.cache_info().hits >= 1
     assert [is_two_way_local(b) for b in boxes] == first
     assert first[0] and not first[1]
-    want_kept, want_matrix = locality._dedup_strategies(
-        enumerate_twoway_strategies(TRIPARTITE))
+    want_kept, want_matrix = _reference_dedup(enumerate_twoway_strategies(TRIPARTITE))
     assert kept == tuple(want_kept)
     assert matrix.tolist() == want_matrix.tolist()
     with pytest.raises(ValueError):
         matrix[0, 0] = 1
     assert is_local(pr()) == is_local(pr())
     with pytest.raises(ValueError):
-        locality._strategy_matrix(enumerate_local_strategies, CHSH_SHAPE,
-                                  200_000)[1][0, 0] = 1
+        locality._strategy_matrix("local", CHSH_SHAPE, 200_000)[1][0, 0] = 1
 
 
 def test_answers_are_verified_from_the_supports(monkeypatch):
     # a matrix whose first two rows are swapped no longer matches the
     # strategies' supports, which the verification reads
-    kept, matrix = locality._strategy_matrix(enumerate_local_strategies,
-                                             CHSH_SHAPE, 200_000)
+    kept, matrix = locality._strategy_matrix("local", CHSH_SHAPE, 200_000)
     swapped = matrix.copy()
     swapped[[0, 1]] = matrix[[1, 0]]
     monkeypatch.setattr(locality, "_strategy_matrix",
@@ -327,7 +531,7 @@ def _reference_membership(box, strategies, constant_rows):
     certificate the visibility LP (600 strategies or fewer) or column
     generation started from the 64 strategies of highest merit."""
     box.require_valid()
-    strategies, matrix = locality._dedup_strategies(strategies)
+    strategies, matrix = _reference_dedup(strategies)
     weights = locality._mixture_weights(box.table, matrix)
     if weights is not None:
         kept = sorted(weights)

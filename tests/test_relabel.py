@@ -149,6 +149,23 @@ def test_malformed_relabelling_is_rejected():
         apply_relabelling(pr(), bad)
 
 
+@pytest.mark.parametrize("where", ["party", "input", "output"])
+def test_float_permutations_are_refused(where):
+    ident = Relabelling.identity(SHAPE_2222)
+    parties, inputs, outputs = ident.party_perm, ident.input_perms, ident.output_perms
+    if where == "party":
+        parties = (1.0, 0.0)
+    elif where == "input":
+        inputs = ((1.0, 0.0), inputs[1])
+    else:
+        outputs = (((1.0, 0.0), (0, 1)), outputs[1])
+    bad = Relabelling(parties, inputs, outputs)
+    with pytest.raises(ShapeError, match="must be an integer"):
+        bad.check_against(SHAPE_2222)
+    with pytest.raises(ShapeError, match="must be an integer"):
+        apply_relabelling(pr(), bad)
+
+
 def test_apply_matches_the_entrywise_reference():
     distinct = [Fraction(i + 1, 97) for i in range(SHAPE_2332.table_size)]
     box = Box(SHAPE_2222, tuple(distinct[:SHAPE_2222.table_size]))

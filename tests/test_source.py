@@ -32,6 +32,17 @@ def test_every_module_level_definition_is_used_or_exported():
     assert dead == []
 
 
+def test_only_boxes_reads_the_layout_blocks():
+    """The layout's joint input -> offset mapping is read through
+    ``BoxShape`` (``joint_inputs``, ``block``); other modules gather on the
+    layout's arrays."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "boxes.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "blocks"]
+    assert found == []
+
+
 def test_only_boxes_walks_the_table_entries():
     """The flat-table format lives in ``boxes``: other modules gather on
     its layout rather than loop over ``shape.entries()``."""
