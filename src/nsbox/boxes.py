@@ -87,6 +87,11 @@ class BoxShape:
             raise ShapeError(f"{size} table entries exceed the cap of "
                              f"{_MAX_TABLE_SIZE}")
         object.__setattr__(self, "_size", size)
+        # hashed once: every cached layout and marginal map looks shapes up
+        object.__setattr__(self, "_hash", hash(outs))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def homogeneous(cls, parties, inputs, outputs):
@@ -214,6 +219,12 @@ def _layout(shape):
     return _Layout(MappingProxyType(blocks), *arrays)
 
 
+def _entry(shape, i):
+    """The (joint input, joint output) digit tuples of flat entry i."""
+    lay = _layout(shape)
+    return tuple(lay.inputs[lay.joint[i]].tolist()), tuple(lay.outs[i].tolist())
+
+
 def flat(shape, ins, outs):
     """Flat indices from input and output digit arrays, whose last axes run
     over the parties and which broadcast together; outputs must be in range."""
@@ -269,15 +280,30 @@ class Box:
         return self.table[off:off + size]
 
     def validate(self):
-        """Check positivity, normalization and no-signalling, all exactly."""
-        table = self.table
-        problems = [f"negative entry p{outs}|{ins} = {v}"
-                    for (ins, outs), v in zip(self.shape.entries(), table) if v < 0]
-        for plus, minus, rhs, label in _equality_rows(self.shape):
-            lo = sum(table[i] for i in plus)
-            hi = rhs + sum(table[i] for i in minus)
-            if lo != hi:
-                problems.append(label.format(lo=lo, hi=hi))
+        """Check positivity, normalization (each block sums to 1) and
+        no-signalling (party k's inputs x and x + 1 give the rest the same
+        marginal), all exactly, on sums over ``_marginal_map`` groups."""
+        shape, table = self.shape, self.table
+        nums, den = _numerators(table)
+        problems = []
+        for i in np.flatnonzero(nums < 0).tolist():
+            ins, outs = _entry(shape, i)
+            problems.append(f"negative entry p{outs}|{ins} = {table[i]}")
+        _, sums = _group_sums(shape, (), nums)
+        inputs = _layout(shape).inputs
+        problems += [f"input {tuple(inputs[j].tolist())}: block sums to "
+                     f"{Fraction(int(sums[j, 0]), den)}, not 1"
+                     for j in np.flatnonzero(sums[:, 0] != den).tolist()]
+        for k in range(shape.parties):
+            others = tuple(j for j in range(shape.parties) if j != k)
+            rest, sums = _group_sums(shape, others, nums)
+            for x, r in np.argwhere(sums[:-1] != sums[1:]).tolist():
+                oins, oouts = _entry(rest, r) if rest else ((), ())
+                lo, hi = (Fraction(int(v), den) for v in sums[x:x + 2, r])
+                problems.append(
+                    f"party {k} signals: marginal of parties {others} at "
+                    f"output {oouts}|input {oins} is {lo} for input {x} but "
+                    f"{hi} for input {x + 1}")
         return ValidationReport(tuple(problems))
 
     def require_valid(self):
@@ -302,16 +328,14 @@ class Box:
             raise ShapeError(f"party subset {keep} out of range for {self.shape}")
         if len(keep) != len(tuple(parties)):
             raise ShapeError("party subset has repeats")
-        kept, groups = _marginal_map(self.shape, tuple(keep))
-        table = self.table
-        result, *rest = [tuple(sum(table[i] for i in group) for group in entries)
-                         for entries in groups]
-        if any(other != result for other in rest):
+        nums, den = _numerators(self.table)
+        kept, sums = _group_sums(self.shape, tuple(keep), nums)
+        if (sums != sums[0]).any():
             drop = tuple(j for j in range(self.shape.parties) if j not in keep)
             raise InvalidBoxError(ValidationReport((
                 f"marginal over parties {keep} ill-defined: depends on the "
                 f"dropped parties' inputs {drop}",)))
-        return Box(kept, result)
+        return Box(kept, tuple(Fraction(v, den) for v in sums[0].tolist()))
 
     def is_deterministic(self):
         return all(v == 0 or v == 1 for v in self.table)
@@ -322,54 +346,41 @@ class Box:
 
 @lru_cache(maxsize=64)
 def _marginal_map(shape, keep):
-    """Which flat entries sum into each entry of the marginal on the
-    parties ``keep`` (an ascending tuple), as (kept, groups).  ``kept`` is
-    the kept parties' shape, None when ``keep`` is empty.  ``groups`` has
-    one item per joint input of the dropped parties, in iproduct order: one
-    ascending tuple of flat indices per marginal entry, in ``kept``'s table
-    order.  One stable sort of the entries by (dropped joint input, kept flat
-    index) lines them up; each dropped joint input's run splits evenly."""
+    """Which entry of the marginal on the parties ``keep`` (an ascending
+    tuple) each flat entry sums into, as (kept, gid).  ``kept`` is the kept
+    parties' shape, None when ``keep`` is empty.  ``gid`` is read-only and
+    holds, per flat entry, the dropped parties' joint input (in iproduct
+    order) times K plus the entry's flat index in ``kept``, K being
+    ``kept``'s table size (1 when ``keep`` is empty).  The last entry,
+    every digit at its top, has the largest id."""
     drop = [j for j in range(shape.parties) if j not in keep]
     kept = BoxShape(tuple(shape.outputs[k] for k in keep)) if keep else None
     lay = _layout(shape)
     ins = lay.inputs[lay.joint]
-    radix = [shape.inputs[j] for j in drop]
-    dins = ins[:, drop] @ np.array([math.prod(radix[m + 1:]) for m in range(len(drop))], np.intp)
-    ksize = kept.table_size if keep else 1
-    kflat = flat(kept, ins[:, keep], lay.outs[:, keep]) if keep else 0
-    order = np.argsort(dins * ksize + kflat, kind="stable").tolist()
-    groups, start = [], 0
-    for run in np.bincount(dins).tolist():
-        chunk = iter(order[start:start + run])
-        groups.append(tuple(zip(*[chunk] * (run // ksize))))
-        start += run
-    return kept, tuple(groups)
+    kflat = flat(kept, ins[:, keep], lay.outs[:, keep]) if keep else np.zeros_like(lay.joint)
+    gid = np.ravel_multi_index((*ins[:, drop].T, kflat), [shape.inputs[j] for j in drop]
+                               + [kept.table_size if keep else 1])
+    gid.setflags(write=False)
+    return kept, gid
 
 
-@lru_cache(maxsize=32)
-def _equality_rows(shape):
-    """The equalities every valid box of a shape satisfies, each once, as
-    (plus, minus, rhs, label): the entries at ``plus`` minus those at
-    ``minus`` sum to rhs.  First normalization, one row per joint input;
-    then no-signalling, one family per party k against the joint rest:
-    the rest's marginal (``_marginal_map`` dropping k) at each input x of
-    k but the last equals that at x + 1.  The label is the violation
-    message, with ``{lo}`` and ``{hi}`` for the two sides."""
-    _, blocks = _marginal_map(shape, ())
-    rows = [(block, (), 1, f"input {ins}: block sums to {{lo}}, not 1")
-            for ins, (block,) in zip(shape.joint_inputs, blocks)]
-    for k in range(shape.parties):
-        others = tuple(j for j in range(shape.parties) if j != k)
-        rest, groups = _marginal_map(shape, others)
-        for x in range(shape.inputs[k] - 1):
-            rows += ((plus, minus, 0,
-                      f"party {k} signals: marginal of parties {others} "
-                      f"at output {oouts}|input {oins} is {{lo}} for "
-                      f"input {x} but {{hi}} for input {x + 1}")
-                     for (oins, oouts), plus, minus
-                     in zip(rest.entries() if rest else [((), ())],
-                            groups[x], groups[x + 1]))
-    return tuple(rows)
+def _numerators(table):
+    """(nums, den): a table of Fractions as integer numerators over their
+    lcm denominator, int64 while their absolute sum is below 2**62 (so
+    every sum of them fits) and Python ints past that."""
+    den = math.lcm(*{v.denominator for v in table})
+    nums = [v.numerator * (den // v.denominator) for v in table]
+    return np.array(nums, np.int64 if sum(map(abs, nums)) < 2 ** 62 else object), den
+
+
+def _group_sums(shape, keep, nums):
+    """(kept, sums): the numerators ``nums`` summed over the groups of
+    ``_marginal_map(shape, keep)``, one row per joint input of the dropped
+    parties and one column per entry of ``kept``."""
+    kept, gid = _marginal_map(shape, keep)
+    sums = np.zeros(gid[-1] + 1, nums.dtype)
+    np.add.at(sums, gid, nums)
+    return kept, sums.reshape(-1, kept.table_size if kept else 1)
 
 
 def validate(box):

@@ -12,9 +12,9 @@ from .comm import min_oneway_comm_with_SR
 from .dd import EnumerationCapError
 from .extend import all_extensions_factorize
 from .families import make_named_box
-from .fileio import (ParseError, dumps_box, format_fraction, load_box,
-                     load_functional, load_wiring, parse_shape, save_box,
-                     save_wiring)
+from .fileio import (ParseError, _block_lines, dumps_box, format_fraction,
+                     load_box, load_functional, load_wiring, parse_shape,
+                     save_box, save_wiring)
 from .locality import (chsh, evaluate_functional, is_local, is_two_way_local,
                        svetlichny)
 from .polytope import (VRep, build_hrep, classify_vertices, dimension,
@@ -25,13 +25,6 @@ from .wiring import WiringError, evaluate_wiring, preset, protocol3_error
 def _strategy_line(strategy, weight):
     outs = _layout(strategy.shape).outs[list(strategy.support())].tolist()
     return f"{format_fraction(weight)} {' '.join(','.join(map(str, o)) for o in outs)}"
-
-
-def _print_blocks(shape, values):
-    for ins in shape.joint_inputs:
-        off, size = shape.block(ins)
-        print(" ".join(format_fraction(v)
-                       for v in values[off:off + size]))
 
 
 def _cmd_validate(args):
@@ -130,7 +123,7 @@ def _locality_verdict(args, test):
     print(f"value {format_fraction(result.value)}")
     print(f"threshold {format_fraction(result.threshold)}")
     print("coefficients")
-    _print_blocks(result.shape, result.coefficients)
+    print(*_block_lines(result.shape, result.coefficients), sep="\n")
     return 1 if args.assert_local else 0
 
 

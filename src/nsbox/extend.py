@@ -10,7 +10,7 @@ from random import Random
 from .boxes import (_MAX_JOINT_INPUTS, Box, BoxShape, ShapeError, _as_int,
                     _marginal_map, marginal, mix, tensor)
 from .families import uniform
-from .polytope import HPolytope, _dense_row, build_hrep, enumerate_vertices
+from .polytope import HPolytope, _indicator_rows, build_hrep, enumerate_vertices
 
 
 @dataclass(frozen=True)
@@ -36,18 +36,18 @@ def _env_shape(env_inputs, env_outputs):
 
 def build_extension_polytope(base, env_inputs, env_outputs):
     """No-signalling constraints for parties A, B, E plus one row per
-    environment input and base entry, in that order, pinning the AB
-    marginal's group of that entry (``_marginal_map`` keeping A and B) to
-    the base.  Always nonempty: the base tensored with any environment
-    distribution satisfies every row."""
+    environment input e and base entry r, in that order, pinning the AB
+    marginal's group e·K + r (``_marginal_map`` keeping A and B, K the
+    base's table size) to the base.  Always nonempty: the base tensored
+    with any environment distribution satisfies every row."""
     base.require_valid()
     if base.shape.parties != 2:
         raise ShapeError("extensions are built over bipartite bases")
     env = _env_shape(env_inputs, env_outputs)
     shape = BoxShape(base.shape.outputs + env.outputs)
-    _, groups = _marginal_map(shape, (0, 1))
-    extra = tuple((_dense_row(shape.table_size, group, ()), p)
-                  for entries in groups for group, p in zip(entries, base.table))
+    _, gid = _marginal_map(shape, (0, 1))
+    rows = _indicator_rows(gid, env.inputs[0] * base.shape.table_size)
+    extra = tuple(zip(rows, base.table * env.inputs[0]))
     hrep = HPolytope(shape.table_size, build_hrep(shape).equalities + extra, shape)
     return ExtensionPolytope(base, shape, hrep)
 

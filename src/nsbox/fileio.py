@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .boxes import Box, BoxShape, ShapeError
+from .boxes import Box, BoxShape, ShapeError, _layout
 from .locality import BellFunctional
 from .wiring import Component, PartyProgram, Step, Wiring
 
@@ -56,10 +56,14 @@ def _document_lines(text):
             yield line
 
 
+def _block_lines(shape, values):
+    """A flat table's values as text, one line per joint-input block."""
+    bounds = [*_layout(shape).offsets.tolist(), shape.table_size]
+    return [" ".join(map(format_fraction, values[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
 def dumps_box(box):
-    lines = [f"shape {format_shape(box.shape)}", "table"]
-    for ins in box.shape.joint_inputs:
-        lines.append(" ".join(format_fraction(v) for v in box.block(ins)))
+    lines = [f"shape {format_shape(box.shape)}", "table", *_block_lines(box.shape, box.table)]
     return "\n".join(lines) + "\n"
 
 
@@ -111,11 +115,7 @@ def dumps_functional(f):
     lines = [f"shape {format_shape(f.shape)}",
              f"local_bound {format_fraction(f.local_bound)}",
              f"algebraic_max {format_fraction(f.algebraic_max)}",
-             "coefficients"]
-    for ins in f.shape.joint_inputs:
-        off, size = f.shape.block(ins)
-        lines.append(" ".join(format_fraction(v)
-                              for v in f.coefficients[off:off + size]))
+             "coefficients", *_block_lines(f.shape, f.coefficients)]
     return "\n".join(lines) + "\n"
 
 

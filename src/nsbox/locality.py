@@ -7,11 +7,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
-from .boxes import Box, BoxShape, ShapeError, _as_int, _layout, flat
+from .boxes import Box, BoxShape, ShapeError, _as_int, _layout, _numerators, flat
 from .dd import EnumerationCapError
 from .families import _check_bits, uniform
 from .linalg import _int_matmul, clear_denominators, project_out_rowspace
@@ -210,11 +210,9 @@ class LocalModel:
         """One integer scatter of the weights' numerators over the strategies'
         own supports, int64 while their absolute sum is below 2**62."""
         shape = self.strategies[0].shape
-        den = lcm(*(w.denominator for w in self.weights))
-        nums = [w.numerator * (den // w.denominator) for w in self.weights]
-        table = np.zeros(shape.table_size, np.int64 if sum(map(abs, nums)) < 2 ** 62 else object)
-        np.add.at(table, _supports(self.strategies),
-                  np.array(nums, table.dtype)[:, None])
+        nums, den = _numerators(self.weights)
+        table = np.zeros(shape.table_size, nums.dtype)
+        np.add.at(table, _supports(self.strategies), nums[:, None])
         return Box(shape, tuple(Fraction(v, den) for v in table.tolist()))
 
     def verify(self, target):

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import relabel
 from .boxes import (_MAX_TABLE_SIZE, Box, BoxShape, InvalidBoxError, ShapeError,
-                    _equality_rows, _layout, flat)
+                    ValidationReport, _layout, _marginal_map, flat)
 from .dd import EnumerationCapError, extreme_rays
 from .families import dbox
 from .linalg import _int_products, _max_abs, clear_denominators, int_rank, nullspace_int
@@ -47,26 +47,31 @@ class VRep:
         default=None, compare=False, repr=False)
 
 
-def _dense_row(n, plus, minus):
-    """A Fraction row over a flat table of n entries: +1 at plus, -1 at
-    minus."""
-    row = [Fraction(0)] * n
-    for i in plus:
-        row[i] = Fraction(1)
-    for i in minus:
-        row[i] = Fraction(-1)
-    return tuple(row)
+# a row entry c in {0, 1, -1} as the Fraction _UNITS[c]
+_UNITS = (Fraction(0), Fraction(1), Fraction(-1))
+
+
+def _indicator_rows(gid, count, step=0):
+    """``count`` Fraction rows over the entries of a ``_marginal_map``
+    group-id array: row g is +1 where gid == g and, given a step, -1 where
+    gid == g + step."""
+    rows = np.zeros((count, len(gid)), np.int8)
+    cols = np.arange(len(gid))
+    on = gid < count
+    rows[gid[on], cols[on]] = 1
+    if step:
+        on = (gid >= step) & (gid < count + step)
+        rows[gid[on] - step, cols[on]] = -1
+    return [tuple(map(_UNITS.__getitem__, row.tolist())) for row in rows]
 
 
 def normalization_rows(shape):
     """One indicator row per joint input: the block must sum to one."""
-    n = shape.table_size
-    return [_dense_row(n, plus, minus) for plus, minus, _, _
-            in _equality_rows(shape)[:len(shape.joint_inputs)]]
+    return _indicator_rows(_marginal_map(shape, ())[1], prod(shape.inputs))
 
 
 def _equality_count(shape):
-    """How many rows ``_equality_rows`` gives: one per joint input, then per
+    """How many rows ``build_hrep`` gives: one per joint input, then per
     party k and each of its inputs but the last, one per joint input and
     joint output of the other parties."""
     sums = [sum(p) for p in shape.outputs]
@@ -77,16 +82,22 @@ def _equality_count(shape):
 
 def build_hrep(shape):
     """Normalization and no-signalling equalities for a shape, one
-    no-signalling family per party against the joint rest.  Refused when
-    the dense rows would hold more than the table-size cap of entries."""
+    no-signalling family per party k against the joint rest: the rest's
+    marginal (``_marginal_map`` dropping k) at each input x of k but the
+    last equals that at x + 1.  Refused when the dense rows would hold
+    more than the table-size cap of entries."""
     n = shape.table_size
     cells = _equality_count(shape) * n
     if cells > _MAX_TABLE_SIZE:
         raise ShapeError(f"the H-representation of {cells} entries exceeds "
                          f"the cap of {_MAX_TABLE_SIZE}")
-    return HPolytope(n, tuple((_dense_row(n, plus, minus), Fraction(rhs))
-                              for plus, minus, rhs, _ in _equality_rows(shape)),
-                     shape)
+    equalities = [(row, Fraction(1)) for row in normalization_rows(shape)]
+    for k in range(shape.parties):
+        rest, gid = _marginal_map(shape, tuple(j for j in range(shape.parties) if j != k))
+        size = rest.table_size if rest else 1
+        equalities += ((row, Fraction(0)) for row in
+                       _indicator_rows(gid, (shape.inputs[k] - 1) * size, size))
+    return HPolytope(n, tuple(equalities), shape)
 
 
 def dimension(shape):
@@ -401,18 +412,10 @@ def is_extremal(box, polytope=None):
     if len(box.table) != h.ambient:
         raise ShapeError("box does not live in the polytope's ambient space")
     if not h.contains(box.table):
-        raise InvalidBoxError(box.validate() if polytope is None else
-                              _not_member_report())
+        raise InvalidBoxError(ValidationReport(("box is not a member of the given polytope",)))
     support = [i for i, v in enumerate(box.table) if v > 0]
-    rows = []
-    for row, _ in h.equalities:
-        rows.append(clear_denominators([row[i] for i in support]))
+    rows = [clear_denominators([row[i] for i in support]) for row, _ in h.equalities]
     return int_rank(rows) == len(support)
-
-
-def _not_member_report():
-    from .boxes import ValidationReport
-    return ValidationReport(("box is not a member of the given polytope",))
 
 
 @dataclass(frozen=True)
@@ -544,10 +547,4 @@ def kbox_census(d_alice, d_bob, max_rays=2_000_000, time_budget=None):
 
 def _uses_partial_outputs(box):
     """Whether some outcome of some (party, input) never occurs."""
-    for k in range(box.shape.parties):
-        m = box.marginal([k])
-        for x in range(box.shape.inputs[k]):
-            for a in range(box.shape.outputs[k][x]):
-                if m.prob((a,), (x,)) == 0:
-                    return True
-    return False
+    return any(0 in box.marginal([k]).table for k in range(box.shape.parties))

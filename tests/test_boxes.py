@@ -190,7 +190,7 @@ def _reference_validate(box):
     return tuple(problems)
 
 
-@pytest.mark.parametrize("text", ["2,2/2,2", "2,3/3,2", "2,2/2,2/3", "3,2,4"])
+@pytest.mark.parametrize("text", ["2,2/2,2", "2,3/3,2", "1,2/2", "2,2/2,2/3", "3,2,4"])
 def test_validate_matches_the_loop_reference(text):
     rng = random.Random(text)
     base = uniform(BoxShape.from_string(text))
@@ -205,6 +205,51 @@ def test_validate_matches_the_loop_reference(text):
         assert problems == _reference_validate(box)
         kinds |= {p.split()[0] for p in problems}
     assert kinds == {"negative", "input", "party"}
+
+
+@pytest.mark.parametrize("text", ["2,2/2,2", "1,2/2", "2,2/2,2/3"])
+def test_numerators_past_int64_match_the_loop_references(text):
+    # entries over 3**40 put the summed numerators past 2**62, so the sums
+    # run on Python ints
+    rng = random.Random(text)
+    base = uniform(BoxShape.from_string(text))
+    tiny = Fraction(1, 3 ** 40)
+    for _ in range(10):
+        table = list(base.table)
+        table[0] += tiny
+        for i in rng.sample(range(1, len(table)), rng.randint(0, 3)):
+            table[i] += rng.randint(-2, 2) * tiny
+        table[-1] *= rng.choice((1, -1))
+        box = Box(base.shape, table)
+        nums, den = boxes._numerators(box.table)
+        assert nums.dtype == object and den % 3 ** 40 == 0
+        assert box.validate().problems == _reference_validate(box)
+        _check_every_marginal(box)
+
+
+def test_signalling_is_found_in_a_box_with_65536_inputs():
+    shape = BoxShape.from_string("65536:2/2")
+    table = list(uniform(shape).table)
+    i = shape.index((0, 0), (5, 0))
+    table[i] += Fraction(1, 8)
+    table[i + 1] -= Fraction(1, 8)
+    box = Box(shape, table)
+    assert box.validate().problems == tuple(
+        f"party 0 signals: marginal of parties (1,) at output ({b},)|input (0,) "
+        f"is {lo} for input {x} but {hi} for input {x + 1}"
+        for x, pairs in ((4, (("1/2", "5/8"), ("1/2", "3/8"))),
+                         (5, (("5/8", "1/2"), ("3/8", "1/2"))))
+        for b, (lo, hi) in enumerate(pairs))
+    assert uniform(shape).validate().ok
+    alice = box.marginal([0])
+    assert alice.shape.outputs == ((2,) * 65536,) and set(alice.table) == {HALF}
+
+
+def test_equal_shapes_hash_equal_and_share_one_layout():
+    shapes = [BoxShape(((2, 3), (2,))), BoxShape(((np.int64(2), np.uint8(3)), (np.int32(2),))),
+              BoxShape.from_string("2,3/2")]
+    assert len(set(map(hash, shapes))) == 1 and len(set(shapes)) == 1
+    assert all(boxes._layout(s) is boxes._layout(shapes[0]) for s in shapes)
 
 
 def test_require_valid_raises_with_report():
@@ -326,7 +371,7 @@ def test_marginal_matches_the_loop_reference_on_stock_boxes(box):
     assert _check_every_marginal(box) == 0
 
 
-@pytest.mark.parametrize("text", ["2,3/3,2", "2,2/2,2/3", "3,2,4"])
+@pytest.mark.parametrize("text", ["2,3/3,2", "1,2/2", "2,2/2,2/3", "3,2,4"])
 def test_marginal_matches_the_loop_reference_on_strategy_mixtures(text):
     rng = random.Random(text)
     shape = BoxShape.from_string(text)
@@ -343,7 +388,7 @@ def test_marginal_matches_the_loop_reference_on_random_shapes():
         assert _check_every_marginal(box) == 0
 
 
-@pytest.mark.parametrize("text", ["2,2/2,2", "2,3/3,2", "2,2/2,2/3", "3,2,4"])
+@pytest.mark.parametrize("text", ["2,2/2,2", "2,3/3,2", "1,2/2", "2,2/2,2/3", "3,2,4"])
 def test_marginal_of_a_signalling_box_is_refused_like_the_reference(text):
     # every party answers the sum of all inputs, so a marginal is refused
     # exactly when a dropped party has more than one input

@@ -41,9 +41,9 @@ def test_dimension_matches_the_rank_of_the_hrep(text):
 
 
 def test_hrep_size_is_checked_before_the_rows_are_built(monkeypatch):
-    def unreachable(shape):
+    def unreachable(*args):
         raise AssertionError("rows built before the size check")
-    monkeypatch.setattr(polytope, "_equality_rows", unreachable)
+    monkeypatch.setattr(polytope, "_indicator_rows", unreachable)
     shape = BoxShape.from_string("65536:2/2")
     with pytest.raises(ShapeError, match="H-representation"):
         build_hrep(shape)
