@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .boxes import _MAX_TABLE_SIZE, Box, BoxShape, ShapeError, _as_int, tensor
+import numpy as np
+
+from .boxes import _MAX_TABLE_SIZE, Box, BoxShape, ShapeError, _as_int, _layout, tensor
 
 
 def _check_bits(**kwargs):
@@ -102,7 +104,7 @@ def uniform(shape):
     if not isinstance(shape, BoxShape):
         raise ShapeError(f"uniform needs a shape, got {shape!r}")
 
-    sizes = (shape.block(ins)[1] for ins in shape.joint_inputs)
+    sizes = np.diff(_layout(shape).offsets, append=shape.table_size).tolist()
     return Box(shape, tuple(Fraction(1, size) for size in sizes for _ in range(size)))
 
 

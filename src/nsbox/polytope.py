@@ -108,24 +108,19 @@ def dimension(shape):
 
 
 def _presolve_zeros(eq_int):
-    """Coordinates forced to zero by same-sign rows with rhs 0; fixpoint."""
-    ncols = len(eq_int[0]) - 1 if eq_int else 0
-    fixed = set()
-    changed = True
-    while changed:
-        changed = False
-        for row in eq_int:
-            rhs, coeffs = row[0], row[1:]
-            if rhs != 0:
-                continue
-            live = [(i, c) for i, c in enumerate(coeffs) if c != 0 and i not in fixed]
-            if not live:
-                continue
-            if all(c > 0 for _, c in live) or all(c < 0 for _, c in live):
-                for i, _ in live:
-                    fixed.add(i)
-                changed = True
-    return fixed
+    """Coordinates forced to zero by same-sign rows with rhs 0: a fixpoint
+    over the sign matrix of those rows, each round fixing every live
+    coordinate of a row whose live signs agree."""
+    eq = np.array(eq_int, dtype=object)
+    signs = np.sign(eq[eq[:, 0] == 0, 1:]).astype(np.int8)
+    fixed = np.zeros(signs.shape[1], dtype=bool)
+    while True:
+        live = np.where(fixed, 0, signs)
+        agree = (live >= 0).all(axis=1) | (live <= 0).all(axis=1)
+        grown = fixed | live[agree].any(axis=0)
+        if (grown == fixed).all():
+            return set(np.flatnonzero(fixed).tolist())
+        fixed = grown
 
 
 def _homogenized_cone(h):
@@ -225,54 +220,6 @@ def _edge_ends(z, w):
     return ends // np.gcd.reduce(ends, axis=1)[:, None]
 
 
-class _VertexSet:
-    """Vertices found so far, as value-id rows over the flat table: ids
-    number the distinct entries in the order found and are stored in the
-    narrowest unsigned dtype that holds them, so a vertex's key is its
-    row's bytes.  ``keys`` maps each key, in the order found, to the number
-    of the orbit whose walk found it."""
-
-    def __init__(self, ambient, keep):
-        self.ambient, self.keep = ambient, keep
-        self.ids = {Fraction(0): 0}
-        self.dtype = np.dtype(np.uint8)
-        self.keys = {}
-        self.next_orbit = 0
-
-    def code(self, z):
-        """The value-id rows of the points of integer rows z = (t, x_keep)."""
-        den, scaled = _scaled(z)
-        nums, inverse = np.unique(scaled, return_inverse=True)
-        ids = [self.ids.setdefault(Fraction(v, den), len(self.ids))
-               for v in nums.tolist()]
-        if len(self.ids) > np.iinfo(self.dtype).max + 1:
-            old = self.rows()
-            self.dtype = np.dtype(next(t for t in (np.uint16, np.uint32, np.uint64)
-                                       if len(self.ids) <= np.iinfo(t).max + 1))
-            self.keys = dict(zip(relabel._row_keys(old.astype(self.dtype)),
-                                 self.keys.values()))
-        rows = np.zeros((len(z), self.ambient), dtype=self.dtype)
-        rows[:, self.keep] = np.array(ids, dtype=self.dtype)[inverse.reshape(scaled.shape)]
-        return rows
-
-    def add_orbit(self, keys):
-        """Record the keys of one orbit's walk under the next orbit number."""
-        self.keys.update(dict.fromkeys(keys, self.next_orbit))
-        self.next_orbit += 1
-
-    def rows(self):
-        return np.frombuffer(b"".join(self.keys), dtype=self.dtype).reshape(-1, self.ambient)
-
-    def sorted_rows(self):
-        """(values, rows, orbits): the distinct entries in increasing order,
-        the vertices as rows of indices into them and each vertex's orbit
-        number."""
-        values = sorted(self.ids)
-        rank = np.empty(len(values), dtype=np.min_scalar_type(len(values)))
-        rank[[self.ids[v] for v in values]] = np.arange(len(values))
-        return values, rank[self.rows()], np.array(list(self.keys.values()))
-
-
 def _edge_rows(coord_rows):
     """Rows X over a basis z of the homogenized directions with t = 0: X·z
     is the x part of each direction of the polytope's affine hull, so the
@@ -285,10 +232,22 @@ def _edge_rows(coord_rows):
     return _int_products(coord_rows[1:], nullspace_int([coord_rows[0]])).tolist()
 
 
+def _merged(orbits):
+    """(values, rows, orbit_of) for orbits coded as ``relabel._encode``
+    codes them: the sorted union of their values, their rows stacked and
+    recoded by rank in the narrowest unsigned dtype, and each row's orbit."""
+    values = sorted(set().union(*(vals for vals, _ in orbits)))
+    rank = {v: i for i, v in enumerate(values)}
+    dtype = np.min_scalar_type(len(values))
+    rows = np.concatenate([np.array([rank[v] for v in vals], dtype)[codes]
+                           for vals, codes in orbits])
+    return values, rows, np.repeat(np.arange(len(orbits)), [len(c) for _, c in orbits])
+
+
 def _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget):
-    """(values, rows, orbits) as ``_VertexSet.sorted_rows`` for the
-    vertices of a polytope that the gather maps keep, by adjacency
-    decomposition, or None when the polytope is empty.
+    """(values, rows, orbit_of) as ``_merged`` gives them for the vertices
+    of a polytope that the gather maps keep, by adjacency decomposition, or
+    None when the polytope is empty.
 
     A start vertex comes from one LP.  For each orbit's first vertex v the
     edge directions are the extreme rays of its tangent cone {u : u_T >= 0}
@@ -296,7 +255,12 @@ def _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget):
     T is v's zero coordinates; each edge's far end that lies in no orbit
     found so far starts a new orbit, walked under the maps.  The edge graph
     is connected and the maps send edges to edges, so every orbit is
-    reached."""
+    reached.
+
+    A vertex is the only point of the polytope that vanishes where it does,
+    so vertices are keyed by their zero sets over the kept coordinates (the
+    others vanish everywhere): ends are looked up by zero set, and only a
+    new orbit's first vertex is coded, as ``relabel`` codes a box."""
     t0 = time.monotonic()
     lp = find_nonneg_solution(np.array(eq_int)[:, 1:], [-row[0] for row in eq_int])
     if lp.status != "optimal":
@@ -304,18 +268,28 @@ def _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget):
     start = clear_denominators([1] + [lp.x[c] for c in keep])
     x_rows = _edge_rows(coord_rows)
 
-    found = _VertexSet(h.ambient, keep)
+    by_zeros = {}   # zero-set key -> orbit number
+    orbits = []     # (values, rows) per orbit
     queue = []
 
     def add_orbits(ends):
-        rows = found.code(ends)
-        for end, row, key in zip(ends.tolist(), rows, relabel._row_keys(rows)):
-            if key not in found.keys:
-                found.add_orbit(relabel._walk(row[None], maps))
-                queue.append(end)
-        if len(found.keys) > max_rays:
+        keys = relabel._row_keys(np.packbits(ends[:, 1:] == 0, axis=1))
+        for end, key in zip(ends.tolist(), keys):
+            if key in by_zeros:
+                continue
+            table = np.full(h.ambient, Fraction(0), dtype=object)
+            table[keep] = [Fraction(x, end[0]) for x in end[1:]]
+            values, codes = relabel._encode([table])
+            walked = b"".join(relabel._walk(codes, maps))
+            rows = np.frombuffer(walked, codes.dtype).reshape(-1, h.ambient)
+            zero = (rows[:, keep] == 0) & (values[0] == 0)
+            by_zeros.update(dict.fromkeys(
+                relabel._row_keys(np.packbits(zero, axis=1)), len(orbits)))
+            orbits.append((values, rows))
+            queue.append(end)
+        if len(by_zeros) > max_rays:
             raise EnumerationCapError(
-                f"vertex cap {max_rays} exceeded ({len(found.keys)} vertices, "
+                f"vertex cap {max_rays} exceeded ({len(by_zeros)} vertices, "
                 f"{len(queue)} orbits left to expand)")
 
     add_orbits(np.array([start], dtype=object))
@@ -329,16 +303,16 @@ def _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget):
                 raise EnumerationCapError(
                     f"time budget {time_budget}s exceeded after {elapsed:.1f}s "
                     f"with {len(queue) + 1} orbits left to expand and "
-                    f"{len(found.keys)} vertices")
+                    f"{len(by_zeros)} vertices")
         tangent = [x_rows[i] for i, xi in enumerate(v[1:]) if xi == 0]
         try:
             rays = extreme_rays(tangent, max_rays=max_rays, time_budget=left)
         except EnumerationCapError as exc:
             raise EnumerationCapError(
-                f"{exc}, in a vertex cone, with {len(found.keys)} vertices "
+                f"{exc}, in a vertex cone, with {len(by_zeros)} vertices "
                 f"found and {len(queue) + 1} orbits left to expand") from exc
         add_orbits(_edge_ends(v, _int_products(rays, x_rows)))
-    return found.sorted_rows()
+    return _merged(orbits)
 
 
 def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):

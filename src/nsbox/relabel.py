@@ -6,14 +6,20 @@ orbit is walked by ``_walk`` over tables coded by ``_encode``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations
+from math import factorial, prod
 
 import numpy as np
 
 from .boxes import Box, BoxShape, ShapeError, _as_int, _layout, flat
+from .dd import EnumerationCapError
+
+# ``group`` lists every element; larger groups are refused before any is built
+_MAX_GROUP_ORDER = 1 << 20
 
 
 def _check_perm(p, n, what):
@@ -156,8 +162,25 @@ def generators(shape, allow_party_permutation=True):
     return gens
 
 
+def _group_order(shape, allow_party_permutation=True):
+    """The order of the group the generators span: per party, the input
+    permutations within each class of equal output counts and an output
+    permutation per input; then, when allowed, the permutations of each
+    class of identical parties."""
+    def classes(items):
+        return prod(map(factorial, Counter(items).values()))
+    order = prod(classes(p) * prod(map(factorial, p)) for p in shape.outputs)
+    return order * classes(shape.outputs) if allow_party_permutation else order
+
+
 def group(shape, allow_party_permutation=True):
-    """All shape-preserving relabellings, by closure of the generators."""
+    """All shape-preserving relabellings, by closure of the generators.
+    Refused with EnumerationCapError when the group has more than
+    ``_MAX_GROUP_ORDER`` elements."""
+    order = _group_order(shape, allow_party_permutation)
+    if order > _MAX_GROUP_ORDER:
+        raise EnumerationCapError(f"the relabelling group of {shape} has {order} "
+                                  f"elements, past the cap of {_MAX_GROUP_ORDER}")
     gens = generators(shape, allow_party_permutation)
     ident = Relabelling.identity(shape)
     seen = {ident: None}

@@ -1,10 +1,11 @@
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 
 import numpy as np
 import pytest
 
-from nsbox.boxes import ShapeError, marginal
+from nsbox.boxes import BoxShape, ShapeError, marginal
 from nsbox.families import (dbox, local_deterministic, make_named_box, pr,
                             svetlichny_box, two_way_vertex, uniform, xyplusz,
                             xyz_box)
@@ -77,6 +78,20 @@ def test_two_way_vertex_structure():
 def test_uniform_accepts_shape_or_string():
     assert uniform("2,2/2,2") == uniform(pr().shape)
     assert set(uniform(dbox(3).shape).table) == {Fraction(1, 9)}
+
+
+@pytest.mark.parametrize("text", ["3,3/3,3", "2:4/2:4/2", "2,3/3,2", "2,5,1/3/2,2"])
+def test_uniform_reads_block_sizes_from_the_layout(text, monkeypatch):
+    shape = BoxShape.from_string(text)
+    want = tuple(Fraction(1, d) for ins in shape.joint_inputs
+                 for d in [prod(shape.outputs_at(ins))] for _ in range(d))
+
+    def refuse(self, ins):
+        raise AssertionError("uniform looked up a block")
+    monkeypatch.setattr(BoxShape, "block", refuse)
+    assert uniform(shape).table == want
+    # an equal shape whose layout is cached already
+    assert uniform(BoxShape.from_string(text)).table == want
 
 
 def test_all_families_validate():

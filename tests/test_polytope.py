@@ -14,8 +14,10 @@ from nsbox.boxes import Box, BoxShape, InvalidBoxError, ShapeError, mix
 from nsbox.families import dbox, local_deterministic, pr, uniform
 from nsbox.dd import EnumerationCapError, extreme_rays
 from nsbox.linalg import clear_denominators, int_rank
-from nsbox.polytope import (HPolytope, VRep, _homogenized_cone, _symmetry_maps,
-                            _VertexSet, build_hrep, classify_vertices,
+from nsbox.extend import build_extension_polytope
+from nsbox.polytope import (HPolytope, VRep, _homogenized_cone, _merged,
+                            _presolve_zeros, _symmetry_maps, build_hrep,
+                            classify_vertices,
                             dimension, enumerate_vertices, is_extremal,
                             kbox_census, lift_box, normalization_rows)
 from nsbox.relabel import apply_relabelling, group, orbit
@@ -369,35 +371,110 @@ def test_orbit_path_caps_raise(monkeypatch):
         enumerate_vertices(h, time_budget=0.1)
 
 
-def test_vertex_ids_widen_past_one_byte():
-    found = _VertexSet(3, [0, 2])
-    first = found.code(np.array([[7, 1, 6]]))
-    found.add_orbit(relabel._row_keys(first))
-    many = found.code(np.array([[301, v, 301 - v] for v in range(1, 300)]))
-    assert found.dtype == np.uint16 and many.dtype == np.uint16
-    assert relabel._row_keys(found.code(np.array([[7, 1, 6]]))) == list(found.keys)
-    values, rows, _ = found.sorted_rows()
+def _points(rows):
+    """Tables of Fractions from integer rows (t, x)."""
+    return [[Fraction(x, row[0]) for x in row[1:]] for row in rows]
+
+
+def test_merged_ids_widen_past_one_byte():
+    orbits = [relabel._encode(_points([[7, 1, 0, 6]])),
+              relabel._encode(_points([[301, v, 0, 301 - v] for v in range(1, 300)]))]
+    assert orbits[0][1].dtype.itemsize == 1 and orbits[1][1].dtype.itemsize == 2
+    values, rows, orbit_of = _merged(orbits)
     assert values == sorted({Fraction(0), Fraction(1, 7), Fraction(6, 7)}
                             | {Fraction(v, 301) for v in range(1, 301)})
+    assert rows.dtype == np.uint16
     assert [values[i] for i in rows[0]] == [Fraction(1, 7), 0, Fraction(6, 7)]
+    assert ([[values[i] for i in row] for row in rows[1:].tolist()]
+            == _points([[301, v, 0, 301 - v] for v in range(1, 300)]))
+    assert orbit_of.tolist() == [0] + [1] * 299
 
 
-def test_widening_keeps_the_orbit_numbers():
-    found = _VertexSet(3, [0, 2])
-    for z in ([[5, 1, 4], [5, 4, 1]], [[7, 1, 6]], [[3, 1, 2]]):
-        found.add_orbit(relabel._row_keys(found.code(np.array(z))))
-    before = {tuple(map(int, np.frombuffer(k, dtype=found.dtype))): n
-              for k, n in found.keys.items()}
-    found.code(np.array([[301, v, 301 - v] for v in range(1, 300)]))
-    assert found.dtype == np.uint16
-    after = {tuple(map(int, np.frombuffer(k, dtype=found.dtype))): n
-             for k, n in found.keys.items()}
-    assert after == before and sorted(after.values()) == [0, 0, 1, 2]
-    values, rows, orbits = found.sorted_rows()
-    assert [[values[i] for i in row] for row in rows.tolist()] == [
+def test_merge_keeps_the_orbit_numbers():
+    tables = ([[5, 1, 0, 4], [5, 4, 0, 1]], [[7, 1, 0, 6]], [[3, 1, 0, 2]],
+              [[301, v, 0, 301 - v] for v in range(1, 300)])
+    values, rows, orbit_of = _merged([relabel._encode(_points(t)) for t in tables])
+    assert rows.dtype == np.uint16
+    assert [[values[i] for i in row] for row in rows[:4].tolist()] == [
         [Fraction(1, 5), 0, Fraction(4, 5)], [Fraction(4, 5), 0, Fraction(1, 5)],
         [Fraction(1, 7), 0, Fraction(6, 7)], [Fraction(1, 3), 0, Fraction(2, 3)]]
-    assert orbits.tolist() == [0, 0, 1, 2]
+    assert orbit_of.tolist() == [0, 0, 1, 2] + [3] * 299
+
+
+def test_each_orbit_is_coded_once(monkeypatch):
+    # edge ends are looked up by their zero sets, so only the first vertex
+    # of each of the three orbits is coded
+    calls = []
+    encode = relabel._encode
+    monkeypatch.setattr(relabel, "_encode", lambda tables: calls.append(1) or encode(tables))
+    vrep = enumerate_vertices(build_hrep(BoxShape.from_string("3,3/3,3")))
+    assert len(vrep.vertices) == 1161 and len(vrep._orbits) == 3
+    assert len(calls) == 3
+
+
+def test_a_single_vertex_without_zero_entries():
+    shape = BoxShape.from_string("2,2/2,2")
+    pins = []
+    for i in range(shape.table_size):
+        row = [Fraction(0)] * shape.table_size
+        row[i] = Fraction(1)
+        pins.append((tuple(row), Fraction(1, 4)))
+    h = _with_rows(build_hrep(shape), pins)
+    assert _takes_orbit_path(h)
+    vrep = enumerate_vertices(h)
+    assert vrep.vertices == (uniform(shape),) and vrep._orbits == ((0,),)
+    assert _full_dd(h) == [uniform(shape).table]
+
+
+def test_uniform_extension_matches_full_dd():
+    h = build_extension_polytope(uniform(CHSH_SHAPE), 1, 3).hrep
+    assert _takes_orbit_path(h)
+    vrep = enumerate_vertices(h)
+    assert len(vrep.vertices) == 8859
+    assert [b.table for b in vrep.vertices] == _full_dd(h)
+    assert len(classify_vertices(vrep)) == 26
+
+
+def _loop_presolve_zeros(eq_int):
+    """The presolve as a loop over rows, the reference for the numpy one."""
+    ncols = len(eq_int[0]) - 1 if eq_int else 0
+    fixed = set()
+    changed = True
+    while changed:
+        changed = False
+        for row in eq_int:
+            rhs, coeffs = row[0], row[1:]
+            if rhs != 0:
+                continue
+            live = [(i, c) for i, c in enumerate(coeffs) if c != 0 and i not in fixed]
+            if not live:
+                continue
+            if all(c > 0 for _, c in live) or all(c < 0 for _, c in live):
+                for i, _ in live:
+                    fixed.add(i)
+                changed = True
+    return fixed
+
+
+def _presolve_cases():
+    for text in ["2,2/2,2", "3,3/3,3", "2,3/3,2", "2,2/2,2/2"]:
+        yield _homogenized_cone(build_hrep(BoxShape.from_string(text)))[0]
+    for base in (pr(), dbox(3), uniform(CHSH_SHAPE), local_deterministic(0, 1, 1, 0)):
+        for env in ((1, 2), (2, 2), (1, 3)):
+            yield _homogenized_cone(build_extension_polytope(base, *env).hrep)[0]
+    rng = random.Random(11)
+    for _ in range(300):
+        cols = rng.randint(1, 8)
+        yield [[rng.choice((0, 0, 0, 1, -2)) * rng.randint(1, 3)]
+               + [rng.choice((0, 0, 1, 2, -1, -3)) for _ in range(cols)]
+               for _ in range(rng.randint(1, 6))]
+
+
+def test_presolve_matches_the_loop_reference():
+    cases = list(_presolve_cases())
+    assert sum(bool(_loop_presolve_zeros(c)) for c in cases) > 100
+    for eq_int in cases:
+        assert _presolve_zeros(eq_int) == _loop_presolve_zeros(eq_int)
 
 
 def test_census_matches_classes_by_canonical_form(monkeypatch):

@@ -6,6 +6,7 @@ from shape_helpers import random_shape
 
 from nsbox import relabel
 from nsbox.boxes import Box, BoxShape, ShapeError
+from nsbox.dd import EnumerationCapError
 from nsbox.families import dbox, local_deterministic, pr, uniform
 from nsbox.relabel import (Relabelling, apply_relabelling, canonical_form,
                            compose, equivalent_under_relabelling, generators,
@@ -113,6 +114,26 @@ def test_group_order_2222():
 
 def test_group_without_party_swaps_halves():
     assert len(group(SHAPE_2222, allow_party_permutation=False)) == 64
+
+
+@pytest.mark.parametrize("text", ["2,2/2,2", "2,3/3,2", "2,2/2,2/2", "3,3/3,3",
+                                  "2,2,2/2,2", "2,3/2,3"])
+@pytest.mark.parametrize("allow", [True, False])
+def test_group_order_formula_counts_the_group(text, allow):
+    shape = BoxShape.from_string(text)
+    assert relabel._group_order(shape, allow) == len(group(shape, allow))
+
+
+def test_group_is_refused_past_the_cap(monkeypatch):
+    assert relabel._group_order(BoxShape.from_string("4,4/4,4")) == 2654208
+    shape = BoxShape.from_string("5,5/5,5")
+    assert relabel._group_order(shape) == 1658880000
+
+    def refuse(*args):
+        raise AssertionError("the group was built")
+    monkeypatch.setattr(relabel, "generators", refuse)
+    with pytest.raises(EnumerationCapError, match="1658880000 elements"):
+        group(shape)
 
 
 def test_party_permutation_respects_shape():
