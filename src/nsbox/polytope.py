@@ -39,13 +39,21 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class VRep:
+    """A polytope's vertices: ``Box``es of its shape, or tuples of
+    Fractions when the H-rep has no shape; ``enumerate_vertices`` sorts
+    them by table.  ``full`` says the list is complete, which
+    ``classify_vertices`` needs.  ``_orbits`` holds the relabelling orbits
+    that the orbit-wise enumeration walked, one ascending tuple of vertex
+    indices each, which ``classify_vertices`` reads instead of walking
+    them again; it takes no part in equality or repr."""
+
     vertices: tuple[Box, ...]
     full: bool = True
-    # the relabelling orbits, one ascending tuple of vertex indices each,
-    # when the enumeration walked them under the shape's generators
     _orbits: tuple[tuple[int, ...], ...] | None = field(
         default=None, compare=False, repr=False)
 
+
+_UNBOUNDED = "the set is unbounded: the homogenized cone has a ray with t = 0"
 
 # a row entry c in {0, 1, -1} as the Fraction _UNITS[c]
 _UNITS = (Fraction(0), Fraction(1), Fraction(-1))
@@ -124,11 +132,12 @@ def _presolve_zeros(eq_int):
 
 
 def _homogenized_cone(h):
-    """(eq_int, keep, coord_rows) for the vertices of {x >= 0, equalities}:
-    the equalities as distinct primitive integer rows [-rhs | row], the
-    coordinates not forced to zero, and one integer row per coordinate of
-    (t, x_keep) over a nullspace basis of the equalities.  Each extreme ray
-    y of the cone {y : coord_rows·y >= 0} is one vertex x_keep / t."""
+    """(eq_int, rows) for the vertices of {x >= 0, equalities}: the
+    equalities as distinct primitive integer rows [-rhs | row], and one
+    integer row per coordinate of (t, x) over a nullspace basis of the
+    equalities, all-zero for the coordinates they force to zero.  Each
+    extreme ray y of the cone {y : rows·y >= 0} with slack row z = rows·y
+    and t = z[0] > 0 is one vertex z[1:] / t."""
     eq_int = []
     seen = set()
     for row, rhs in h.equalities:
@@ -155,27 +164,25 @@ def _homogenized_cone(h):
     basis = nullspace_int(reduced)
     if not basis:
         raise ShapeError("equalities admit only the zero solution; no polytope")
-    coord_rows = [[vec[i] for vec in basis] for i in range(1 + len(keep))]
-    return eq_int, keep, coord_rows
+    rows = np.zeros((1 + h.ambient, len(basis)), dtype=object)
+    rows[[0] + [1 + c for c in keep]] = np.array(basis, dtype=object).T
+    return eq_int, rows.tolist()
 
 
-def _symmetry_maps(h, eq_int, keep, coord_rows):
-    """The gather maps of the relabelling generators of ``h.shape`` when
+def _symmetry_maps(h, eq_int, rows):
+    """The gather maps over the cone's rows of the relabelling generators
+    of ``h.shape`` (the t row stays, row 1 + i goes as coordinate i) when
     every one maps the polytope onto itself, else None.
 
     A relabelling g permutes coordinates, so it keeps x >= 0.  Every point
     (1, x) of the polytope lies in the span of the homogenized basis N
-    (coord_rows, zero on the fixed coordinates), so g maps the polytope into
-    itself when [-rhs | E]·(g·N) = 0, and onto itself since g has finite
-    order."""
+    (``rows``), so g maps the polytope into itself when
+    [-rhs | E]·(g·N) = 0, and onto itself since g has finite order."""
     if h.shape is None or h.shape.table_size != h.ambient:
         return None
     _, maps = relabel._generator_maps(h.shape, True)
-    basis = np.zeros((1 + h.ambient, len(coord_rows[0])), dtype=object)
-    basis[[0] + [1 + c for c in keep]] = coord_rows
-    # row 1 + i of g·N is row 1 + gather[i] of N; the t row stays
-    moved = basis[np.concatenate([np.zeros((len(maps), 1), dtype=np.intp), 1 + maps], axis=1)]
-    columns = moved.transpose(0, 2, 1).reshape(-1, 1 + h.ambient)
+    maps = np.concatenate([np.zeros((len(maps), 1), dtype=np.intp), 1 + maps], axis=1)
+    columns = np.array(rows, dtype=object)[maps].transpose(0, 2, 1).reshape(-1, 1 + h.ambient)
     if _int_products(eq_int, columns).any():
         return None
     return maps
@@ -194,47 +201,31 @@ def _scaled(z):
 
 
 def _edge_ends(z, w):
-    """The far end of the edge from the vertex z = (t, x) along each
-    direction row of w, as primitive integer rows (t', x').
+    """The far end of the edge from the ray with slack row z along each
+    slack direction row of w, as primitive integer slack rows.
 
-    The step is the exact ratio test min x[i] / -w[i] over w[i] < 0, kept
+    The step is the exact ratio test min z[i] / -w[i] over w[i] < 0, kept
     per edge as p / q and compared by cross-multiplying, column by column;
-    the end is then (q·t, q·x + p·w).  Under the guard each term is below
-    2**62 in magnitude, so int64 holds the sums; past it the arithmetic is
-    on Python ints."""
+    the end is then q·z + p·w.  Under the guard each term is below 2**62
+    in magnitude, so int64 holds the sums; past it the arithmetic is on
+    Python ints."""
     if _max_abs([z]) * _max_abs(w) >= 2 ** 62:
         w = w.astype(object)
     p = np.zeros(len(w), dtype=w.dtype)
     q = np.zeros(len(w), dtype=w.dtype)
-    for i, xi in enumerate(z[1:]):
-        if xi:
+    for i, zi in enumerate(z):
+        if zi:
             step = -w[:, i]
-            take = (step > 0) & ((q == 0) | (xi * q < p * step))
-            p = np.where(take, xi, p)
+            take = (step > 0) & ((q == 0) | (zi * q < p * step))
+            p = np.where(take, zi, p)
             q = np.where(take, step, q)
-    if not q.all():
-        raise ShapeError("the set is unbounded: an edge from a vertex has no "
-                         "far end")
-    ends = np.concatenate([(q * z[0])[:, None],
-                           q[:, None] * np.array(z[1:], dtype=w.dtype) + p[:, None] * w], axis=1)
+    ends = q[:, None] * np.array(z, dtype=w.dtype) + p[:, None] * w
     return ends // np.gcd.reduce(ends, axis=1)[:, None]
 
 
-def _edge_rows(coord_rows):
-    """Rows X over a basis z of the homogenized directions with t = 0: X·z
-    is the x part of each direction of the polytope's affine hull, so the
-    tangent cone of a vertex v is {z : X[T]·z >= 0}, T its zero
-    coordinates.  Empty when the polytope is a single point."""
-    if len(coord_rows[0]) < 2:
-        return []
-    # t = coord_rows[0]·y, so the directions are y = B·z with B a basis of
-    # that row's nullspace
-    return _int_products(coord_rows[1:], nullspace_int([coord_rows[0]])).tolist()
-
-
 def _merged(orbits):
-    """(values, rows, orbit_of) for orbits coded as ``relabel._encode``
-    codes them: the sorted union of their values, their rows stacked and
+    """(values, rows, orbit_of) for orbits given as (sorted values, id
+    rows): the sorted union of their values, their rows stacked and
     recoded by rank in the narrowest unsigned dtype, and each row's orbit."""
     values = sorted(set().union(*(vals for vals, _ in orbits)))
     rank = {v: i for i, v in enumerate(values)}
@@ -244,48 +235,47 @@ def _merged(orbits):
     return values, rows, np.repeat(np.arange(len(orbits)), [len(c) for _, c in orbits])
 
 
-def _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget):
-    """(values, rows, orbit_of) as ``_merged`` gives them for the vertices
-    of a polytope that the gather maps keep, by adjacency decomposition, or
-    None when the polytope is empty.
+def _orbit_rays(rows, maps, start, max_rays, time_budget):
+    """The extreme rays of the pointed cone {y : rows·y >= 0}, whose rows
+    the gather maps permute, by adjacency decomposition from the primitive
+    slack row ``start`` = rows·y of one extreme ray y.
 
-    A start vertex comes from one LP.  For each orbit's first vertex v the
-    edge directions are the extreme rays of its tangent cone {u : u_T >= 0}
-    over the directions u = X·z of the affine hull (``_edge_rows``), where
-    T is v's zero coordinates; each edge's far end that lies in no orbit
-    found so far starts a new orbit, walked under the maps.  The edge graph
-    is connected and the maps send edges to edges, so every orbit is
-    reached.
+    Returns one (values, codes) per orbit: the sorted distinct entries of
+    the orbit's primitive slack rows, and those rows as ids into them in
+    the narrowest unsigned dtype.
 
-    A vertex is the only point of the polytope that vanishes where it does,
-    so vertices are keyed by their zero sets over the kept coordinates (the
-    others vanish everywhere): ends are looked up by zero set, and only a
-    new orbit's first vertex is coded, as ``relabel`` codes a box."""
+    The sum of the rows is positive on every nonzero point of the cone, so
+    the rays are the vertices of the cone's section where that sum is
+    fixed, and edges run on the hyperplane where it is zero.  For each
+    orbit's first ray, with zero set T, the edge directions are the
+    extreme rays of {u : (rows·u)_T >= 0} on that hyperplane; each edge's
+    far end that lies in no orbit found so far starts a new orbit, walked
+    under the maps.  The edge graph is connected and the maps send edges
+    to edges, so every orbit is reached.  A ray is the only one of the
+    cone, up to scale, that is tight where it is, so rays are keyed by
+    their zero sets and only a new orbit's first ray is coded."""
     t0 = time.monotonic()
-    lp = find_nonneg_solution(np.array(eq_int)[:, 1:], [-row[0] for row in eq_int])
-    if lp.status != "optimal":
-        return None
-    start = clear_denominators([1] + [lp.x[c] for c in keep])
-    x_rows = _edge_rows(coord_rows)
+    # u = B·w over a basis B of the hyperplane; edge_rows·w = rows·u
+    edges = nullspace_int([[sum(col) for col in zip(*rows)]])
+    edge_rows = _int_products(rows, edges).tolist()
 
     by_zeros = {}   # zero-set key -> orbit number
-    orbits = []     # (values, rows) per orbit
+    orbits = []     # (values, codes) per orbit
     queue = []
 
     def add_orbits(ends):
-        keys = relabel._row_keys(np.packbits(ends[:, 1:] == 0, axis=1))
+        keys = relabel._row_keys(np.packbits(ends == 0, axis=1))
         for end, key in zip(ends.tolist(), keys):
             if key in by_zeros:
                 continue
-            table = np.full(h.ambient, Fraction(0), dtype=object)
-            table[keep] = [Fraction(x, end[0]) for x in end[1:]]
-            values, codes = relabel._encode([table])
+            values, ids = np.unique(end, return_inverse=True)
+            codes = ids.astype(np.min_scalar_type(len(values)))[None]
             walked = b"".join(relabel._walk(codes, maps))
-            rows = np.frombuffer(walked, codes.dtype).reshape(-1, h.ambient)
-            zero = (rows[:, keep] == 0) & (values[0] == 0)
+            codes = np.frombuffer(walked, codes.dtype).reshape(-1, len(end))
+            zero = (codes == 0) & (values[0] == 0)
             by_zeros.update(dict.fromkeys(
                 relabel._row_keys(np.packbits(zero, axis=1)), len(orbits)))
-            orbits.append((values, rows))
+            orbits.append((values.tolist(), codes))
             queue.append(end)
         if len(by_zeros) > max_rays:
             raise EnumerationCapError(
@@ -293,8 +283,8 @@ def _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget):
                 f"{len(queue)} orbits left to expand)")
 
     add_orbits(np.array([start], dtype=object))
-    while queue and x_rows:
-        v = queue.pop()
+    while queue and edges:
+        z = queue.pop()
         left = None
         if time_budget is not None:
             elapsed = time.monotonic() - t0
@@ -304,15 +294,15 @@ def _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget):
                     f"time budget {time_budget}s exceeded after {elapsed:.1f}s "
                     f"with {len(queue) + 1} orbits left to expand and "
                     f"{len(by_zeros)} vertices")
-        tangent = [x_rows[i] for i, xi in enumerate(v[1:]) if xi == 0]
+        tangent = [edge_rows[i] for i, zi in enumerate(z) if zi == 0]
         try:
             rays = extreme_rays(tangent, max_rays=max_rays, time_budget=left)
         except EnumerationCapError as exc:
             raise EnumerationCapError(
                 f"{exc}, in a vertex cone, with {len(by_zeros)} vertices "
                 f"found and {len(queue) + 1} orbits left to expand") from exc
-        add_orbits(_edge_ends(v, _int_products(rays, x_rows)))
-    return _merged(orbits)
+        add_orbits(_edge_ends(z, _int_products(rays, edge_rows)))
+    return orbits
 
 
 def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
@@ -324,44 +314,47 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
 
     When ``h.shape`` is set and every relabelling generator of the shape
     maps the polytope onto itself (checked exactly on the equalities), the
-    vertices are found orbit by orbit: one vertex cone per orbit, walked
-    along its edges (adjacency decomposition).  ``max_rays`` then caps each
-    cone's intermediate rays and the vertex count, and ``time_budget``
-    covers the whole call; the VRep keeps the walked orbits, which
+    vertices are found orbit by orbit from one LP vertex by ``_orbit_rays``
+    on the homogenized cone: one vertex cone per orbit, walked along its
+    edges (adjacency decomposition).  ``max_rays`` then caps each cone's
+    intermediate rays and the vertex count, and ``time_budget`` covers the
+    whole call; the VRep keeps the walked orbits, which
     ``classify_vertices`` reads.  Otherwise they are the extreme rays of
     the homogenized cone, by one double description run.
     """
-    eq_int, keep, coord_rows = _homogenized_cone(h)
-    maps = _symmetry_maps(h, eq_int, keep, coord_rows)
+    eq_int, rows = _homogenized_cone(h)
+    maps = _symmetry_maps(h, eq_int, rows)
     if maps is not None:
-        found = _orbit_vertices(h, eq_int, keep, coord_rows, maps, max_rays, time_budget)
-        if found is None:
+        lp = find_nonneg_solution(np.array(eq_int)[:, 1:], [-row[0] for row in eq_int])
+        if lp.status != "optimal":
             return VRep((), full=True)
-        values, rows, orbit_of = found
-        columns = slice(None)
+        orbits = _orbit_rays(rows, maps, clear_denominators([1, *lp.x]),
+                             max_rays, time_budget)
+        # t is the same on an orbit, since the maps keep the t row
+        ts = [values[codes[0, 0]] for values, codes in orbits]
+        if not all(ts):
+            raise ShapeError(_UNBOUNDED)
+        values, ids, orbit_of = _merged([([Fraction(v, t) for v in values], codes[:, 1:])
+                                         for (values, codes), t in zip(orbits, ts)])
     else:
-        rays = extreme_rays(coord_rows, max_rays=max_rays, time_budget=time_budget)
+        rays = extreme_rays(rows, max_rays=max_rays, time_budget=time_budget)
         # rays with t = 0 are recession directions, the others vertices
-        z = _int_products(rays, coord_rows) if rays else np.zeros((0, 1), np.int64)
+        z = _int_products(rays, rows) if rays else np.zeros((0, 1), np.int64)
         if not z[:, 0].any():
             return VRep((), full=True)
         if not z[:, 0].all():
-            raise ShapeError("the set is unbounded: the homogenized cone has "
-                             "a ray with t = 0")
+            raise ShapeError(_UNBOUNDED)
         # vertex i is z[i, 1:] / t[i]; scaled to the common denominator of
         # all t, the integer rows order exactly as the Fraction tables do
         den, scaled = _scaled(z)
         nums, inverse = np.unique(scaled, return_inverse=True)
         values = [Fraction(v, den) for v in nums.tolist()]
-        rows, columns = inverse.reshape(scaled.shape), keep
+        ids = inverse.reshape(scaled.shape)
         orbit_of = None
     # ids follow value order, so sorting the id rows sorts the tables;
     # each distinct entry is one Fraction (lexsort's primary key is its last)
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    table = np.full((len(rows), h.ambient), Fraction(0), dtype=object)
-    table[:, columns] = np.array(values, dtype=object)[rows]
-    vertices = [tuple(v) for v in table.tolist()]
+    order = np.lexsort(ids.T[::-1])
+    vertices = [tuple(v) for v in np.array(values, dtype=object)[ids[order]].tolist()]
     if h.shape is None:
         return VRep(tuple(vertices), full=True)
     boxes = tuple(Box(h.shape, v) for v in vertices)

@@ -11,9 +11,8 @@ from fraction_linalg import nullspace
 from nsbox import dd
 from nsbox.boxes import BoxShape
 from nsbox.dd import EnumerationCapError, extreme_rays
-from nsbox.linalg import int_rank, reduce_content
-from nsbox.polytope import (HPolytope, _edge_rows, _homogenized_cone,
-                            build_hrep, enumerate_vertices)
+from nsbox.linalg import _int_products, int_rank, nullspace_int, reduce_content
+from nsbox.polytope import HPolytope, _homogenized_cone, build_hrep, enumerate_vertices
 
 
 def test_orthant_rays_are_unit_vectors():
@@ -63,12 +62,14 @@ def test_ray_cap_raises_instead_of_truncating():
 
 def _deterministic_vertex_cone(text):
     """The tangent cone rows of the deterministic vertex with every output 0
-    of a shape's no-signalling polytope."""
+    of a shape's no-signalling polytope: the homogenized cone's rows over
+    the directions on which their sum is zero, as ``_orbit_rays`` takes
+    them, at the vertex's zero rows."""
     shape = BoxShape.from_string(text)
-    _, keep, coord_rows = _homogenized_cone(build_hrep(shape))
-    zeros = {shape.index((0,) * shape.parties, ins) for ins in shape.joint_inputs}
-    x_rows = _edge_rows(coord_rows)
-    return [x_rows[i] for i, c in enumerate(keep) if c not in zeros]
+    _, rows = _homogenized_cone(build_hrep(shape))
+    edge_rows = _int_products(rows, nullspace_int([[sum(c) for c in zip(*rows)]])).tolist()
+    ones = {1 + shape.index((0,) * shape.parties, ins) for ins in shape.joint_inputs}
+    return [edge_rows[i] for i in range(1, len(rows)) if i not in ones]
 
 
 def test_time_budget_is_checked_inside_a_row(monkeypatch):

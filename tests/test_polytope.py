@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import chain, repeat
 from itertools import product as iproduct
+from math import lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,10 +14,11 @@ from nsbox import dd, polytope, relabel
 from nsbox.boxes import Box, BoxShape, InvalidBoxError, ShapeError, mix
 from nsbox.families import dbox, local_deterministic, pr, uniform
 from nsbox.dd import EnumerationCapError, extreme_rays
-from nsbox.linalg import clear_denominators, int_rank
+from nsbox.linalg import clear_denominators, int_rank, reduce_content
 from nsbox.extend import build_extension_polytope
-from nsbox.polytope import (HPolytope, VRep, _homogenized_cone, _merged,
-                            _presolve_zeros, _symmetry_maps, build_hrep,
+from nsbox.polytope import (HPolytope, VRep, _edge_ends, _homogenized_cone,
+                            _merged, _orbit_rays, _presolve_zeros, _scaled,
+                            _symmetry_maps, build_hrep,
                             classify_vertices,
                             dimension, enumerate_vertices, is_extremal,
                             kbox_census, lift_box, normalization_rows)
@@ -211,15 +213,11 @@ def test_classify_rejects_partial_lists():
 def _reference_vertices(h):
     """The reconstruction that the integer one replaced: one Fraction per
     entry, then a sort of the Fraction tables."""
-    _, keep, coord_rows = _homogenized_cone(h)
-    col_of = {c: j for j, c in enumerate(keep)}
+    _, rows = _homogenized_cone(h)
     vertices = []
-    for ray in extreme_rays(coord_rows):
-        z = [sum(c * y for c, y in zip(coord_rows[i], ray)) for i in range(1 + len(keep))]
-        point = [Fraction(0)] * h.ambient
-        for c in keep:
-            point[c] = Fraction(z[1 + col_of[c]], z[0])
-        vertices.append(tuple(point))
+    for ray in extreme_rays(rows):
+        t, *x = (sum(c * y for c, y in zip(row, ray)) for row in rows)
+        vertices.append(tuple(Fraction(v, t) for v in x))
     vertices.sort()
     return vertices
 
@@ -402,11 +400,13 @@ def test_merge_keeps_the_orbit_numbers():
 
 
 def test_each_orbit_is_coded_once(monkeypatch):
-    # edge ends are looked up by their zero sets, so only the first vertex
-    # of each of the three orbits is coded
+    # edge ends are looked up by their zero sets, so each of the three
+    # orbits is walked once, from its first vertex's integer slack row;
+    # no Fraction table is coded
     calls = []
-    encode = relabel._encode
-    monkeypatch.setattr(relabel, "_encode", lambda tables: calls.append(1) or encode(tables))
+    walk = relabel._walk
+    monkeypatch.setattr(relabel, "_walk", lambda *args: calls.append(1) or walk(*args))
+    monkeypatch.setattr(relabel, "_encode", lambda tables: pytest.fail("a table was coded"))
     vrep = enumerate_vertices(build_hrep(BoxShape.from_string("3,3/3,3")))
     assert len(vrep.vertices) == 1161 and len(vrep._orbits) == 3
     assert len(calls) == 3
@@ -433,6 +433,104 @@ def test_uniform_extension_matches_full_dd():
     assert len(vrep.vertices) == 8859
     assert [b.table for b in vrep.vertices] == _full_dd(h)
     assert len(classify_vertices(vrep)) == 26
+
+
+def _row_maps(rows, transforms):
+    """The gather maps over a cone's rows of linear maps g that permute
+    them: the slack rows·(g·y) of a moved ray are the rows·g of y's."""
+    index = {tuple(r): i for i, r in enumerate(rows)}
+    return np.array([[index[tuple((np.array(r) @ g).tolist())] for r in rows]
+                     for g in transforms], dtype=np.intp).reshape(-1, len(rows))
+
+
+def _slack_rays(rows):
+    """The primitive slack rows of the cone's extreme rays, by one DD run."""
+    return sorted(tuple(reduce_content([sum(a * b for a, b in zip(r, y)) for r in rows]))
+                  for y in extreme_rays(rows))
+
+
+def _orbit_sizes(rows, transforms, start):
+    """The sizes of the orbits ``_orbit_rays`` finds, after checking that
+    together they are the cone's extreme rays."""
+    orbits = _orbit_rays(rows, _row_maps(rows, transforms), start, 1000, None)
+    found = [tuple(vals[i] for i in row) for vals, codes in orbits for row in codes.tolist()]
+    assert sorted(found) == _slack_rays(rows)
+    return sorted(len(codes) for _, codes in orbits)
+
+
+def _signed_permutations():
+    """Generators over (t, x1, x2, x3): negate x1, swap x1 and x2, swap x2
+    and x3.  The last two alone permute the coordinates."""
+    flip = np.diag([1, -1, 1, 1])
+    swaps = [np.eye(4, dtype=int)[[0, 2, 1, 3]], np.eye(4, dtype=int)[[0, 1, 3, 2]]]
+    return [flip] + swaps, swaps
+
+
+def test_orbit_rays_of_the_cube_cone():
+    # rows t ± x_i: the rays are the cube's vertices (1, ±1, ±1, ±1)
+    rows = [[1] + [s * (j == i) for j in range(3)] for i in range(3) for s in (1, -1)]
+    start = reduce_content([sum(r) for r in rows])   # the vertex (1, 1, 1, 1)
+    everything, coordinates = _signed_permutations()
+    assert _orbit_sizes(rows, everything, start) == [8]
+    # under coordinate permutations, by the number of minus signs
+    assert _orbit_sizes(rows, coordinates, start) == [1, 1, 3, 3]
+
+
+def test_orbit_rays_of_the_cross_polytope_cone():
+    # rows t ± x1 ± x2 ± x3: the rays are (1, ±e_i)
+    rows = [[1, *signs] for signs in iproduct((1, -1), repeat=3)]
+    start = reduce_content([r[0] + r[1] for r in rows])   # the vertex (1, 1, 0, 0)
+    assert _orbit_sizes(rows, _signed_permutations()[0], start) == [6]
+
+
+def test_orbit_rays_where_the_rows_sum_to_no_row():
+    # the rows sum to (2, 2, 0); the rays are (1, 0, 0), (0, 1, 0),
+    # (1, 0, 1) and (0, 1, 1)
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]
+    swap = np.eye(3, dtype=int)[[1, 0, 2]]
+    assert _orbit_sizes(rows, [swap], [1, 0, 0, 1]) == [2, 2]
+    assert _orbit_sizes(rows, [], [1, 0, 0, 1]) == [1, 1, 1, 1]
+
+
+def _reference_edge_ends(z, w):
+    """The ratio test and the step in Fractions."""
+    ends = []
+    for row in w:
+        step = min(Fraction(zi, -wi) for zi, wi in zip(z, row) if zi and wi < 0)
+        ends.append(clear_denominators([zi + step * wi for zi, wi in zip(z, row)]))
+    return ends
+
+
+@pytest.mark.parametrize("bits, dtype", [(20, np.int64), (40, object)])
+def test_edge_ends_match_the_fraction_ratio_test(bits, dtype):
+    # entries near 2**40 put |z|·|w| past 2**62, onto Python ints
+    rng = random.Random(bits)
+    for _ in range(20):
+        m = rng.randint(2, 8)
+        z = [rng.choice((0, rng.randint(1, 2 ** bits))) for _ in range(m - 1)]
+        z.append(rng.randint(2 ** (bits - 1), 2 ** bits))
+        w = [[rng.randint(0 if zi == 0 else -2 ** bits, 2 ** bits) for zi in z]
+             for _ in range(5)]
+        for row in w:
+            row[-1] = -rng.randint(1, 2 ** bits)
+        got = _edge_ends(z, np.array(w, dtype=np.int64))
+        assert got.dtype == dtype
+        assert got.tolist() == _reference_edge_ends(z, w)
+
+
+@pytest.mark.parametrize("bits, ts, dtype", [
+    (10, (1, 2, 3, 4, 6, 12), np.int64),
+    (40, (2039, 2053, 3001, 3217, 4091, 4093), object)])
+def test_scaled_matches_the_fraction_rescale(bits, ts, dtype):
+    # entries near 2**40 and a common denominator near 2**69 put
+    # max|z|·max(scale) past 2**63, onto Python ints
+    rng = random.Random(bits)
+    z = np.array([[t] + [rng.randint(0, 2 ** bits) for _ in range(5)] for t in ts],
+                 dtype=np.int64)
+    den, scaled = _scaled(z)
+    assert den == lcm(*ts) and scaled.dtype == dtype
+    assert scaled.tolist() == [[Fraction(x, row[0]) * den for x in row[1:]]
+                               for row in z.tolist()]
 
 
 def _loop_presolve_zeros(eq_int):

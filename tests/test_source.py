@@ -52,3 +52,25 @@ def test_only_boxes_walks_the_table_entries():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "entries"]
     assert found == []
+
+
+def _imported_names(path):
+    """Every dotted name a module's import statements mention, split at
+    the dots."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {a.name for a in node.names}
+    return {part for name in names for part in name.split(".")}
+
+
+def test_dd_and_relabel_import_no_module_above_them():
+    """``dd`` imports nothing from ``relabel`` or ``polytope``, and
+    ``relabel`` nothing from ``polytope``: so the orbit-wise ray search,
+    which runs ``dd`` and walks with ``relabel``, lives in ``polytope``."""
+    above = {"dd.py": {"relabel", "polytope"}, "relabel.py": {"polytope"}}
+    found = {name: sorted(_imported_names(SRC / name) & banned)
+             for name, banned in above.items()}
+    assert found == {"dd.py": [], "relabel.py": []}
