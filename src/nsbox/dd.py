@@ -42,7 +42,13 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
     row and, inside a row's adjacency test, before each block of ends and
     each chunk of an end's candidates.
 
-    Rows are added one at a time.  Each ray keeps a bit mask of the
+    The start is the simplicial cone of the first independent rows when
+    rows with more zero entries come first (input order on ties).  The
+    other rows are added one at a time, each time the row that makes the
+    fewest candidate pairs, #pos·#neg over the current rays, the first
+    such row on ties; so rows with no ray on one side score 0 and go
+    first.  Rays come back sorted, so the order changes only the
+    intermediate ray sets and the time.  Each ray keeps a bit mask of the
     processed rows it is tight on.  A ray p on the positive side of the new
     row and a ray n on its negative side are adjacent iff no third ray is
     tight on all of their common tight rows cm = mask_p ∧ mask_n, which
@@ -73,8 +79,10 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
     if not rows:
         raise ValueError("no constraints: cone is all of space, not pointed")
     d = len(rows[0])
-    # pivot columns of the transpose: the first independent rows, in order
-    base_idx = _bareiss([list(c) for c in zip(*rows)])
+    # pivot columns of the transpose: the first independent rows, sparsest
+    # first; the sort is stable, so input order breaks ties
+    order = sorted(range(len(rows)), key=lambda i: -rows[i].count(0))
+    base_idx = [order[j] for j in _bareiss([list(c) for c in zip(*(rows[i] for i in order))])]
     if len(base_idx) < d:
         raise ValueError("cone has a lineality space (constraint rank < dimension)")
 
@@ -93,8 +101,10 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
     while remaining:
         check_clock()
         values = _int_products(table[remaining], rays)
-        split = np.abs((values > 0).sum(axis=1) - (values < 0).sum(axis=1))
-        i_row = int(np.argmin(split))
+        # the row with the fewest candidate pairs #pos·#neg, first on ties;
+        # a row with no ray on one side scores 0 and makes no pair
+        pairs = (values > 0).sum(axis=1) * (values < 0).sum(axis=1)
+        i_row = int(np.argmin(pairs))
         vals = values[i_row]
         pos, neg = vals > 0, vals < 0
         zero = ~(pos | neg)

@@ -18,7 +18,8 @@ import numpy as np
 from .boxes import Box, BoxShape, ShapeError, _as_int, _layout, flat
 from .dd import EnumerationCapError
 
-# ``group`` lists every element; larger groups are refused before any is built
+# ``group`` lists every element; larger groups are refused before any is
+# built, and ``orbit`` stops once its walk passes this many rows
 _MAX_GROUP_ORDER = 1 << 20
 
 
@@ -238,14 +239,15 @@ def _generator_maps(shape, allow_party_permutation):
     return gens, maps
 
 
-def _walk(starts, maps, target=None):
+def _walk(starts, maps, target=None, limit=None):
     """Breadth-first search from the code rows ``starts`` under the gather
     maps, level by level; within a level each row's images are taken under
     each map in turn.
 
     Returns a dict from each row's bytes, in the order found, to how it was
     reached: ``(parent's bytes, map number)``, or ``(None, s)`` for start s.
-    With ``target`` (a row's bytes) the search stops once it is found.
+    With ``target`` (a row's bytes) the search stops once it is found; with
+    ``limit`` it raises EnumerationCapError once it finds more rows.
     """
     keys = _row_keys(starts)
     found = {}
@@ -262,19 +264,24 @@ def _walk(starts, maps, target=None):
                 fresh.append(j)
                 if key == target:
                     break
+                if limit is not None and len(found) > limit:
+                    raise EnumerationCapError(
+                        f"orbit walk passed {limit} rows, the cap on an orbit")
         frontier = images[fresh]
     return found
 
 
 def orbit(box, allow_party_permutation=True):
     """All distinct boxes reachable by relabelling, in breadth-first order
-    over the generators.
+    over the generators.  Raises EnumerationCapError once the walk passes
+    ``_MAX_GROUP_ORDER`` boxes, before the boxes are built.
 
     The walk compares tables through their value-id rows, whose bytes order
     exactly as the tables do lexicographically; in particular two rows are
     equal exactly when their tables are."""
     values, codes = _encode([box.table])
-    found = _walk(codes, _generator_maps(box.shape, allow_party_permutation)[1])
+    found = _walk(codes, _generator_maps(box.shape, allow_party_permutation)[1],
+                  limit=_MAX_GROUP_ORDER)
     return [_decode(box.shape, values, codes.dtype, key) for key in found]
 
 

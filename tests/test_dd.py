@@ -255,3 +255,66 @@ def test_entries_past_int64_take_the_python_int_path():
     assert len(got) == 10
     assert got == _brute_force_rays(rows, 4)
     assert max(abs(v) for ray in got for v in ray) > 2 ** 100
+
+
+def _recorded_order(monkeypatch):
+    """Record the start basis rows and, for each row whose fresh rays are
+    made, check that it is the first row left with the fewest candidate
+    pairs #pos·#neg, from the products the loop read just before it chose;
+    log how many distinct scores the rows left had."""
+    real_inverse, real_products, real_fresh = dd._int_inverse, dd._int_products, dd._fresh_rays
+    starts, last, log = [], {}, []
+
+    def inverse(basis):
+        starts.append([tuple(r) for r in basis])
+        return real_inverse(basis)
+
+    def products(a, b):
+        got = real_products(a, b)
+        last.update(rays=b, values=got)
+        return got
+
+    def fresh(rays, masks, vals, d, check_clock):
+        assert last["rays"] is rays
+        values = last["values"]
+        scores = (values > 0).sum(axis=1) * (values < 0).sum(axis=1)
+        assert np.array_equal(values[int(np.argmin(scores))], vals)
+        log.append(len(set(scores.tolist())))
+        return real_fresh(rays, masks, vals, d, check_clock)
+
+    monkeypatch.setattr(dd, "_int_inverse", inverse)
+    monkeypatch.setattr(dd, "_int_products", products)
+    monkeypatch.setattr(dd, "_fresh_rays", fresh)
+    return starts, log
+
+
+@pytest.mark.parametrize("cone", ["degenerate", "3,4/3,4"])
+def test_rows_are_added_in_fewest_candidate_pair_order(monkeypatch, cone):
+    if cone == "degenerate":
+        rows = _degenerate_cone(random.Random(23), 8, 14)
+    else:
+        rows = _deterministic_vertex_cone(cone)
+    reference = extreme_rays(rows)
+    starts, log = _recorded_order(monkeypatch)
+    assert extreme_rays(rows) == reference
+    # the start: the first independent rows once the rows with more zero
+    # entries come first
+    uniq = dict.fromkeys(tuple(reduce_content(list(r))) for r in rows)
+    basis = []
+    for r in sorted(uniq, key=lambda r: -r.count(0)):
+        if int_rank(basis + [r]) > len(basis):
+            basis.append(r)
+    assert starts == [basis]
+    # most rows were a real choice among rows of different scores
+    assert sum(n > 1 for n in log) > len(log) // 2
+
+
+def test_fewest_pair_order_keeps_the_intermediate_rays_under_the_cone_size():
+    # this cone has 2327 rays; adding rows by the most even pos/neg split
+    # from the first independent rows peaks at 2436 intermediate rays, so
+    # that order stops at this cap
+    rows = _deterministic_vertex_cone("3,4/3,4")
+    assert (len(rows), len(rows[0])) == (45, 35)
+    assert len(extreme_rays(rows, max_rays=2327)) == 2327
+    with pytest.raises(EnumerationCapError, match="ray cap 2326 exceeded"):
+        extreme_rays(rows, max_rays=2326)

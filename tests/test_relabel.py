@@ -230,6 +230,21 @@ def test_orbit_and_canonical_form_match_brute_force(shape, allow):
         assert canonical_form(box, allow).table == min(brute)
 
 
+def test_orbit_walk_stops_past_the_group_order_cap(monkeypatch):
+    shape = BoxShape.from_string("3,3/3,3")
+    box = _random_box(shape, random.Random(3), [Fraction(0), Fraction(1, 3), Fraction(1, 2)])
+    assert len(orbit(box)) == 10368
+    least = canonical_form(box)
+    monkeypatch.setattr(relabel, "_MAX_GROUP_ORDER", 100)
+    with pytest.raises(EnumerationCapError, match="passed 100 rows"):
+        orbit(box)
+    # the cap is orbit's own: the walks behind canonical forms and
+    # enumeration still run to the end
+    _, codes = relabel._encode([box.table])
+    assert len(relabel._walk(codes, relabel._generator_maps(shape, True)[1])) == 10368
+    assert canonical_form(box) == least
+
+
 def test_equivalence_across_a_party_permutation():
     rng = random.Random(5)
     shape = BoxShape.from_string("2,2/3,3")
