@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from .linalg import _bareiss, _int_inverse, _int_products, _max_abs, reduce_content
+from .linalg import _eliminate, _fit, _int_array, _int_products, _max_abs, _solve, reduce_content
 
 # elements in the largest temporary of the adjacency test
 _BUDGET = 1 << 20
@@ -25,11 +25,25 @@ def _pack(tight, nwords):
     return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
 
 
-def _fit(a):
-    """An integer array as int64 when every entry fits, else unchanged."""
-    if a.dtype == object and (not a.size or _max_abs(a) < 2 ** 63):
-        return a.astype(np.int64)
-    return a
+def _start(table):
+    """(basis, rays) of the simplicial start, for distinct nonzero rows
+    ``table``: the indices of the first independent rows once rows with
+    more zero entries come first (input order on ties), and the primitive
+    rays of the cone those rows bound, ray j tight on every basis row but
+    row j.  Raises ValueError if the rows have rank below the dimension.
+
+    One elimination of [rowsᵀ | I] gives both: its pivot columns among the
+    rows' columns are the basis B, and back substitution on the identity
+    block gives D·(Bᵀ)⁻¹, whose row j is orthogonal to every basis row but
+    row j."""
+    n, d = table.shape
+    order = np.argsort(-(table == 0).sum(axis=1), kind="stable")
+    m, pivots = _eliminate(np.concatenate([table[order].T, np.eye(d, dtype=table.dtype)], axis=1))
+    if pivots[-1] >= n:
+        raise ValueError("cone has a lineality space (constraint rank < dimension)")
+    den, y = _solve(m, pivots, range(n, n + d))
+    rays = (1 if den > 0 else -1) * y
+    return order[pivots].tolist(), _fit(rays // np.gcd.reduce(rays, axis=1)[:, None])
 
 
 def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
@@ -79,22 +93,11 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
     if not rows:
         raise ValueError("no constraints: cone is all of space, not pointed")
     d = len(rows[0])
-    # pivot columns of the transpose: the first independent rows, sparsest
-    # first; the sort is stable, so input order breaks ties
-    order = sorted(range(len(rows)), key=lambda i: -rows[i].count(0))
-    base_idx = [order[j] for j in _bareiss([list(c) for c in zip(*(rows[i] for i in order))])]
-    if len(base_idx) < d:
-        raise ValueError("cone has a lineality space (constraint rank < dimension)")
-
-    # column j of the basis inverse is tight on every basis row but row j
-    den, inv = _int_inverse([rows[i] for i in base_idx])
-    sign = 1 if den > 0 else -1
-    rays = _fit(np.array([reduce_content([sign * inv[i][j] for i in range(d)])
-                          for j in range(d)], dtype=object))
+    table = _int_array(rows)
+    base_idx, rays = _start(table)
     # bit k of a ray's mask is set iff the ray is tight on processed row k
     nwords = (len(rows) + 63) // 64
     masks = _pack(~np.eye(d, dtype=bool), nwords)
-    table = _fit(np.array(rows, dtype=object))
     processed = list(base_idx)
     remaining = [i for i in range(len(rows)) if i not in set(base_idx)]
 

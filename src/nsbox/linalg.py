@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers.  One elimination kernel serves
 every caller: fraction-free (Bareiss) forward elimination, then
-fraction-free back substitution; every division is exact, so no
-``Fraction`` is formed inside.  Rational input is scaled to integers at the
-boundary."""
+fraction-free back substitution, on numpy integer arrays; every division is
+exact, so no ``Fraction`` is formed inside.  Each step runs on int64 while
+a per-step guard proves it cannot overflow, and on Python ints past it.
+Rational input is scaled to integers at the boundary."""
 
 from __future__ import annotations
 
@@ -55,90 +56,118 @@ def _int_matmul(rows, cols):
     return _int_products(rows, cols).tolist()
 
 
-def _bareiss(m):
-    """Fraction-free (Bareiss) forward elimination of an integer matrix,
-    a list of row lists, in place; returns the pivot columns.  Every entry
-    stays an integer minor of the input, so the divisions are exact, and
-    the pivot columns are the first maximal independent set of columns."""
-    nr = len(m)
-    nc = len(m[0]) if m else 0
+def _fit(a):
+    """An integer array as int64 when every entry fits, else unchanged."""
+    if a.dtype == object and (not a.size or _max_abs(a) < 2 ** 63):
+        return a.astype(np.int64)
+    return a
+
+
+def _int_array(rows):
+    """Integer rows as an int64 array when every entry fits, else as an
+    object array of Python ints."""
+    return _fit(np.array(rows, dtype=object))
+
+
+def _row_max_abs(a):
+    """The largest magnitude in each row of a 2-D integer array, as Python
+    ints."""
+    return [max(hi, -lo) for hi, lo in zip(a.max(axis=1).tolist(), a.min(axis=1).tolist())]
+
+
+def _eliminate(a):
+    """Fraction-free (Bareiss) forward elimination of a 2-D integer array
+    (int64 or object); returns (echelon form, pivot columns) and leaves
+    ``a`` as it is.  Every entry stays an integer minor of the input, so
+    the divisions are exact, and the pivot columns are the first maximal
+    independent set of columns.
+
+    Each pivot step updates the whole block below and right of its pivot
+    at once.  A step runs on int64 while every entry of its active block
+    (the rows from the pivot's down, the columns from the pivot's on) is
+    below 2**31 in magnitude, so p·x - f·y stays below 2**63; from the first
+    step where that fails, the rest runs on Python ints in an object array,
+    with the same arithmetic.  The active block of a step is the block the
+    step before it updated, less columns that are zero there, so its
+    largest magnitude is read off that update."""
+    m = _fit(a.copy()) if a.dtype == object else a.astype(np.int64)
+    nr, nc = m.shape
+    # the largest magnitude in the active block
+    big = _max_abs(m) if m.size else 0
     pivots = []
     prev = 1
     for col in range(nc):
         rank = len(pivots)
-        piv = next((r for r in range(rank, nr) if m[r][col]), None)
-        if piv is None:
+        nonzero = m[rank:, col].nonzero()[0]
+        if not len(nonzero):
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank]
-        p = lead[col]
-        for r in range(rank + 1, nr):
-            row = m[r]
-            f = row[col]
-            for c in range(col + 1, nc):
-                row[c] = (p * row[c] - f * lead[c]) // prev
-            row[col] = 0
-        prev = p
+        if nonzero[0]:
+            m[[rank, rank + nonzero[0]]] = m[[rank + nonzero[0], rank]]
+        if m.dtype != object and big >= 2 ** 31:
+            m = m.astype(object)
+        p = m[rank, col]
+        below = m[rank + 1:]
+        block = (p * below[:, col + 1:] - below[:, col:col + 1] * m[rank, col + 1:]) // prev
+        below[:, col + 1:] = block
+        below[:, col] = 0
+        if m.dtype != object:
+            big = int(np.abs(block).max()) if block.size else 0
+        prev = int(p)
         pivots.append(col)
         if len(pivots) == nr:
             break
-    return pivots
+    return m, pivots
+
+
+def _solve(m, pivots, cols):
+    """Fraction-free back substitution on an echelon form ``m`` from
+    ``_eliminate`` with its pivot columns.  Returns (D, Y): D is the last
+    pivot, ±det of the pivot block P = m[:r, pivots], and column j of Y is
+    the integer y with P·y = D·m[:r, cols[j]].  y = D·P⁻¹·m[:r, c] is
+    integral (Cramer), so every division is exact.
+
+    Row i of Y is solved for every column at once, from the last row up.
+    With B = m[:r, cols], Pᵢ the entries of row i right of its pivot and y
+    the rows solved so far, row i runs on int64 while |D|·max|Bᵢ| +
+    terms·max|Pᵢ|·max|y| < 2**63 bounds every partial sum; from the first
+    row where that fails, the rest runs on Python ints."""
+    r = len(pivots)
+    den = int(m[r - 1, pivots[-1]]) if r else 1
+    p, b = m[:r, pivots], m[:r, list(cols)]
+    y = np.zeros(b.shape, dtype=m.dtype)
+    if not y.size:
+        return den, y
+    b_hi, p_hi = _row_max_abs(b), _row_max_abs(np.triu(p, 1))
+    y_hi = 0
+    for i in range(r - 1, -1, -1):
+        if y.dtype != object and abs(den) * b_hi[i] + (r - 1 - i) * p_hi[i] * y_hi >= 2 ** 63:
+            p, b, y = p.astype(object), b.astype(object), y.astype(object)
+        y[i] = (den * b[i] - p[i, i + 1:] @ y[i + 1:]) // p[i, i]
+        if y.dtype != object:
+            y_hi = max(y_hi, int(np.abs(y[i]).max()))
+    return den, y
 
 
 def int_rank(rows):
     """Rank of an integer matrix, by fraction-free (Bareiss) elimination."""
-    return len(_bareiss([list(r) for r in rows if any(r)]))
-
-
-def _back_substitute(m, pivots, cols):
-    """Fraction-free back substitution on a Bareiss echelon form ``m`` with
-    the given pivot columns.  Returns (D, ys): D is the last pivot, ±det of
-    the pivot block P, and for each column c in ``cols`` the integer y with
-    P·y = D·m[:, c] over the pivot rows.  y = D·P⁻¹·m[:, c] is integral
-    (Cramer), so every division is exact."""
-    r = len(pivots)
-    den = m[r - 1][pivots[-1]] if r else 1
-    ys = []
-    for c in cols:
-        y = [0] * r
-        for i in range(r - 1, -1, -1):
-            row = m[i]
-            y[i] = (den * row[c] - sum(row[pivots[j]] * y[j]
-                                       for j in range(i + 1, r))) // row[pivots[i]]
-        ys.append(y)
-    return den, ys
+    rows = [r for r in rows if any(r)]
+    return len(_eliminate(_int_array(rows))[1]) if rows else 0
 
 
 def nullspace_int(rows):
     """Primitive integer basis of the right nullspace of an integer matrix:
     one vector per non-pivot column f, with a positive entry at f and zero
     at the other non-pivot columns."""
-    if not rows:
+    if not len(rows):
         raise ValueError("nullspace of an empty matrix is ambiguous")
-    m = [list(r) for r in rows]
-    nc = len(m[0])
-    pivots = _bareiss(m)
-    free = sorted(set(range(nc)) - set(pivots))
-    den, ys = _back_substitute(m, pivots, free)
+    m, pivots = _eliminate(_int_array(rows))
+    free = sorted(set(range(m.shape[1])) - set(pivots))
+    den, y = _solve(m, pivots, free)
     sign = 1 if den > 0 else -1
-    basis = []
-    for f, y in zip(free, ys):
-        vec = [0] * nc
-        vec[f] = sign * den
-        for p, v in zip(pivots, y):
-            vec[p] = -sign * v
-        basis.append(reduce_content(vec))
-    return basis
-
-
-def _int_inverse(rows):
-    """(D, X) with rows·X = D·I for a nonsingular square integer matrix:
-    Bareiss elimination of [rows | I], then back substitution.  D is the
-    last pivot, ±det(rows), so X = D·rows⁻¹ is integral (Cramer)."""
-    n = len(rows)
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    den, cols = _back_substitute(m, _bareiss(m), range(n, 2 * n))
-    return den, [list(r) for r in zip(*cols)]
+    basis = np.zeros((len(free), m.shape[1]), dtype=y.dtype)
+    basis[np.arange(len(free)), free] = sign * den
+    basis[:, pivots] = -sign * y.T
+    return (basis // np.gcd.reduce(basis, axis=1)[:, None]).tolist()
 
 
 def project_out_rowspace(vec, rows):
@@ -149,16 +178,16 @@ def project_out_rowspace(vec, rows):
     v - Bᵀ z for the solution z = y / d of the Gram system (B Bᵀ) z = B v,
     which Bareiss elimination gives with y and d = det(B Bᵀ) integral."""
     vec = [Fraction(v) for v in vec]
-    ints = [clear_denominators(r) for r in rows]
-    basis = [ints[i] for i in _bareiss([list(c) for c in zip(*ints)])]
-    if not basis:
+    if not rows:
+        return vec
+    ints = _int_array([clear_denominators(r) for r in rows])
+    basis = ints[_eliminate(ints.T)[1]]
+    if not len(basis):
         return vec
     den = lcm(*(x.denominator for x in vec))
     v = [x.numerator * (den // x.denominator) for x in vec]
-    k = len(basis)
     # B Bᵀ is positive definite, so its leading minors are the pivots
-    system = [g + b for g, b in zip(_int_matmul(basis, basis),
-                                    _int_matmul(basis, [v]))]
-    d, (y,) = _back_substitute(system, _bareiss(system), [k])
-    back = _int_matmul([y], [list(c) for c in zip(*basis)])[0]
+    system = np.concatenate([_int_products(basis, basis), _int_products(basis, [v])], axis=1)
+    d, y = _solve(*_eliminate(system), [len(basis)])
+    back = _int_products(y.T, basis.T)[0].tolist()
     return [Fraction(d * x - b, d * den) for x, b in zip(v, back)]

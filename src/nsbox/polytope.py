@@ -15,7 +15,7 @@ from .boxes import (_MAX_TABLE_SIZE, Box, BoxShape, InvalidBoxError, ShapeError,
                     ValidationReport, _layout, _marginal_map, flat)
 from .dd import EnumerationCapError, extreme_rays
 from .families import dbox
-from .linalg import _int_products, _max_abs, clear_denominators, int_rank, nullspace_int
+from .linalg import _int_array, _int_products, _max_abs, clear_denominators, int_rank, nullspace_int
 from .simplex import find_nonneg_solution
 
 
@@ -134,8 +134,9 @@ def _presolve_zeros(eq_int):
 def _homogenized_cone(h):
     """(eq_int, rows) for the vertices of {x >= 0, equalities}: the
     equalities as distinct primitive integer rows [-rhs | row], and one
-    integer row per coordinate of (t, x) over a nullspace basis of the
-    equalities, all-zero for the coordinates they force to zero.  Each
+    integer array row per coordinate of (t, x) over a nullspace basis of
+    the equalities, all-zero for the coordinates they force to zero; the
+    array is int64 when every entry fits, else Python ints.  Each
     extreme ray y of the cone {y : rows·y >= 0} with slack row z = rows·y
     and t = z[0] > 0 is one vertex z[1:] / t."""
     eq_int = []
@@ -164,9 +165,10 @@ def _homogenized_cone(h):
     basis = nullspace_int(reduced)
     if not basis:
         raise ShapeError("equalities admit only the zero solution; no polytope")
-    rows = np.zeros((1 + h.ambient, len(basis)), dtype=object)
-    rows[[0] + [1 + c for c in keep]] = np.array(basis, dtype=object).T
-    return eq_int, rows.tolist()
+    basis = _int_array(basis)
+    rows = np.zeros((1 + h.ambient, len(basis)), dtype=basis.dtype)
+    rows[[0] + [1 + c for c in keep]] = basis.T
+    return eq_int, rows
 
 
 def _symmetry_maps(h, eq_int, rows):
@@ -182,7 +184,7 @@ def _symmetry_maps(h, eq_int, rows):
         return None
     _, maps = relabel._generator_maps(h.shape, True)
     maps = np.concatenate([np.zeros((len(maps), 1), dtype=np.intp), 1 + maps], axis=1)
-    columns = np.array(rows, dtype=object)[maps].transpose(0, 2, 1).reshape(-1, 1 + h.ambient)
+    columns = rows[maps].transpose(0, 2, 1).reshape(-1, 1 + h.ambient)
     if _int_products(eq_int, columns).any():
         return None
     return maps
@@ -236,9 +238,10 @@ def _merged(orbits):
 
 
 def _orbit_rays(rows, maps, start, max_rays, time_budget):
-    """The extreme rays of the pointed cone {y : rows·y >= 0}, whose rows
-    the gather maps permute, by adjacency decomposition from the primitive
-    slack row ``start`` = rows·y of one extreme ray y.
+    """The extreme rays of the pointed cone {y : rows·y >= 0}, for an
+    integer array ``rows`` whose rows the gather maps permute, by adjacency
+    decomposition from the primitive slack row ``start`` = rows·y of one
+    extreme ray y.
 
     Returns one (values, codes) per orbit: the sorted distinct entries of
     the orbit's primitive slack rows, and those rows as ids into them in
@@ -256,8 +259,8 @@ def _orbit_rays(rows, maps, start, max_rays, time_budget):
     their zero sets and only a new orbit's first ray is coded."""
     t0 = time.monotonic()
     # u = B·w over a basis B of the hyperplane; edge_rows·w = rows·u
-    edges = nullspace_int([[sum(col) for col in zip(*rows)]])
-    edge_rows = _int_products(rows, edges).tolist()
+    edges = nullspace_int([rows.sum(axis=0, dtype=object).tolist()])
+    edge_rows = _int_products(rows, edges)
 
     by_zeros = {}   # zero-set key -> orbit number
     orbits = []     # (values, codes) per orbit
@@ -294,7 +297,7 @@ def _orbit_rays(rows, maps, start, max_rays, time_budget):
                     f"time budget {time_budget}s exceeded after {elapsed:.1f}s "
                     f"with {len(queue) + 1} orbits left to expand and "
                     f"{len(by_zeros)} vertices")
-        tangent = [edge_rows[i] for i, zi in enumerate(z) if zi == 0]
+        tangent = edge_rows[[i for i, zi in enumerate(z) if zi == 0]].tolist()
         try:
             rays = extreme_rays(tangent, max_rays=max_rays, time_budget=left)
         except EnumerationCapError as exc:
@@ -337,7 +340,7 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
         values, ids, orbit_of = _merged([([Fraction(v, t) for v in values], codes[:, 1:])
                                          for (values, codes), t in zip(orbits, ts)])
     else:
-        rays = extreme_rays(rows, max_rays=max_rays, time_budget=time_budget)
+        rays = extreme_rays(rows.tolist(), max_rays=max_rays, time_budget=time_budget)
         # rays with t = 0 are recession directions, the others vertices
         z = _int_products(rays, rows) if rays else np.zeros((0, 1), np.int64)
         if not z[:, 0].any():

@@ -290,9 +290,11 @@ def canonical_form(box, allow_party_permutation=True):
 
     It is found as the orbit's least value-id row: value ids follow sorted
     value order and are stored big-endian, so the rows' bytes order exactly
-    as the tables do lexicographically."""
+    as the tables do lexicographically.  Raises EnumerationCapError once the
+    walk passes ``_MAX_GROUP_ORDER`` rows."""
     values, codes = _encode([box.table])
-    found = _walk(codes, _generator_maps(box.shape, allow_party_permutation)[1])
+    found = _walk(codes, _generator_maps(box.shape, allow_party_permutation)[1],
+                  limit=_MAX_GROUP_ORDER)
     return _decode(box.shape, values, codes.dtype, min(found))
 
 
@@ -306,7 +308,8 @@ def equivalent_under_relabelling(a, b, allow_party_permutation=True):
     coded with one set of value ids, whose rows order exactly as the tables
     do lexicographically, so a row equals b's row exactly when its table
     equals b's.  The witness is the start composed with the generators on
-    the path to b.
+    the path to b.  Raises EnumerationCapError once the walk passes
+    ``_MAX_GROUP_ORDER`` rows without meeting b.
     """
     n = a.shape.parties
     if b.shape.parties != n:
@@ -321,7 +324,7 @@ def equivalent_under_relabelling(a, b, allow_party_permutation=True):
     gens, maps = _generator_maps(b.shape, allow_party_permutation)
     start_rows = codes[0][np.array([r0.index_map(a.shape)[1] for r0 in starts])]
     target = codes[1].tobytes()
-    found = _walk(start_rows, maps, target)
+    found = _walk(start_rows, maps, target, limit=_MAX_GROUP_ORDER)
     if target not in found:
         return None
     word = []

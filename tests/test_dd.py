@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from fraction_linalg import nullspace
+from test_linalg import _bareiss_reference, _int_inverse_reference
 from nsbox import dd
 from nsbox.boxes import BoxShape
 from nsbox.dd import EnumerationCapError, extreme_rays
-from nsbox.linalg import _int_products, int_rank, nullspace_int, reduce_content
+from nsbox.linalg import _int_array, _int_products, int_rank, nullspace_int, reduce_content
 from nsbox.polytope import HPolytope, _homogenized_cone, build_hrep, enumerate_vertices
 
 
@@ -48,8 +49,11 @@ def test_cone_reduced_to_origin_has_no_rays():
 
 
 def test_lineality_is_rejected():
-    with pytest.raises(ValueError):
-        extreme_rays([[1, 0], [2, 0]])
+    # rank below the dimension, with entries past 2**31 and 2**63 too
+    for rows in ([[1, 0], [2, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, -1, 0]],
+                 [[2 ** 70, 1, 0], [1, 2 ** 40, 0], [3, 5, 0]], [[1, 2, 3], [2, 4, 6]]):
+        with pytest.raises(ValueError, match="lineality space"):
+            extreme_rays(rows)
     with pytest.raises(ValueError):
         extreme_rays([])
 
@@ -262,12 +266,13 @@ def _recorded_order(monkeypatch):
     made, check that it is the first row left with the fewest candidate
     pairs #pos·#neg, from the products the loop read just before it chose;
     log how many distinct scores the rows left had."""
-    real_inverse, real_products, real_fresh = dd._int_inverse, dd._int_products, dd._fresh_rays
+    real_start, real_products, real_fresh = dd._start, dd._int_products, dd._fresh_rays
     starts, last, log = [], {}, []
 
-    def inverse(basis):
-        starts.append([tuple(r) for r in basis])
-        return real_inverse(basis)
+    def start(table):
+        basis, rays = real_start(table)
+        starts.append([tuple(r) for r in table[basis].tolist()])
+        return basis, rays
 
     def products(a, b):
         got = real_products(a, b)
@@ -282,7 +287,7 @@ def _recorded_order(monkeypatch):
         log.append(len(set(scores.tolist())))
         return real_fresh(rays, masks, vals, d, check_clock)
 
-    monkeypatch.setattr(dd, "_int_inverse", inverse)
+    monkeypatch.setattr(dd, "_start", start)
     monkeypatch.setattr(dd, "_int_products", products)
     monkeypatch.setattr(dd, "_fresh_rays", fresh)
     return starts, log
@@ -318,3 +323,29 @@ def test_fewest_pair_order_keeps_the_intermediate_rays_under_the_cone_size():
     assert len(extreme_rays(rows, max_rays=2327)) == 2327
     with pytest.raises(EnumerationCapError, match="ray cap 2326 exceeded"):
         extreme_rays(rows, max_rays=2326)
+
+
+def _old_start(rows):
+    """The start that one elimination replaced: the list kernel on the
+    transpose of the rows, sparsest first, for the basis, then the integer
+    inverse of the basis rows, whose column j is ray j."""
+    d = len(rows[0])
+    order = sorted(range(len(rows)), key=lambda i: -rows[i].count(0))
+    basis = [order[j] for j in _bareiss_reference([list(c) for c in zip(*(rows[i] for i in order))])]
+    den, inv = _int_inverse_reference([list(rows[i]) for i in basis])
+    sign = 1 if den > 0 else -1
+    return basis, [reduce_content([sign * inv[i][j] for i in range(d)]) for j in range(d)]
+
+
+def test_start_rays_match_the_inverse_of_the_basis_rows():
+    rng = random.Random(37)
+    cones = [_degenerate_cone(rng, dim, extra) for dim, extra in ((5, 6), (8, 14), (9, 10))]
+    cones += [_deterministic_vertex_cone(text) for text in ("2,2,2/2,2,2", "3,4/3,4")]
+    cones.append(_parabola_cone(6))
+    # dense rows with entries past 2**31 and past 2**63
+    for bound in (2 ** 40, 2 ** 70):
+        cones.append([[rng.randint(-bound, bound) for _ in range(6)] for _ in range(9)])
+    for rows in cones:
+        rows = list(dict.fromkeys(tuple(reduce_content(list(r))) for r in rows if any(r)))
+        basis, rays = dd._start(_int_array(rows))
+        assert (basis, rays.tolist()) == _old_start(rows)

@@ -4,11 +4,81 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from fraction_linalg import clear_denominators_reference, nullspace, rref, solve
-from nsbox.linalg import (_bareiss, _int_inverse, clear_denominators, int_rank,
+from nsbox.linalg import (_eliminate, _int_array, _solve, clear_denominators, int_rank,
                           nullspace_int, project_out_rowspace, reduce_content)
 
 F = Fraction
+
+
+def _bareiss_reference(m):
+    """The list kernel that `_eliminate` replaced: fraction-free (Bareiss)
+    forward elimination of a list of row lists, in place; returns the
+    pivot columns."""
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    pivots = []
+    prev = 1
+    for col in range(nc):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, nr) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        lead = m[rank]
+        p = lead[col]
+        for r in range(rank + 1, nr):
+            row = m[r]
+            f = row[col]
+            for c in range(col + 1, nc):
+                row[c] = (p * row[c] - f * lead[c]) // prev
+            row[col] = 0
+        prev = p
+        pivots.append(col)
+        if len(pivots) == nr:
+            break
+    return pivots
+
+
+def _back_substitute_reference(m, pivots, cols):
+    """The list back substitution that `_solve` replaced: (D, ys), one y
+    per column c with P·y = D·m[:, c] over the pivot rows."""
+    r = len(pivots)
+    den = m[r - 1][pivots[-1]] if r else 1
+    ys = []
+    for c in cols:
+        y = [0] * r
+        for i in range(r - 1, -1, -1):
+            row = m[i]
+            y[i] = (den * row[c] - sum(row[pivots[j]] * y[j]
+                                       for j in range(i + 1, r))) // row[pivots[i]]
+        ys.append(y)
+    return den, ys
+
+
+def _int_inverse_reference(rows):
+    """The integer inverse the DD start took before one elimination gave
+    it: (D, X) with rows·X = D·I, from the list kernel on [rows | I]."""
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    den, cols = _back_substitute_reference(m, _bareiss_reference(m), range(n, 2 * n))
+    return den, [list(r) for r in zip(*cols)]
+
+
+def _matches_the_reference(rows):
+    """Eliminate ``rows`` and solve for every column with the array kernel
+    and with the list kernel; check that pivots, echelon form, D and
+    solutions agree, and return (echelon, solutions) of the array kernel."""
+    m, pivots = _eliminate(_int_array(rows))
+    ref = [list(r) for r in rows]
+    assert pivots == _bareiss_reference(ref), rows
+    assert m.tolist() == ref, rows
+    cols = range(len(rows[0]))
+    den, y = _solve(m, pivots, cols)
+    assert (den, y.T.tolist()) == _back_substitute_reference(ref, pivots, cols), rows
+    return m, y
 
 
 def test_clear_denominators_scales_positively():
@@ -94,8 +164,8 @@ def test_solve_exact_and_inconsistent():
 
 
 def _reference_inverse(rows):
-    """The Gauss-Jordan inverse over Fractions that `_int_inverse`
-    replaced."""
+    """The Gauss-Jordan inverse over Fractions, an independent reference
+    for the integer one."""
     n = len(rows)
     m = [[F(v) for v in r] + [F(int(i == j)) for j in range(n)]
          for i, r in enumerate(rows)]
@@ -110,9 +180,18 @@ def _reference_inverse(rows):
     return [r[n:] for r in m]
 
 
+def _inverse(rows):
+    """(D, X) with rows·X = D·I: back substitution on the identity block of
+    the eliminated [rows | I]."""
+    n = len(rows)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    m, pivots = _eliminate(_int_array([r + e for r, e in zip(rows, eye)]))
+    return _solve(m, pivots, range(n, 2 * n))
+
+
 def test_integer_inverse_matches_the_fraction_inverse():
-    den, x = _int_inverse([[2, 1], [1, 1]])
-    assert [[F(v, den) for v in r] for r in x] == [[1, -1], [-1, 2]]
+    den, x = _inverse([[2, 1], [1, 1]])
+    assert [[F(v, den) for v in r] for r in x.tolist()] == [[1, -1], [-1, 2]]
     rng = random.Random(9)
     tested = 0
     while tested < 60:
@@ -120,8 +199,9 @@ def test_integer_inverse_matches_the_fraction_inverse():
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         if int_rank(rows) < n:
             continue
-        den, x = _int_inverse(rows)
-        assert [[F(v, den) for v in r] for r in x] == _reference_inverse(rows)
+        den, x = _inverse(rows)
+        assert [[F(v, den) for v in r] for r in x.tolist()] == _reference_inverse(rows)
+        assert (den, x.tolist()) == _int_inverse_reference(rows)
         tested += 1
 
 
@@ -209,7 +289,7 @@ def test_int_matmul_is_exact_past_the_int64_guard():
 
 def _greedy_independent_rows(rows, d):
     """The greedy Fraction elimination the DD start basis used before it
-    moved onto _bareiss: indices of the first d independent rows in order,
+    moved onto Bareiss elimination: indices of the first d independent rows in order,
     None if the rank is below d."""
     basis = []
     chosen = []
@@ -242,9 +322,97 @@ def test_bareiss_on_the_transpose_picks_the_greedy_basis():
         gens = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
         rows = [[sum(rng.choice((0, 0, 1, -1, 2)) * g[j] for g in gens)
                  for j in range(d)] for _ in range(n)]
-        pivots = _bareiss([list(c) for c in zip(*rows)])
+        pivots = _eliminate(_int_array(rows).T)[1]
         greedy = _greedy_independent_rows(rows, d)
         assert (pivots if len(pivots) == d else None) == greedy, rows
         assert len(pivots) == int_rank(rows)
         deficient += greedy is None
     assert 50 < deficient < 250
+
+
+def _random_matrix(rng, nr, nc, rank, bound):
+    """An nr x nc integer matrix of rank at most ``rank``: sums of small
+    multiples of ``rank`` random rows with entries up to ``bound`` (zero
+    for rank 0)."""
+    gens = [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(rank)]
+    return [[sum(rng.choice((0, 0, 1, -1, 2)) * g[j] for g in gens) for j in range(nc)]
+            for _ in range(nr)]
+
+
+def test_array_kernel_matches_the_list_kernel_on_seeded_matrices():
+    rng = random.Random(29)
+    kinds = {"full rank": 0, "rank-deficient": 0, "wide": 0, "tall": 0}
+    for _ in range(400):
+        nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+        rank = max(0, min(nr, nc) - rng.randint(0, 2))
+        bound = rng.choice((1, 4, 2 ** 12, 2 ** 40, 2 ** 70))
+        rows = _random_matrix(rng, nr, nc, rank, bound)
+        _matches_the_reference(rows)
+        full = int_rank(rows) == min(nr, nc)
+        kinds["full rank"] += full
+        kinds["rank-deficient"] += not full
+        kinds["wide"] += nr < nc
+        kinds["tall"] += nr > nc
+    assert min(kinds.values()) > 50, kinds
+
+
+_entries = st.one_of(st.integers(-3, 3), st.integers(-2 ** 31, 2 ** 31),
+                     st.integers(-2 ** 64, 2 ** 64))
+
+
+@st.composite
+def _matrices(draw):
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    # a row that repeats a combination of two others makes the rank drop
+    if nr > 2 and draw(st.booleans()):
+        k = draw(st.integers(-3, 3))
+        rows[-1] = [a + k * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_array_kernel_matches_the_list_kernel_on_drawn_matrices(rows):
+    _matches_the_reference(rows)
+    assert nullspace_int(rows) == nullspace(rows)
+
+
+def test_forward_elimination_crosses_the_int64_guard_partway():
+    # the entries start below 2**31, so the first steps run on int64; the
+    # minors pass 2**31 a few steps in and 2**63 later, where int64 would wrap
+    rng = random.Random(31)
+    for n, bound in ((8, 2 ** 24), (12, 2 ** 12), (10, 2 ** 30)):
+        rows = [[rng.randint(-bound, bound) for _ in range(n + 2)] for _ in range(n)]
+        m, _ = _matches_the_reference(rows)
+        assert max(abs(v) for r in rows for v in r) < 2 ** 31
+        assert m.dtype == object
+        assert max(abs(v) for r in m.tolist() for v in r) >= 2 ** 63
+        assert nullspace_int(rows) == nullspace(rows)
+
+
+def test_back_substitution_crosses_the_int64_guard_alone():
+    # an upper bidiagonal system with unit pivots: elimination leaves it as
+    # it is, on int64, but the solution of the last column is c, c², c³, c⁴
+    c, n = 2 ** 31 - 1, 4
+    rows = [[1 if j == i else -c if j == i + 1 else 0 for j in range(n)] + [c * (i == n - 1)]
+            for i in range(n)]
+    m, y = _matches_the_reference(rows)
+    assert m.dtype == np.int64 and y.dtype == object
+    assert y[:, n].tolist() == [c ** 4, c ** 3, c ** 2, c]
+    assert nullspace_int(rows) == nullspace(rows) == [[-c ** 4, -c ** 3, -c ** 2, -c, 1]]
+
+
+def test_entries_past_int64_from_the_start():
+    e = 2 ** 63
+    for rows in ([[e, 1, -1], [3, -e - 5, 2 * e]],
+                 [[2 ** 70, 2 ** 70], [1, -1], [2 ** 64, 0]],
+                 [[-e, 0], [0, 1]]):
+        m, _ = _matches_the_reference(rows)
+        assert m.dtype == object
+        assert nullspace_int(rows) == nullspace(rows)
+        assert int_rank(rows) == len(rref(rows)[1])
+    # 2**31 <= entries < 2**63 are int64 at the start, object from the first step
+    rows = [[2 ** 40, 3, 1], [5, -2 ** 50, 7]]
+    m, _ = _matches_the_reference(rows)
+    assert _int_array(rows).dtype == np.int64 and m.dtype == object

@@ -131,9 +131,12 @@ def test_hrep_matches_the_loop_builder(text):
 @pytest.mark.parametrize("text", ["3,4/3,4", "2,2,2/2,2,2", "2,2/2,2/3"])
 def test_homogenized_cone_matches_the_fraction_nullspace(text, monkeypatch):
     h = build_hrep(BoxShape.from_string(text))
-    want = _homogenized_cone(h)
+    want_eq, want_rows = _homogenized_cone(h)
+    assert want_rows.dtype == np.int64
     monkeypatch.setattr(polytope, "nullspace_int", nullspace)
-    assert want == _homogenized_cone(h)
+    eq_int, rows = _homogenized_cone(h)
+    assert want_eq == eq_int
+    assert want_rows.tolist() == rows.tolist()
 
 
 def test_chsh_vertex_enumeration():
@@ -213,7 +216,7 @@ def test_classify_rejects_partial_lists():
 def _reference_vertices(h):
     """The reconstruction that the integer one replaced: one Fraction per
     entry, then a sort of the Fraction tables."""
-    _, rows = _homogenized_cone(h)
+    rows = _homogenized_cone(h)[1].tolist()
     vertices = []
     for ray in extreme_rays(rows):
         t, *x = (sum(c * y for c, y in zip(row, ray)) for row in rows)
@@ -452,7 +455,7 @@ def _slack_rays(rows):
 def _orbit_sizes(rows, transforms, start):
     """The sizes of the orbits ``_orbit_rays`` finds, after checking that
     together they are the cone's extreme rays."""
-    orbits = _orbit_rays(rows, _row_maps(rows, transforms), start, 1000, None)
+    orbits = _orbit_rays(np.array(rows), _row_maps(rows, transforms), start, 1000, None)
     found = [tuple(vals[i] for i in row) for vals, codes in orbits for row in codes.tolist()]
     assert sorted(found) == _slack_rays(rows)
     return sorted(len(codes) for _, codes in orbits)

@@ -234,15 +234,17 @@ def test_orbit_walk_stops_past_the_group_order_cap(monkeypatch):
     shape = BoxShape.from_string("3,3/3,3")
     box = _random_box(shape, random.Random(3), [Fraction(0), Fraction(1, 3), Fraction(1, 2)])
     assert len(orbit(box)) == 10368
-    least = canonical_form(box)
+    other = _random_box(shape, random.Random(4), [Fraction(0), Fraction(1, 3), Fraction(1, 2)])
+    assert equivalent_under_relabelling(box, other) is None
     monkeypatch.setattr(relabel, "_MAX_GROUP_ORDER", 100)
-    with pytest.raises(EnumerationCapError, match="passed 100 rows"):
-        orbit(box)
-    # the cap is orbit's own: the walks behind canonical forms and
-    # enumeration still run to the end
+    for walk in (orbit, canonical_form, lambda b: equivalent_under_relabelling(b, other)):
+        with pytest.raises(EnumerationCapError, match="passed 100 rows"):
+            walk(box)
+    # a search that meets its target within the cap still answers
+    assert equivalent_under_relabelling(box, box) == Relabelling.identity(shape)
+    # the enumeration's walk takes no limit and still runs to the end
     _, codes = relabel._encode([box.table])
     assert len(relabel._walk(codes, relabel._generator_maps(shape, True)[1])) == 10368
-    assert canonical_form(box) == least
 
 
 def test_equivalence_across_a_party_permutation():
