@@ -6,7 +6,8 @@ import time
 
 import numpy as np
 
-from .linalg import _eliminate, _fit, _int_array, _int_products, _max_abs, _solve, reduce_content
+from .boxes import _as_int
+from .linalg import _eliminate, _fit, _int_array, _int_products, _max_abs, _primitive_rows, _solve
 
 # elements in the largest temporary of the adjacency test
 _BUDGET = 1 << 20
@@ -47,22 +48,41 @@ def _start(table):
 
 
 def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
-    """All extreme rays of the pointed cone {y : a·y >= 0 for each row a}.
+    """All extreme rays of the pointed cone {y : a·y >= 0 for each row a}
+    of a 2-D integer array or equal-length integer rows ``rows``, as a
+    sorted list of primitive integer tuples; see ``_extreme_rays``.  Other
+    input (ragged, not 2-D, bool or non-integer entries) raises ValueError
+    before any elimination."""
+    try:
+        rows = [list(r) for r in rows]
+    except TypeError:
+        raise ValueError("rows must be 2-D: a sequence of integer rows") from None
+    lengths = sorted({len(r) for r in rows})
+    if len(lengths) > 1:
+        raise ValueError(f"rows must have one length, got lengths {lengths}")
+    ints = [[_as_int(v, "a row entry", ValueError) for v in r] for r in rows]
+    table = _int_array(ints).reshape(len(rows), max(lengths, default=0))
+    return sorted(map(tuple, _extreme_rays(table, max_rays, time_budget).tolist()))
 
-    ``rows`` are integer vectors; the result is a sorted list of primitive
-    integer tuples.  Raises ValueError if the cone is not pointed and
-    EnumerationCapError if ``max_rays`` intermediate rays or the
-    ``time_budget`` (seconds) is exceeded.  The clock is read before each
-    row and, inside a row's adjacency test, before each block of ends and
-    each chunk of an end's candidates.
 
+def _extreme_rays(rows, max_rays, time_budget):
+    """The extreme rays of the pointed cone {y : rows·y >= 0} for a 2-D
+    integer array ``rows``, as primitive rows of one integer array in the
+    order the loop leaves them; (0, d) when the cone is {0}.  Raises
+    ValueError if the cone is not pointed and EnumerationCapError if
+    ``max_rays`` intermediate rays or the ``time_budget`` (seconds) is
+    exceeded.  The clock is read before each row and, inside a row's
+    adjacency test, before each block of ends and each chunk of an end's
+    candidates.
+
+    The rows are first made primitive and distinct (``_primitive_rows``).
     The start is the simplicial cone of the first independent rows when
     rows with more zero entries come first (input order on ties).  The
     other rows are added one at a time, each time the row that makes the
     fewest candidate pairs, #pos·#neg over the current rays, the first
     such row on ties; so rows with no ray on one side score 0 and go
-    first.  Rays come back sorted, so the order changes only the
-    intermediate ray sets and the time.  Each ray keeps a bit mask of the
+    first.  The order changes only the intermediate ray sets, the time and
+    the order of the rays returned.  Each ray keeps a bit mask of the
     processed rows it is tight on.  A ray p on the positive side of the new
     row and a ray n on its negative side are adjacent iff no third ray is
     tight on all of their common tight rows cm = mask_p ∧ mask_n, which
@@ -79,27 +99,19 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
         if time_budget is not None and elapsed > time_budget:
             raise EnumerationCapError(
                 f"time budget {time_budget}s exceeded after {elapsed:.1f}s "
-                f"with {len(remaining)} of {len(rows)} rows left and "
+                f"with {len(remaining)} of {len(table)} rows left and "
                 f"{len(rays)} rays")
 
-    rows = [tuple(reduce_content(list(r))) for r in rows]
-    seen_rows = set()
-    uniq = []
-    for r in rows:
-        if any(r) and r not in seen_rows:
-            seen_rows.add(r)
-            uniq.append(r)
-    rows = uniq
-    if not rows:
+    table = _primitive_rows(rows)
+    if not len(table):
         raise ValueError("no constraints: cone is all of space, not pointed")
-    d = len(rows[0])
-    table = _int_array(rows)
+    d = table.shape[1]
     base_idx, rays = _start(table)
     # bit k of a ray's mask is set iff the ray is tight on processed row k
-    nwords = (len(rows) + 63) // 64
+    nwords = (len(table) + 63) // 64
     masks = _pack(~np.eye(d, dtype=bool), nwords)
     processed = list(base_idx)
-    remaining = [i for i in range(len(rows)) if i not in set(base_idx)]
+    remaining = [i for i in range(len(table)) if i not in set(base_idx)]
 
     while remaining:
         check_clock()
@@ -113,7 +125,7 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
         zero = ~(pos | neg)
         if not pos.any() and not zero.any():
             # every ray is cut off, so the cone has collapsed to {0}
-            return []
+            return rays[:0]
         word, bit = divmod(len(processed), 64)
         bit = np.uint64(1 << bit)
         if not neg.any():
@@ -134,7 +146,7 @@ def extreme_rays(rows, max_rays=2_000_000, time_budget=None):
             raise EnumerationCapError(
                 f"ray cap {max_rays} exceeded ({len(rays)} rays, "
                 f"{len(remaining)} rows left)")
-    return sorted(map(tuple, rays.tolist()))
+    return rays
 
 
 def _adjacent_pairs(masks, vals, need, check_clock):

@@ -33,27 +33,17 @@ def reduce_content(ints):
 
 
 def _max_abs(m):
-    if isinstance(m, np.ndarray):
-        return max(int(m.max()), -int(m.min()))
-    return max(max(max(r), -min(r)) for r in m)
+    return max(int(m.max()), -int(m.min()))
 
 
 def _int_products(rows, cols):
-    """Exact products rows x colsᵀ as an array.  Either operand may be a
-    list of int lists or an integer array; the products are int64 when the
-    magnitudes provably fit in it, and Python ints in an object array
+    """Exact products rows x colsᵀ of two integer arrays, as int64 when the
+    magnitudes provably fit in it, and as Python ints in an object array
     otherwise."""
     if not len(rows) or not len(cols):
         return np.zeros((len(rows), len(cols)), dtype=np.int64)
-    d = len(cols[0])
-    dtype = np.int64 if _max_abs(rows) * _max_abs(cols) * d < 2 ** 62 else object
-    return np.asarray(rows, dtype=dtype) @ np.asarray(cols, dtype=dtype).T
-
-
-def _int_matmul(rows, cols):
-    """Exact products rows x colsᵀ as a list of int lists (see
-    ``_int_products``)."""
-    return _int_products(rows, cols).tolist()
+    dtype = np.int64 if _max_abs(rows) * _max_abs(cols) * cols.shape[1] < 2 ** 62 else object
+    return rows.astype(dtype, copy=False) @ cols.astype(dtype, copy=False).T
 
 
 def _fit(a):
@@ -67,6 +57,16 @@ def _int_array(rows):
     """Integer rows as an int64 array when every entry fits, else as an
     object array of Python ints."""
     return _fit(np.array(rows, dtype=object))
+
+
+def _primitive_rows(a):
+    """The distinct nonzero rows of a 2-D integer array, each divided by
+    its content (the gcd of its entries), in first-seen order."""
+    a = a[a.any(axis=1)]
+    a = _fit(a // np.gcd.reduce(a, axis=1)[:, None])
+    # one index per distinct row, in the order the rows first appear
+    index = {key: i for i, key in enumerate(map(tuple, a.tolist()))}
+    return a[list(index.values())]
 
 
 def _row_max_abs(a):
@@ -187,7 +187,8 @@ def project_out_rowspace(vec, rows):
     den = lcm(*(x.denominator for x in vec))
     v = [x.numerator * (den // x.denominator) for x in vec]
     # B Bᵀ is positive definite, so its leading minors are the pivots
-    system = np.concatenate([_int_products(basis, basis), _int_products(basis, [v])], axis=1)
+    system = np.concatenate([_int_products(basis, basis),
+                             _int_products(basis, _int_array([v]))], axis=1)
     d, y = _solve(*_eliminate(system), [len(basis)])
     back = _int_products(y.T, basis.T)[0].tolist()
     return [Fraction(d * x - b, d * den) for x, b in zip(v, back)]

@@ -14,7 +14,7 @@ import numpy as np
 from .boxes import Box, BoxShape, ShapeError, _as_int, _layout, _numerators, flat
 from .dd import EnumerationCapError
 from .families import _check_bits, uniform
-from .linalg import _int_matmul, clear_denominators, project_out_rowspace
+from .linalg import _int_array, _int_products, clear_denominators, project_out_rowspace
 from .polytope import build_hrep, normalization_rows
 from .simplex import find_nonneg_solution
 
@@ -317,7 +317,7 @@ def _strategy_matrix(kind, shape, cap, bits=0):
 
 def _scores(coeffs, matrix):
     """Integer coefficients dotted with every strategy table."""
-    return _int_matmul([coeffs], matrix)[0]
+    return _int_products(_int_array([coeffs]), matrix)[0].tolist()
 
 
 def _normalized_separator(raw, box, matrix, constant_rows):

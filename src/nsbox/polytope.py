@@ -13,9 +13,10 @@ import numpy as np
 from . import relabel
 from .boxes import (_MAX_TABLE_SIZE, Box, BoxShape, InvalidBoxError, ShapeError,
                     ValidationReport, _layout, _marginal_map, flat)
-from .dd import EnumerationCapError, extreme_rays
+from .dd import EnumerationCapError, _extreme_rays
 from .families import dbox
-from .linalg import _int_array, _int_products, _max_abs, clear_denominators, int_rank, nullspace_int
+from .linalg import (_int_array, _int_products, _max_abs, _primitive_rows, clear_denominators,
+                     int_rank, nullspace_int)
 from .simplex import find_nonneg_solution
 
 
@@ -116,11 +117,10 @@ def dimension(shape):
 
 
 def _presolve_zeros(eq_int):
-    """Coordinates forced to zero by same-sign rows with rhs 0: a fixpoint
-    over the sign matrix of those rows, each round fixing every live
-    coordinate of a row whose live signs agree."""
-    eq = np.array(eq_int, dtype=object)
-    signs = np.sign(eq[eq[:, 0] == 0, 1:]).astype(np.int8)
+    """Coordinates forced to zero by the same-sign rows with rhs 0 of an
+    integer array of rows [-rhs | row]: a fixpoint over their sign matrix,
+    each round fixing every live coordinate of a row whose live signs agree."""
+    signs = np.sign(eq_int[eq_int[:, 0] == 0, 1:]).astype(np.int8)
     fixed = np.zeros(signs.shape[1], dtype=bool)
     while True:
         live = np.where(fixed, 0, signs)
@@ -134,40 +134,24 @@ def _presolve_zeros(eq_int):
 def _homogenized_cone(h):
     """(eq_int, rows) for the vertices of {x >= 0, equalities}: the
     equalities as distinct primitive integer rows [-rhs | row], and one
-    integer array row per coordinate of (t, x) over a nullspace basis of
-    the equalities, all-zero for the coordinates they force to zero; the
-    array is int64 when every entry fits, else Python ints.  Each
+    row per coordinate of (t, x) over a nullspace basis of the equalities,
+    all-zero for the coordinates they force to zero; both are integer
+    arrays, int64 when every entry fits, else Python ints.  Each
     extreme ray y of the cone {y : rows·y >= 0} with slack row z = rows·y
     and t = z[0] > 0 is one vertex z[1:] / t."""
-    eq_int = []
-    seen = set()
-    for row, rhs in h.equalities:
-        cleared = clear_denominators([-rhs] + list(row))
-        key = tuple(cleared)
-        if key not in seen and any(cleared):
-            seen.add(key)
-            eq_int.append(cleared)
-    if not eq_int:
+    cleared = [clear_denominators([-rhs, *row]) for row, rhs in h.equalities]
+    eq_int = _primitive_rows(_int_array(cleared).reshape(len(cleared), 1 + h.ambient))
+    if not len(eq_int):
         raise ShapeError("a polytope needs at least one equality (normalization)")
 
     fixed = _presolve_zeros(eq_int)
-    keep = [i for i in range(h.ambient) if i not in fixed]
-    reduced = []
-    seen = set()
-    for row in eq_int:
-        r = [row[0]] + [row[1 + c] for c in keep]
-        if any(r):
-            key = tuple(r)
-            if key not in seen:
-                seen.add(key)
-                reduced.append(r)
-
-    basis = nullspace_int(reduced)
+    live = [0] + [1 + c for c in range(h.ambient) if c not in fixed]
+    basis = nullspace_int(_primitive_rows(eq_int[:, live]))
     if not basis:
         raise ShapeError("equalities admit only the zero solution; no polytope")
     basis = _int_array(basis)
     rows = np.zeros((1 + h.ambient, len(basis)), dtype=basis.dtype)
-    rows[[0] + [1 + c for c in keep]] = basis.T
+    rows[live] = basis.T
     return eq_int, rows
 
 
@@ -204,24 +188,25 @@ def _scaled(z):
 
 def _edge_ends(z, w):
     """The far end of the edge from the ray with slack row z along each
-    slack direction row of w, as primitive integer slack rows.
+    slack direction row of w, as primitive integer slack rows; z and w are
+    integer arrays.
 
     The step is the exact ratio test min z[i] / -w[i] over w[i] < 0, kept
     per edge as p / q and compared by cross-multiplying, column by column;
     the end is then q·z + p·w.  Under the guard each term is below 2**62
     in magnitude, so int64 holds the sums; past it the arithmetic is on
     Python ints."""
-    if _max_abs([z]) * _max_abs(w) >= 2 ** 62:
+    if _max_abs(z) * _max_abs(w) >= 2 ** 62:
         w = w.astype(object)
+    z = z.astype(w.dtype)
     p = np.zeros(len(w), dtype=w.dtype)
     q = np.zeros(len(w), dtype=w.dtype)
-    for i, zi in enumerate(z):
-        if zi:
-            step = -w[:, i]
-            take = (step > 0) & ((q == 0) | (zi * q < p * step))
-            p = np.where(take, zi, p)
-            q = np.where(take, step, q)
-    ends = q[:, None] * np.array(z, dtype=w.dtype) + p[:, None] * w
+    for i in np.flatnonzero(z).tolist():
+        step = -w[:, i]
+        take = (step > 0) & ((q == 0) | (z[i] * q < p * step))
+        p = np.where(take, z[i], p)
+        q = np.where(take, step, q)
+    ends = q[:, None] * z + p[:, None] * w
     return ends // np.gcd.reduce(ends, axis=1)[:, None]
 
 
@@ -259,8 +244,8 @@ def _orbit_rays(rows, maps, start, max_rays, time_budget):
     their zero sets and only a new orbit's first ray is coded."""
     t0 = time.monotonic()
     # u = B·w over a basis B of the hyperplane; edge_rows·w = rows·u
-    edges = nullspace_int([rows.sum(axis=0, dtype=object).tolist()])
-    edge_rows = _int_products(rows, edges)
+    edges = nullspace_int(rows.sum(axis=0, dtype=object)[None])
+    edge_rows = _int_products(rows, _int_array(edges))
 
     by_zeros = {}   # zero-set key -> orbit number
     orbits = []     # (values, codes) per orbit
@@ -268,7 +253,7 @@ def _orbit_rays(rows, maps, start, max_rays, time_budget):
 
     def add_orbits(ends):
         keys = relabel._row_keys(np.packbits(ends == 0, axis=1))
-        for end, key in zip(ends.tolist(), keys):
+        for end, key in zip(ends, keys):
             if key in by_zeros:
                 continue
             values, ids = np.unique(end, return_inverse=True)
@@ -285,7 +270,7 @@ def _orbit_rays(rows, maps, start, max_rays, time_budget):
                 f"vertex cap {max_rays} exceeded ({len(by_zeros)} vertices, "
                 f"{len(queue)} orbits left to expand)")
 
-    add_orbits(np.array([start], dtype=object))
+    add_orbits(_int_array([start]))
     while queue and edges:
         z = queue.pop()
         left = None
@@ -297,9 +282,8 @@ def _orbit_rays(rows, maps, start, max_rays, time_budget):
                     f"time budget {time_budget}s exceeded after {elapsed:.1f}s "
                     f"with {len(queue) + 1} orbits left to expand and "
                     f"{len(by_zeros)} vertices")
-        tangent = edge_rows[[i for i, zi in enumerate(z) if zi == 0]].tolist()
         try:
-            rays = extreme_rays(tangent, max_rays=max_rays, time_budget=left)
+            rays = _extreme_rays(edge_rows[z == 0], max_rays, left)
         except EnumerationCapError as exc:
             raise EnumerationCapError(
                 f"{exc}, in a vertex cone, with {len(by_zeros)} vertices "
@@ -328,7 +312,7 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
     eq_int, rows = _homogenized_cone(h)
     maps = _symmetry_maps(h, eq_int, rows)
     if maps is not None:
-        lp = find_nonneg_solution(np.array(eq_int)[:, 1:], [-row[0] for row in eq_int])
+        lp = find_nonneg_solution(eq_int[:, 1:], (-eq_int[:, 0]).tolist())
         if lp.status != "optimal":
             return VRep((), full=True)
         orbits = _orbit_rays(rows, maps, clear_denominators([1, *lp.x]),
@@ -340,9 +324,8 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
         values, ids, orbit_of = _merged([([Fraction(v, t) for v in values], codes[:, 1:])
                                          for (values, codes), t in zip(orbits, ts)])
     else:
-        rays = extreme_rays(rows.tolist(), max_rays=max_rays, time_budget=time_budget)
         # rays with t = 0 are recession directions, the others vertices
-        z = _int_products(rays, rows) if rays else np.zeros((0, 1), np.int64)
+        z = _int_products(_extreme_rays(rows, max_rays, time_budget), rows)
         if not z[:, 0].any():
             return VRep((), full=True)
         if not z[:, 0].all():

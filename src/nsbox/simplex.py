@@ -34,7 +34,7 @@ from math import lcm
 
 import numpy as np
 
-from .linalg import _int_products, _max_abs, _rational, clear_denominators
+from .linalg import _int_array, _int_products, _max_abs, _rational, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def _with_objective(T, basis, cost):
     obj = np.zeros(T.shape[1], dtype=object)
     obj[:len(c)] = [v * den for v in c]
     if used:
-        obj[:-1] -= _int_products([weights], T[used, :-1].T)[0].astype(object)
+        obj[:-1] -= _int_products(_int_array([weights]), T[used, :-1].T)[0].astype(object)
     obj[-1] = k * den
     obj //= np.gcd.reduce(obj)
     if T.dtype != object and not _fits(_max_abs(obj)):

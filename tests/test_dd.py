@@ -26,10 +26,14 @@ def test_square_based_cone():
     assert extreme_rays(rows) == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
 
 
+_SQUARE_CONE = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]
+# the same cone with a scaled row, a duplicate, a scaled duplicate and a
+# zero row
+_NOISY_SQUARE_CONE = _SQUARE_CONE + [[2, 2, -2], [1, 0, 0], [3, 0, 0], [0, 0, 0]]
+
+
 def test_duplicate_and_scaled_rows_are_harmless():
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]
-    noisy = rows + [[2, 2, -2], [1, 0, 0], [3, 0, 0]]
-    assert extreme_rays(noisy) == extreme_rays(rows)
+    assert extreme_rays(_NOISY_SQUARE_CONE) == extreme_rays(_SQUARE_CONE)
 
 
 def test_row_order_does_not_matter():
@@ -71,7 +75,8 @@ def _deterministic_vertex_cone(text):
     them, at the vertex's zero rows."""
     shape = BoxShape.from_string(text)
     _, rows = _homogenized_cone(build_hrep(shape))
-    edge_rows = _int_products(rows, nullspace_int([[sum(c) for c in zip(*rows)]])).tolist()
+    edges = _int_array(nullspace_int([[sum(c) for c in zip(*rows)]]))
+    edge_rows = _int_products(rows, edges).tolist()
     ones = {1 + shape.index((0,) * shape.parties, ins) for ins in shape.joint_inputs}
     return [edge_rows[i] for i in range(1, len(rows)) if i not in ones]
 
@@ -249,12 +254,17 @@ def test_near_ray_adjacency_matches_the_dense_test_on_polytope_cones(monkeypatch
     assert log
 
 
-def test_entries_past_int64_take_the_python_int_path():
+def _past_int64_cone():
+    """A cone with entries near 2**51 whose rays have entries past 2**100."""
     e = 2 ** 50
     rows = [[int(i == j) for j in range(4)] for i in range(4)]
-    rows += [[-3 * e // 2, 3 * e + 1, -2 * e + 3, 3 * e - 5],
-             [-5 * e // 2 + 7, e + 9, -e - 11, 3 * e + 13],
-             [3 * e - 17, 3 * e + 19, 3 * e + 23, -4 * e + 29]]
+    return rows + [[-3 * e // 2, 3 * e + 1, -2 * e + 3, 3 * e - 5],
+                   [-5 * e // 2 + 7, e + 9, -e - 11, 3 * e + 13],
+                   [3 * e - 17, 3 * e + 19, 3 * e + 23, -4 * e + 29]]
+
+
+def test_entries_past_int64_take_the_python_int_path():
+    rows = _past_int64_cone()
     got = extreme_rays(rows)
     assert len(got) == 10
     assert got == _brute_force_rays(rows, 4)
@@ -349,3 +359,36 @@ def test_start_rays_match_the_inverse_of_the_basis_rows():
         rows = list(dict.fromkeys(tuple(reduce_content(list(r))) for r in rows if any(r)))
         basis, rays = dd._start(_int_array(rows))
         assert (basis, rays.tolist()) == _old_start(rows)
+
+
+def test_int64_and_object_arrays_and_lists_give_the_same_rays():
+    rng = random.Random(41)
+    cones = [_NOISY_SQUARE_CONE, _past_int64_cone(), _parabola_cone(6),
+             _degenerate_cone(rng, 6, 10), _degenerate_cone(rng, 8, 12),
+             _deterministic_vertex_cone("2,2,2/2,2,2")]
+    for rows in cones:
+        ints, objects = np.array(rows, dtype=np.int64), np.array(rows, dtype=object)
+        # the loop fits the object rows to int64, so it runs the same steps
+        got = dd._extreme_rays(ints, 10 ** 6, None)
+        assert got.tolist() == dd._extreme_rays(objects, 10 ** 6, None).tolist()
+        want = extreme_rays(rows)
+        assert sorted(map(tuple, got.tolist())) == want
+        assert extreme_rays(ints) == want and extreme_rays(objects) == want
+
+
+@pytest.mark.parametrize("rows, problem", [
+    ([[1, 0], [0, 1, 0]], r"one length, got lengths \[2, 3\]"),
+    ([[1.5, 0], [0, 1]], "a row entry must be an integer, got 1.5"),
+    ([[1, 0], ["0", 1]], "a row entry must be an integer, got '0'"),
+    ([[True, 0], [0, 1]], "a row entry must be an integer, got True"),
+    (np.eye(2), "a row entry must be an integer, got np.float64"),
+    (np.eye(2, dtype=bool), "a row entry must be an integer, got np.True_"),
+    ([1, 0], "2-D: a sequence of integer rows"),
+    (np.ones(2, dtype=np.int64), "2-D: a sequence of integer rows"),
+    (np.zeros((2, 2, 2), dtype=np.int64), "a row entry must be an integer, got array")])
+def test_malformed_rows_are_refused_before_any_elimination(monkeypatch, rows, problem):
+    def loop(*args):
+        raise AssertionError("the DD loop ran")
+    monkeypatch.setattr(dd, "_extreme_rays", loop)
+    with pytest.raises(ValueError, match=problem):
+        extreme_rays(rows)

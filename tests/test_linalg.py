@@ -266,25 +266,26 @@ def test_int_rank_matches_rref():
         assert int_rank(rows) == len(rref(rows)[1])
 
 
-def test_int_matmul_is_exact_past_the_int64_guard():
+def test_int_products_is_exact_past_the_int64_guard():
     import numpy as np
 
-    from nsbox.linalg import _int_matmul
-    small = [[3, -1, 2], [0, 4, -5]]
-    cols = [[1, 2, 3], [-2, 0, 7]]
-    want = [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in small]
-    assert _int_matmul(small, cols) == want
-    assert _int_matmul(np.array(small), np.array(cols)) == want
+    from nsbox.linalg import _int_products
+    small = np.array([[3, -1, 2], [0, 4, -5]])
+    cols = np.array([[1, 2, 3], [-2, 0, 7]])
+    want = [[sum(a * b for a, b in zip(r, c)) for c in cols.tolist()] for r in small.tolist()]
+    assert _int_products(small, cols).tolist() == want
+    assert _int_products(small.astype(object), cols).tolist() == want
+    assert _int_products(small, cols).dtype == np.int64
     # past the 2**62 guard the products are Python ints; int64 would wrap
     # on the last one, 2**63 + 1
-    big = [[2 ** 62, 2 ** 62, 1]]
+    big = np.array([[2 ** 62, 2 ** 62, 1]], dtype=object)
     zero_one = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1]], dtype=np.int64)
-    out = _int_matmul(big, zero_one)
-    assert out == [[2 ** 62 + 1, 2 ** 62, 2 ** 63 + 1]]
-    assert all(type(v) is int for v in out[0])
-    assert _int_matmul(np.array([[2 ** 61, 2 ** 61]]), [[1, 1]]) == [[2 ** 62]]
-    assert _int_matmul([], cols) == []
-    assert _int_matmul(small, []) == [[], []]
+    out = _int_products(big, zero_one)
+    assert out.tolist() == [[2 ** 62 + 1, 2 ** 62, 2 ** 63 + 1]]
+    assert out.dtype == object and all(type(v) is int for v in out[0])
+    assert _int_products(np.array([[2 ** 61, 2 ** 61]]), np.array([[1, 1]])).tolist() == [[2 ** 62]]
+    assert _int_products(np.zeros((0, 3), dtype=np.int64), cols).tolist() == []
+    assert _int_products(small, np.zeros((0, 3), dtype=np.int64)).tolist() == [[], []]
 
 
 def _greedy_independent_rows(rows, d):

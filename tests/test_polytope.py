@@ -14,7 +14,7 @@ from nsbox import dd, polytope, relabel
 from nsbox.boxes import Box, BoxShape, InvalidBoxError, ShapeError, mix
 from nsbox.families import dbox, local_deterministic, pr, uniform
 from nsbox.dd import EnumerationCapError, extreme_rays
-from nsbox.linalg import clear_denominators, int_rank, reduce_content
+from nsbox.linalg import _int_array, clear_denominators, int_rank, nullspace_int, reduce_content
 from nsbox.extend import build_extension_polytope
 from nsbox.polytope import (HPolytope, VRep, _edge_ends, _homogenized_cone,
                             _merged, _orbit_rays, _presolve_zeros, _scaled,
@@ -135,8 +135,36 @@ def test_homogenized_cone_matches_the_fraction_nullspace(text, monkeypatch):
     assert want_rows.dtype == np.int64
     monkeypatch.setattr(polytope, "nullspace_int", nullspace)
     eq_int, rows = _homogenized_cone(h)
-    assert want_eq == eq_int
+    assert want_eq.tolist() == eq_int.tolist()
     assert want_rows.tolist() == rows.tolist()
+
+
+def test_homogenized_cone_drops_repeated_scaled_and_zero_equalities(monkeypatch):
+    h = build_hrep(CHSH_SHAPE)
+    zero = tuple(Fraction(0) for _ in range(h.ambient))
+    doubled = [e for row, rhs in h.equalities
+               for e in ((row, rhs), (tuple(2 * v for v in row), 2 * rhs))]
+    noisy = HPolytope(h.ambient, tuple(doubled) + ((zero, Fraction(0)),), h.shape)
+    for want, got in zip(_homogenized_cone(h), _homogenized_cone(noisy)):
+        assert want.tolist() == got.tolist()
+    assert enumerate_vertices(noisy) == enumerate_vertices(h)
+
+    # with p(00|00) = 0, the presolve drops that coordinate; then 2·e0 is a
+    # zero row and 2·(first row) + 3·e0 repeats the first row at twice its
+    # scale, so the rows left are those of the plain H-rep with e0 = 0
+    e0 = tuple(Fraction(int(i == 0)) for i in range(h.ambient))
+    n0, one = h.equalities[0]
+    fixed = HPolytope(h.ambient, h.equalities + ((e0, Fraction(0)),), h.shape)
+    extra = ((tuple(2 * v for v in e0), Fraction(0)),
+             (tuple(2 * v + 3 * u for v, u in zip(n0, e0)), 2 * one))
+    noisy_fixed = HPolytope(h.ambient, noisy.equalities + extra, h.shape)
+    seen = []
+    monkeypatch.setattr(polytope, "nullspace_int",
+                        lambda rows: seen.append(rows.tolist()) or nullspace_int(rows))
+    assert _homogenized_cone(noisy_fixed)[1].tolist() == _homogenized_cone(fixed)[1].tolist()
+    assert seen[0] == seen[1]
+    assert len(seen[0]) < len(_homogenized_cone(noisy_fixed)[0])
+    assert enumerate_vertices(noisy_fixed) == enumerate_vertices(fixed)
 
 
 def test_chsh_vertex_enumeration():
@@ -516,7 +544,7 @@ def test_edge_ends_match_the_fraction_ratio_test(bits, dtype):
              for _ in range(5)]
         for row in w:
             row[-1] = -rng.randint(1, 2 ** bits)
-        got = _edge_ends(z, np.array(w, dtype=np.int64))
+        got = _edge_ends(np.array(z, dtype=np.int64), np.array(w, dtype=np.int64))
         assert got.dtype == dtype
         assert got.tolist() == _reference_edge_ends(z, w)
 
@@ -566,16 +594,16 @@ def _presolve_cases():
     rng = random.Random(11)
     for _ in range(300):
         cols = rng.randint(1, 8)
-        yield [[rng.choice((0, 0, 0, 1, -2)) * rng.randint(1, 3)]
-               + [rng.choice((0, 0, 1, 2, -1, -3)) for _ in range(cols)]
-               for _ in range(rng.randint(1, 6))]
+        yield _int_array([[rng.choice((0, 0, 0, 1, -2)) * rng.randint(1, 3)]
+                          + [rng.choice((0, 0, 1, 2, -1, -3)) for _ in range(cols)]
+                          for _ in range(rng.randint(1, 6))])
 
 
 def test_presolve_matches_the_loop_reference():
     cases = list(_presolve_cases())
-    assert sum(bool(_loop_presolve_zeros(c)) for c in cases) > 100
+    assert sum(bool(_loop_presolve_zeros(c.tolist())) for c in cases) > 100
     for eq_int in cases:
-        assert _presolve_zeros(eq_int) == _loop_presolve_zeros(eq_int)
+        assert _presolve_zeros(eq_int) == _loop_presolve_zeros(eq_int.tolist())
 
 
 def test_census_matches_classes_by_canonical_form(monkeypatch):

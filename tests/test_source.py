@@ -74,3 +74,39 @@ def test_dd_and_relabel_import_no_module_above_them():
     found = {name: sorted(_imported_names(SRC / name) & banned)
              for name, banned in above.items()}
     assert found == {"dd.py": [], "relabel.py": []}
+
+
+def _data_nodes(node):
+    """The nodes of an expression, leaving out subscript indices."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not (isinstance(node, ast.Subscript) and child is node.slice):
+            yield from _data_nodes(child)
+
+
+def _has_tolist(node):
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "tolist" for n in _data_nodes(node))
+
+
+def test_no_tolist_list_feeds_the_integer_kernels():
+    """``dd`` and ``polytope`` hand integer arrays, never a ``.tolist()``
+    list, to ``_int_array``, ``_int_products`` and the DD loop: neither as
+    an argument expression nor through a name bound to one.  The list
+    product ``_int_matmul`` is gone."""
+    kernels = {"_int_array", "_int_products", "_extreme_rays", "extreme_rays"}
+    found = []
+    for name in ("dd.py", "polytope.py"):
+        tree = ast.parse((SRC / name).read_text())
+        listed = {target.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign) and _has_tolist(node.value)
+                  for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) in kernels
+                    and any(_has_tolist(arg) or any(isinstance(n, ast.Name) and n.id in listed
+                                                    for n in _data_nodes(arg))
+                            for arg in [*node.args, *(k.value for k in node.keywords)])):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "_int_matmul" in p.read_text()] == []
