@@ -74,9 +74,9 @@ def _cmd_vertices(args):
     names = [f"vertex_{i:0{width}d}.box" for i in range(len(vrep.vertices))]
     for name, box in zip(names, vrep.vertices):
         save_box(box, out / name)
-    by_table = {box.table: name for name, box in zip(names, vrep.vertices)}
-    lines = [f"{i} {by_table[cl.representative.table]} {cl.size}"
-             for i, cl in enumerate(classes)]
+    # the vertices are sorted by table, so each class's first member is
+    # its representative
+    lines = [f"{i} {names[cl.members[0]]} {cl.size}" for i, cl in enumerate(classes)]
     (out / "classes.txt").write_text("".join(line + "\n" for line in lines))
     print(f"vertices {len(vrep.vertices)}")
     print(f"classes {len(classes)}")

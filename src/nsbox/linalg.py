@@ -154,20 +154,21 @@ def int_rank(rows):
     return len(_eliminate(_int_array(rows))[1]) if rows else 0
 
 
-def nullspace_int(rows):
-    """Primitive integer basis of the right nullspace of an integer matrix:
-    one vector per non-pivot column f, with a positive entry at f and zero
-    at the other non-pivot columns."""
-    if not len(rows):
+def _nullspace(a):
+    """Primitive integer basis of the right nullspace of a 2-D integer
+    array, as the rows of one integer array, int64 when every entry fits,
+    else Python ints: one vector per non-pivot column f, with a positive
+    entry at f and zero at the other non-pivot columns."""
+    if not len(a):
         raise ValueError("nullspace of an empty matrix is ambiguous")
-    m, pivots = _eliminate(_int_array(rows))
+    m, pivots = _eliminate(a)
     free = sorted(set(range(m.shape[1])) - set(pivots))
     den, y = _solve(m, pivots, free)
     sign = 1 if den > 0 else -1
     basis = np.zeros((len(free), m.shape[1]), dtype=y.dtype)
     basis[np.arange(len(free)), free] = sign * den
     basis[:, pivots] = -sign * y.T
-    return (basis // np.gcd.reduce(basis, axis=1)[:, None]).tolist()
+    return _fit(basis // np.gcd.reduce(basis, axis=1)[:, None])
 
 
 def project_out_rowspace(vec, rows):

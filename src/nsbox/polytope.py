@@ -15,8 +15,8 @@ from .boxes import (_MAX_TABLE_SIZE, Box, BoxShape, InvalidBoxError, ShapeError,
                     ValidationReport, _layout, _marginal_map, flat)
 from .dd import EnumerationCapError, _extreme_rays
 from .families import dbox
-from .linalg import (_int_array, _int_products, _max_abs, _primitive_rows, clear_denominators,
-                     int_rank, nullspace_int)
+from .linalg import (_int_array, _int_products, _max_abs, _nullspace, _primitive_rows,
+                     clear_denominators, int_rank)
 from .simplex import find_nonneg_solution
 
 
@@ -146,10 +146,9 @@ def _homogenized_cone(h):
 
     fixed = _presolve_zeros(eq_int)
     live = [0] + [1 + c for c in range(h.ambient) if c not in fixed]
-    basis = nullspace_int(_primitive_rows(eq_int[:, live]))
-    if not basis:
+    basis = _nullspace(_primitive_rows(eq_int[:, live]))
+    if not len(basis):
         raise ShapeError("equalities admit only the zero solution; no polytope")
-    basis = _int_array(basis)
     rows = np.zeros((1 + h.ambient, len(basis)), dtype=basis.dtype)
     rows[live] = basis.T
     return eq_int, rows
@@ -244,8 +243,8 @@ def _orbit_rays(rows, maps, start, max_rays, time_budget):
     their zero sets and only a new orbit's first ray is coded."""
     t0 = time.monotonic()
     # u = B·w over a basis B of the hyperplane; edge_rows·w = rows·u
-    edges = nullspace_int(rows.sum(axis=0, dtype=object)[None])
-    edge_rows = _int_products(rows, _int_array(edges))
+    edges = _nullspace(rows.sum(axis=0, dtype=object)[None])
+    edge_rows = _int_products(rows, edges)
 
     by_zeros = {}   # zero-set key -> orbit number
     orbits = []     # (values, codes) per orbit
@@ -271,7 +270,7 @@ def _orbit_rays(rows, maps, start, max_rays, time_budget):
                 f"{len(queue)} orbits left to expand)")
 
     add_orbits(_int_array([start]))
-    while queue and edges:
+    while queue and len(edges):
         z = queue.pop()
         left = None
         if time_budget is not None:
@@ -292,6 +291,45 @@ def _orbit_rays(rows, maps, start, max_rays, time_budget):
     return orbits
 
 
+def _vertex_rows(h, max_rays, time_budget):
+    """The vertices of {x >= 0, equalities} as ``(values, ids, orbit_of)``:
+    the sorted distinct entries, one row of ids into them per vertex, the
+    rows sorted (ids follow value order, so the rows sort as the tables
+    do), and each row's relabelling orbit number from the orbit-wise path,
+    or None from the full DD run; see ``enumerate_vertices``."""
+    eq_int, rows = _homogenized_cone(h)
+    maps = _symmetry_maps(h, eq_int, rows)
+    if maps is not None:
+        lp = find_nonneg_solution(eq_int[:, 1:], (-eq_int[:, 0]).tolist())
+        if lp.status != "optimal":
+            return [], np.zeros((0, h.ambient), dtype=np.intp), None
+        orbits = _orbit_rays(rows, maps, clear_denominators([1, *lp.x]),
+                             max_rays, time_budget)
+        # t is the same on an orbit, since the maps keep the t row
+        ts = [values[codes[0, 0]] for values, codes in orbits]
+        if not all(ts):
+            raise ShapeError(_UNBOUNDED)
+        values, ids, orbit_of = _merged([([Fraction(v, t) for v in values], codes[:, 1:])
+                                         for (values, codes), t in zip(orbits, ts)])
+    else:
+        # rays with t = 0 are recession directions, the others vertices
+        z = _int_products(_extreme_rays(rows, max_rays, time_budget), rows)
+        if not z[:, 0].any():
+            return [], np.zeros((0, h.ambient), dtype=np.intp), None
+        if not z[:, 0].all():
+            raise ShapeError(_UNBOUNDED)
+        # vertex i is z[i, 1:] / t[i]; scaled to the common denominator of
+        # all t, the integer rows order exactly as the Fraction tables do
+        den, scaled = _scaled(z)
+        nums, inverse = np.unique(scaled, return_inverse=True)
+        values = [Fraction(v, den) for v in nums.tolist()]
+        ids = inverse.reshape(scaled.shape)
+        orbit_of = None
+    # each distinct entry is one Fraction (lexsort's primary key is its last)
+    order = np.lexsort(ids.T[::-1])
+    return values, ids[order], None if orbit_of is None else orbit_of[order]
+
+
 def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
     """All vertices of {x >= 0, equalities}.
 
@@ -309,44 +347,14 @@ def enumerate_vertices(h, max_rays=2_000_000, time_budget=None):
     ``classify_vertices`` reads.  Otherwise they are the extreme rays of
     the homogenized cone, by one double description run.
     """
-    eq_int, rows = _homogenized_cone(h)
-    maps = _symmetry_maps(h, eq_int, rows)
-    if maps is not None:
-        lp = find_nonneg_solution(eq_int[:, 1:], (-eq_int[:, 0]).tolist())
-        if lp.status != "optimal":
-            return VRep((), full=True)
-        orbits = _orbit_rays(rows, maps, clear_denominators([1, *lp.x]),
-                             max_rays, time_budget)
-        # t is the same on an orbit, since the maps keep the t row
-        ts = [values[codes[0, 0]] for values, codes in orbits]
-        if not all(ts):
-            raise ShapeError(_UNBOUNDED)
-        values, ids, orbit_of = _merged([([Fraction(v, t) for v in values], codes[:, 1:])
-                                         for (values, codes), t in zip(orbits, ts)])
-    else:
-        # rays with t = 0 are recession directions, the others vertices
-        z = _int_products(_extreme_rays(rows, max_rays, time_budget), rows)
-        if not z[:, 0].any():
-            return VRep((), full=True)
-        if not z[:, 0].all():
-            raise ShapeError(_UNBOUNDED)
-        # vertex i is z[i, 1:] / t[i]; scaled to the common denominator of
-        # all t, the integer rows order exactly as the Fraction tables do
-        den, scaled = _scaled(z)
-        nums, inverse = np.unique(scaled, return_inverse=True)
-        values = [Fraction(v, den) for v in nums.tolist()]
-        ids = inverse.reshape(scaled.shape)
-        orbit_of = None
-    # ids follow value order, so sorting the id rows sorts the tables;
-    # each distinct entry is one Fraction (lexsort's primary key is its last)
-    order = np.lexsort(ids.T[::-1])
-    vertices = [tuple(v) for v in np.array(values, dtype=object)[ids[order]].tolist()]
+    values, ids, orbit_of = _vertex_rows(h, max_rays, time_budget)
+    vertices = [tuple(v) for v in np.array(values, dtype=object)[ids].tolist()]
     if h.shape is None:
         return VRep(tuple(vertices), full=True)
     boxes = tuple(Box(h.shape, v) for v in vertices)
     if orbit_of is None:
         return VRep(boxes, full=True)
-    return VRep(boxes, full=True, _orbits=_orbit_members(orbit_of[order]))
+    return VRep(boxes, full=True, _orbits=_orbit_members(orbit_of))
 
 
 def _orbit_members(orbit_of):
@@ -470,32 +478,60 @@ class KBoxCensus:
 def kbox_census(d_alice, d_bob, max_rays=2_000_000, time_budget=None):
     """Enumerate a two-input bipartite polytope and match every non-local
     vertex class to a (possibly lifted) k-box; k runs over
-    2..min(output counts).  Class representatives are their orbits' least
-    tables, so a class matches a k-box iff its representative is the
-    lifted k-box's canonical form."""
+    2..min(output counts).
+
+    The census reads the orbit-wise enumeration's sorted vertex id rows and
+    orbit numbers, and builds a Box only for each class's representative,
+    its least table.  Each lifted k-box is coded with the same value ids
+    and looked up among the rows; its row's orbit is the class it matches.
+    A lifted k-box that is not a vertex raises ShapeError."""
     d_alice, d_bob = tuple(d_alice), tuple(d_bob)
     if len(d_alice) != 2 or len(d_bob) != 2:
         raise ShapeError("the census covers two-input bipartite shapes")
     shape = BoxShape((d_alice, d_bob))
-    vrep = enumerate_vertices(build_hrep(shape), max_rays=max_rays,
-                              time_budget=time_budget)
-    classes = classify_vertices(vrep)
-    kmax = min(min(d_alice), min(d_bob))
-    canonical = {k: relabel.canonical_form(lift_box(dbox(k), shape)).table
-                 for k in range(2, kmax + 1)}
+    values, ids, orbit_of = _vertex_rows(build_hrep(shape), max_rays, time_budget)
+    if orbit_of is None:
+        raise ShapeError(f"the census needs the relabelling orbits of {shape}")
+    id_of = {v: i for i, v in enumerate(values)}
+    ks = {}    # orbit number -> the k of each lifted k-box in it
+    for k in range(2, min(min(d_alice), min(d_bob)) + 1):
+        table = lift_box(dbox(k), shape).table
+        if not id_of.keys() >= set(table):
+            raise ShapeError(f"the lifted {k}-box has an entry that no vertex has")
+        at = _find_row(ids, [id_of[v] for v in table])
+        if at is None:
+            raise ShapeError(f"the lifted {k}-box is not a vertex of {shape}")
+        ks.setdefault(int(orbit_of[at]), []).append(k)
+    # the rows are sorted, so each orbit's first row is its least table,
+    # and the classes come ordered by it
+    orbit_nums, firsts, sizes = np.unique(orbit_of, return_index=True, return_counts=True)
     out = []
-    for cls in classes:
-        rep = cls.representative
+    for i in np.argsort(firsts).tolist():
+        rep = Box(shape, tuple(values[j] for j in ids[firsts[i]].tolist()))
+        size = int(sizes[i])
         if rep.is_deterministic():
-            out.append(KBoxClass(rep, cls.size, None, _uses_partial_outputs(rep)))
+            out.append(KBoxClass(rep, size, None, _uses_partial_outputs(rep)))
             continue
-        found = [k for k, table in canonical.items() if rep.table == table]
+        found = ks.get(int(orbit_nums[i]), [])
         if len(found) != 1:
             raise ShapeError(
                 f"non-local vertex class matched k-boxes {found}; expected "
                 f"exactly one match")
-        out.append(KBoxClass(rep, cls.size, found[0], _uses_partial_outputs(rep)))
+        out.append(KBoxClass(rep, size, found[0], _uses_partial_outputs(rep)))
     return KBoxCensus(shape, tuple(out))
+
+
+def _find_row(rows, row):
+    """The index of ``row`` among the lexicographically sorted rows of a
+    2-D array, or None: a binary search on each column in turn, within
+    the rows that agree with ``row`` on the columns before it."""
+    lo, hi = 0, len(rows)
+    for col, v in enumerate(row):
+        column = rows[lo:hi, col]
+        lo, hi = lo + np.searchsorted(column, v), lo + np.searchsorted(column, v, "right")
+        if lo == hi:
+            return None
+    return int(lo)
 
 
 def _uses_partial_outputs(box):

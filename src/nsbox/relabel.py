@@ -135,31 +135,61 @@ def inverse(r):
     return Relabelling(pp, ips, ops)
 
 
+def _classes(items):
+    """The positions of each distinct item, grouped, in first-seen order."""
+    by_item = {}
+    for i, item in enumerate(items):
+        by_item.setdefault(item, []).append(i)
+    return list(by_item.values())
+
+
+def _moves(ident, slots):
+    """A small generating set of the permutations of ``slots`` (positions
+    in the identity permutation ``ident``): the transposition of the first
+    two and, for three or more, the cycle sending each slot to the next."""
+    slots = list(slots)
+    if len(slots) < 2:
+        return []
+    moves = [_swapped(ident, slots[0], slots[1])]
+    if len(slots) > 2:
+        cycle = list(ident)
+        for a, b in zip(slots, slots[1:] + slots[:1]):
+            cycle[a] = b
+        moves.append(tuple(cycle))
+    return moves
+
+
 def generators(shape, allow_party_permutation=True):
-    """Shape-preserving generators: input transpositions between inputs with
-    equal output counts, adjacent output transpositions, and swaps of parties
-    with identical signatures."""
+    """A small generating set of the shape-preserving relabellings.
+
+    A transposition and a full cycle generate every permutation of their
+    slots, so it takes (the cycle only for three slots or more): per class
+    of parties with identical output counts, when party permutations are
+    allowed, the transposition of its first two and the cycle over it; per
+    party that leads its class (every party otherwise), those of each
+    class of its inputs with equal output counts; and at the first input
+    of each such class, with d outputs, the output transposition (0 1) and
+    the d-cycle.  Conjugating by the input and party permutations carries
+    a class's first input's and first party's generators to the others, so
+    these span the whole group."""
     ident = Relabelling.identity(shape)
     pp, ips, ops = ident.party_perm, ident.input_perms, ident.output_perms
     gens = []
-    for k in range(shape.parties):
-        m = shape.inputs[k]
-        for x in range(m):
-            for x2 in range(x + 1, m):
-                if shape.outputs[k][x] == shape.outputs[k][x2]:
-                    # output permutations stay indexed by the original
-                    # input, so the identity ones still fit
-                    ip = _swapped(ips[k], x, x2)
-                    gens.append(Relabelling(pp, _replaced(ips, k, ip), ops))
-        for x in range(m):
-            for a in range(shape.outputs[k][x] - 1):
-                op = _replaced(ops[k], x, _swapped(ops[k][x], a, a + 1))
-                gens.append(Relabelling(pp, ips, _replaced(ops, k, op)))
+    party_classes = _classes(shape.outputs)
     if allow_party_permutation:
-        for k in range(shape.parties):
-            for l in range(k + 1, shape.parties):
-                if shape.outputs[k] == shape.outputs[l]:
-                    gens.append(Relabelling(_swapped(pp, k, l), ips, ops))
+        for parties in party_classes:
+            gens += (Relabelling(p, ips, ops) for p in _moves(pp, parties))
+    leads = ([parties[0] for parties in party_classes] if allow_party_permutation
+             else range(shape.parties))
+    for k in leads:
+        for inputs in _classes(shape.outputs[k]):
+            # output permutations stay indexed by the original input, so
+            # the identity ones still fit
+            gens += (Relabelling(pp, _replaced(ips, k, ip), ops)
+                     for ip in _moves(ips[k], inputs))
+            x = inputs[0]
+            gens += (Relabelling(pp, ips, _replaced(ops, k, _replaced(ops[k], x, op)))
+                     for op in _moves(ops[k][x], range(len(ops[k][x]))))
     return gens
 
 
@@ -273,8 +303,10 @@ def _walk(starts, maps, target=None, limit=None):
 
 def orbit(box, allow_party_permutation=True):
     """All distinct boxes reachable by relabelling, in breadth-first order
-    over the generators.  Raises EnumerationCapError once the walk passes
-    ``_MAX_GROUP_ORDER`` boxes, before the boxes are built.
+    over the small generating set of ``generators``, which takes fewer
+    images per box than the group's every transposition would but more
+    levels to reach the whole orbit.  Raises EnumerationCapError once the
+    walk passes ``_MAX_GROUP_ORDER`` boxes, before the boxes are built.
 
     The walk compares tables through their value-id rows, whose bytes order
     exactly as the tables do lexicographically; in particular two rows are

@@ -12,7 +12,7 @@ from test_linalg import _bareiss_reference, _int_inverse_reference
 from nsbox import dd
 from nsbox.boxes import BoxShape
 from nsbox.dd import EnumerationCapError, extreme_rays
-from nsbox.linalg import _int_array, _int_products, int_rank, nullspace_int, reduce_content
+from nsbox.linalg import _int_array, _int_products, _nullspace, int_rank, reduce_content
 from nsbox.polytope import HPolytope, _homogenized_cone, build_hrep, enumerate_vertices
 
 
@@ -75,7 +75,7 @@ def _deterministic_vertex_cone(text):
     them, at the vertex's zero rows."""
     shape = BoxShape.from_string(text)
     _, rows = _homogenized_cone(build_hrep(shape))
-    edges = _int_array(nullspace_int([[sum(c) for c in zip(*rows)]]))
+    edges = _nullspace(_int_array([[sum(c) for c in zip(*rows)]]))
     edge_rows = _int_products(rows, edges).tolist()
     ones = {1 + shape.index((0,) * shape.parties, ins) for ins in shape.joint_inputs}
     return [edge_rows[i] for i in range(1, len(rows)) if i not in ones]

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_linalg import clear_denominators_reference, nullspace, rref, solve
-from nsbox.linalg import (_eliminate, _int_array, _solve, clear_denominators, int_rank,
-                          nullspace_int, project_out_rowspace, reduce_content)
+from nsbox.linalg import (_eliminate, _int_array, _nullspace, _solve, clear_denominators,
+                          int_rank, project_out_rowspace, reduce_content)
 
 F = Fraction
+
+
+def _nullspace_rows(rows):
+    """The integer nullspace basis of a list of integer rows, as lists."""
+    return _nullspace(_int_array(rows)).tolist()
 
 
 def _bareiss_reference(m):
@@ -130,7 +135,7 @@ def test_rref_pivots_and_consistency():
 
 def test_nullspace_vectors_annihilate():
     rows = [[1, 2, 3, 0], [0, 1, 1, 1]]
-    basis = nullspace_int(rows)
+    basis = _nullspace_rows(rows)
     assert len(basis) == 2
     for vec in basis:
         for row in rows:
@@ -153,7 +158,7 @@ def test_integer_nullspace_matches_the_fraction_nullspace():
         cases.append(rows)
     assert sum(len(rows) == 1 for rows in cases) > 30
     for rows in cases:
-        assert nullspace_int(rows) == nullspace(rows), rows
+        assert _nullspace_rows(rows) == nullspace(rows), rows
 
 
 def test_solve_exact_and_inconsistent():
@@ -376,7 +381,7 @@ def _matrices(draw):
 @given(_matrices())
 def test_array_kernel_matches_the_list_kernel_on_drawn_matrices(rows):
     _matches_the_reference(rows)
-    assert nullspace_int(rows) == nullspace(rows)
+    assert _nullspace_rows(rows) == nullspace(rows)
 
 
 def test_forward_elimination_crosses_the_int64_guard_partway():
@@ -389,7 +394,7 @@ def test_forward_elimination_crosses_the_int64_guard_partway():
         assert max(abs(v) for r in rows for v in r) < 2 ** 31
         assert m.dtype == object
         assert max(abs(v) for r in m.tolist() for v in r) >= 2 ** 63
-        assert nullspace_int(rows) == nullspace(rows)
+        assert _nullspace_rows(rows) == nullspace(rows)
 
 
 def test_back_substitution_crosses_the_int64_guard_alone():
@@ -401,7 +406,7 @@ def test_back_substitution_crosses_the_int64_guard_alone():
     m, y = _matches_the_reference(rows)
     assert m.dtype == np.int64 and y.dtype == object
     assert y[:, n].tolist() == [c ** 4, c ** 3, c ** 2, c]
-    assert nullspace_int(rows) == nullspace(rows) == [[-c ** 4, -c ** 3, -c ** 2, -c, 1]]
+    assert _nullspace_rows(rows) == nullspace(rows) == [[-c ** 4, -c ** 3, -c ** 2, -c, 1]]
 
 
 def test_entries_past_int64_from_the_start():
@@ -411,7 +416,7 @@ def test_entries_past_int64_from_the_start():
                  [[-e, 0], [0, 1]]):
         m, _ = _matches_the_reference(rows)
         assert m.dtype == object
-        assert nullspace_int(rows) == nullspace(rows)
+        assert _nullspace_rows(rows) == nullspace(rows)
         assert int_rank(rows) == len(rref(rows)[1])
     # 2**31 <= entries < 2**63 are int64 at the start, object from the first step
     rows = [[2 ** 40, 3, 1], [5, -2 ** 50, 7]]

@@ -14,15 +14,15 @@ from nsbox import dd, polytope, relabel
 from nsbox.boxes import Box, BoxShape, InvalidBoxError, ShapeError, mix
 from nsbox.families import dbox, local_deterministic, pr, uniform
 from nsbox.dd import EnumerationCapError, extreme_rays
-from nsbox.linalg import _int_array, clear_denominators, int_rank, nullspace_int, reduce_content
+from nsbox.linalg import _int_array, _nullspace, clear_denominators, int_rank, reduce_content
 from nsbox.extend import build_extension_polytope
-from nsbox.polytope import (HPolytope, VRep, _edge_ends, _homogenized_cone,
-                            _merged, _orbit_rays, _presolve_zeros, _scaled,
-                            _symmetry_maps, build_hrep,
+from nsbox.polytope import (HPolytope, KBoxCensus, KBoxClass, VRep, _edge_ends, _find_row,
+                            _homogenized_cone, _merged, _orbit_rays, _presolve_zeros,
+                            _scaled, _symmetry_maps, _uses_partial_outputs, build_hrep,
                             classify_vertices,
                             dimension, enumerate_vertices, is_extremal,
                             kbox_census, lift_box, normalization_rows)
-from nsbox.relabel import apply_relabelling, group, orbit
+from nsbox.relabel import apply_relabelling, canonical_form, group, orbit
 
 CHSH_SHAPE = BoxShape.homogeneous(2, 2, 2)
 
@@ -133,7 +133,7 @@ def test_homogenized_cone_matches_the_fraction_nullspace(text, monkeypatch):
     h = build_hrep(BoxShape.from_string(text))
     want_eq, want_rows = _homogenized_cone(h)
     assert want_rows.dtype == np.int64
-    monkeypatch.setattr(polytope, "nullspace_int", nullspace)
+    monkeypatch.setattr(polytope, "_nullspace", lambda a: _int_array(nullspace(a.tolist())))
     eq_int, rows = _homogenized_cone(h)
     assert want_eq.tolist() == eq_int.tolist()
     assert want_rows.tolist() == rows.tolist()
@@ -159,8 +159,8 @@ def test_homogenized_cone_drops_repeated_scaled_and_zero_equalities(monkeypatch)
              (tuple(2 * v + 3 * u for v, u in zip(n0, e0)), 2 * one))
     noisy_fixed = HPolytope(h.ambient, noisy.equalities + extra, h.shape)
     seen = []
-    monkeypatch.setattr(polytope, "nullspace_int",
-                        lambda rows: seen.append(rows.tolist()) or nullspace_int(rows))
+    monkeypatch.setattr(polytope, "_nullspace",
+                        lambda rows: seen.append(rows.tolist()) or _nullspace(rows))
     assert _homogenized_cone(noisy_fixed)[1].tolist() == _homogenized_cone(fixed)[1].tolist()
     assert seen[0] == seen[1]
     assert len(seen[0]) < len(_homogenized_cone(noisy_fixed)[0])
@@ -606,12 +606,67 @@ def test_presolve_matches_the_loop_reference():
         assert _presolve_zeros(eq_int) == _loop_presolve_zeros(eq_int.tolist())
 
 
-def test_census_matches_classes_by_canonical_form(monkeypatch):
+def _reference_census(d_alice, d_bob):
+    """``kbox_census`` as it was before the lookup on the vertex rows: the
+    classes of the enumerated Boxes, matched to the canonical forms of the
+    lifted k-boxes."""
+    shape = BoxShape((tuple(d_alice), tuple(d_bob)))
+    classes = classify_vertices(enumerate_vertices(build_hrep(shape)))
+    kmax = min(min(d_alice), min(d_bob))
+    canonical = {k: canonical_form(lift_box(dbox(k), shape)).table
+                 for k in range(2, kmax + 1)}
+    out = []
+    for cls in classes:
+        rep = cls.representative
+        found = [k for k, table in canonical.items() if rep.table == table]
+        assert len(found) == (0 if rep.is_deterministic() else 1)
+        out.append(KBoxClass(rep, cls.size, found[0] if found else None,
+                             _uses_partial_outputs(rep)))
+    return KBoxCensus(shape, tuple(out))
+
+
+@pytest.mark.parametrize("d_alice, d_bob", [((2, 2), (2, 2)), ((2, 2), (3, 3)),
+                                            ((2, 3), (2, 3)), ((3, 3), (3, 3))])
+def test_census_matches_the_canonical_form_reference(d_alice, d_bob):
+    assert kbox_census(d_alice, d_bob) == _reference_census(d_alice, d_bob)
+
+
+def test_census_looks_k_boxes_up_without_a_relabelling_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("the census searched for a relabelling")
     monkeypatch.setattr(relabel, "equivalent_under_relabelling", refuse)
+    monkeypatch.setattr(relabel, "canonical_form", refuse)
     census = kbox_census((3, 3), (3, 3))
     assert {c.k: c.size for c in census.classes} == {None: 81, 2: 648, 3: 432}
+
+
+def test_census_refuses_a_k_box_that_is_not_a_vertex(monkeypatch):
+    # the uniform box has entries, 1/9, that no vertex of 3,3/3,3 has; the
+    # even mixture of two deterministic boxes has only vertex entries, 0,
+    # 1/2 and 1, but is no vertex
+    shape = BoxShape.from_string("3,3/3,3")
+    halves = mix(lift_box(local_deterministic(0, 0, 0, 0), shape),
+                 lift_box(local_deterministic(1, 1, 1, 1), shape), Fraction(1, 2))
+    for box, match in ((uniform(shape), "entry that no vertex has"),
+                       (halves, "is not a vertex")):
+        monkeypatch.setattr(polytope, "lift_box", lambda b, s, box=box: box)
+        with pytest.raises(ShapeError, match=f"lifted 2-box .*{match}"):
+            kbox_census((3, 3), (3, 3))
+
+
+def test_find_row_matches_a_scan():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 40):
+        rows = np.unique(rng.integers(0, 3, size=(n, 4)).astype(np.uint8), axis=0)
+        for probe in iproduct(range(4), repeat=4):
+            want = [i for i, r in enumerate(rows.tolist()) if r == list(probe)]
+            assert _find_row(rows, probe) == (want[0] if want else None)
+
+
+def test_census_needs_the_orbit_wise_enumeration(monkeypatch):
+    monkeypatch.setattr(polytope, "_symmetry_maps", lambda *args: None)
+    with pytest.raises(ShapeError, match="needs the relabelling orbits"):
+        kbox_census((2, 2), (2, 2))
 
 
 def test_extremality():

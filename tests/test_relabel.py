@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from shape_helpers import random_shape
 
@@ -117,11 +118,31 @@ def test_group_without_party_swaps_halves():
 
 
 @pytest.mark.parametrize("text", ["2,2/2,2", "2,3/3,2", "2,2/2,2/2", "3,3/3,3",
-                                  "2,2,2/2,2", "2,3/2,3"])
+                                  "2,2,2/2,2", "2,3/2,3", "2,2/2,2/2,2",
+                                  "2,2,2/2,2,2", "4,4/2", "2,2/3,3"])
 @pytest.mark.parametrize("allow", [True, False])
 def test_group_order_formula_counts_the_group(text, allow):
+    # the generators span the whole group: three identical parties and
+    # three equal inputs take a cycle, d = 4 a 4-cycle, and mixed shapes
+    # split into classes of parties and inputs
     shape = BoxShape.from_string(text)
     assert relabel._group_order(shape, allow) == len(group(shape, allow))
+
+
+@pytest.mark.parametrize("text, count", [("3,3/3,3", 4), ("3,4/3,4", 5),
+                                         ("2,2,2/2,2,2", 4), ("2,2/2,2/2,2", 4),
+                                         ("4,4/4,4", 4)])
+def test_generators_are_few(text, count):
+    assert len(generators(BoxShape.from_string(text))) == count
+
+
+def test_walk_of_an_all_distinct_row_reaches_the_group_order():
+    # no relabelling but the identity fixes a row of distinct entries, so
+    # its orbit has one row per group element
+    shape = BoxShape.from_string("3,4/3,4")
+    codes = np.arange(shape.table_size, dtype=np.uint8)[None]
+    found = relabel._walk(codes, relabel._generator_maps(shape, True)[1])
+    assert len(found) == relabel._group_order(shape) == 41472
 
 
 def test_group_is_refused_past_the_cap(monkeypatch):
