@@ -165,9 +165,8 @@ def _cmd_mincomm(args):
 
 
 def _cmd_extend(args):
-    ok, witness = all_extensions_factorize(
-        load_box(args.box), args.env_inputs, args.env_outputs,
-        max_rays=args.max_rays, time_budget=args.timeout)
+    ok, witness = all_extensions_factorize(load_box(args.box), args.env_inputs,
+                                           args.env_outputs)
     if ok:
         print("FACTORIZES")
         return 0
@@ -187,8 +186,16 @@ def _add_enumeration_flags(p):
                    help="abort enumeration after this many seconds")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``ParseError``, which ``main`` prints as one line
+    with exit 2, instead of printing the usage block and exiting."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nsbox",
         description="Exact analysis of no-signalling boxes.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,7 +269,6 @@ def _build_parser():
     p.add_argument("--env-inputs", type=int, required=True)
     p.add_argument("--env-outputs", type=int, required=True)
     p.add_argument("-o", "--output", default="witness.box")
-    _add_enumeration_flags(p)
     p.set_defaults(func=_cmd_extend)
 
     p = sub.add_parser("preset", help="write a stock protocol as a wiring "
@@ -276,8 +282,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, WiringError, ShapeError, InvalidBoxError,
             EnumerationCapError, FileNotFoundError) as exc:

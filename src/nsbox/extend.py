@@ -1,16 +1,19 @@
-"""Extensions of a bipartite box by an environment party, and the check
-that extremal boxes only extend as products."""
+"""Extensions of a bipartite box by an environment party, and the exact
+check, with no vertex enumerated, that a box only extends as a product;
+``build_hrep``'s table cap and the environment caps bound its size."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from random import Random
+
+import numpy as np
 
 from .boxes import (_MAX_JOINT_INPUTS, Box, BoxShape, ShapeError, _as_int,
-                    _marginal_map, marginal, mix, tensor)
+                    _marginal_map, _numerators, marginal, tensor)
 from .families import uniform
-from .polytope import HPolytope, _indicator_rows, build_hrep, enumerate_vertices
+from .linalg import _max_abs
+from .polytope import HPolytope, _homogenized_cone, _indicator_rows, build_hrep, is_extremal
+from .simplex import maximize
 
 
 @dataclass(frozen=True)
@@ -52,46 +55,42 @@ def build_extension_polytope(base, env_inputs, env_outputs):
     return ExtensionPolytope(base, shape, hrep)
 
 
-def _factorizes(point):
-    ab = marginal(point, (0, 1))
-    env = marginal(point, (2,))
-    return point == tensor(ab, env)
-
-
-def all_extensions_factorize(base, env_inputs, env_outputs,
-                             max_rays=2_000_000, time_budget=None):
+def all_extensions_factorize(base, env_inputs, env_outputs):
     """Whether every extension splits as base times an environment
     distribution; on failure, also a validated counterexample vertex.
 
-    Points with the pinned AB marginal that factorize form a convex set,
-    so checking the vertices settles the whole polytope.  A sampled set of
-    vertex midpoints re-checks that claim at runtime."""
+    E factorizes iff L(E) = E - B ⊗ E_C is 0 (E_C sums E over A and B at
+    each x, y), and all do iff L vanishes on the homogenized cone, whose
+    columns span exactly the polytope: E is 0 where B is, B ⊗ uniform > 0
+    elsewhere.  Else one sign of a row of L has a positive LP optimum, a
+    non-product vertex.  Only the H-rep table cap and env caps bound it."""
     ext = build_extension_polytope(base, env_inputs, env_outputs)
-    vrep = enumerate_vertices(ext.hrep, max_rays=max_rays,
-                              time_budget=time_budget)
-    witness = None
-    for v in vrep.vertices:
-        if not _factorizes(v):
-            witness = v
-            break
-    if witness is not None:
-        witness.require_valid()
-        if marginal(witness, (0, 1)) != base:
-            raise RuntimeError("witness does not reduce to the base box; "
-                               "the extension rows are wrong")
-        return False, witness
-    rng = Random(0)
-    n = len(vrep.vertices)
-    for _ in range(min(50, n * (n - 1) // 2)):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            continue
-        mid = mix(vrep.vertices[i], vrep.vertices[j], Fraction(1, 2))
-        if not _factorizes(mid):
-            raise RuntimeError("a midpoint fails to factorize although every "
-                               "vertex does; the vertex list is suspect")
-    return True, None
+    eq_int, rows = _homogenized_cone(ext.hrep)
+    nums, den = _numerators(base.table)
+    pin, c = (_marginal_map(ext.shape, keep)[1] for keep in ((0, 1), (2,)))
+    b = nums[pin % len(nums)]
+    # den·L = den·I - b_i·[c_i = c_j], applied to the rows by C-group sums:
+    # a dense product would be cubic in the table size; b_i <= den
+    r = rows[1:].astype(np.int64 if den * _max_abs(rows) * len(c) < 2 ** 62 else object,
+                        copy=False)
+    sums = np.zeros((c[-1] + 1, r.shape[1]), r.dtype)
+    np.add.at(sums, c, r)
+    moved = np.flatnonzero((den * r != b[:, None] * sums[c]).any(axis=1))
+    if not len(moved):
+        return True, None
+    i = moved[0]
+    row = np.where(c == c[i], -b[i], 0) + den * (np.arange(len(c)) == i)
+    for objective in (row, -row):
+        lp = maximize(eq_int[:, 1:], (-eq_int[:, 0]).tolist(), objective.tolist())
+        if lp.status == "optimal" and lp.objective > 0:
+            witness = Box(ext.shape, lp.x)
+            witness.require_valid()
+            if (marginal(witness, (0, 1)) != base
+                    or witness == tensor(base, marginal(witness, (2,)))
+                    or not is_extremal(witness, ext.hrep)):
+                raise RuntimeError("the LP optimum is not a non-product vertex")
+            return False, witness
+    raise RuntimeError("a row of L moves on the cone but not on the polytope")
 
 
 def product_extension(base, env_inputs, env_outputs):

@@ -146,7 +146,10 @@ def _homogenized_cone(h):
 
     fixed = _presolve_zeros(eq_int)
     live = [0] + [1 + c for c in range(h.ambient) if c not in fixed]
-    basis = _nullspace(_primitive_rows(eq_int[:, live]))
+    left = _primitive_rows(eq_int[:, live])
+    # no row left: every live column is free (a one-point polytope when the
+    # presolve fixed every coordinate)
+    basis = _nullspace(left) if len(left) else np.eye(len(live), dtype=np.int64)
     if not len(basis):
         raise ShapeError("equalities admit only the zero solution; no polytope")
     rows = np.zeros((1 + h.ambient, len(basis)), dtype=basis.dtype)

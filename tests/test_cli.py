@@ -4,6 +4,7 @@ import io
 import json
 import os
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsbox import cli
@@ -158,7 +159,13 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
               "--env-outputs", "1"],
              ["wire", str(wiring), "-o", str(tmp_path)],
              ["make", "pr", "-o", str(tmp_path / "missing" / "x.box")],
-             ["vertices", "2,2/2,2", "-o", str(binary)]]
+             ["vertices", "2,2/2,2", "-o", str(binary)],
+             # usage errors, which argparse alone reports on several lines
+             ["dim", "2,2/2,2", "--bogus"],
+             ["extend", str(pr_box), "--env-outputs", "2"],
+             ["mincomm", str(tmp_path / "x.box"), "--max-bits", "x"],
+             ["extend", str(pr_box), "--env-inputs", "1", "--env-outputs", "2",
+              "--max-rays", "5"]]
     # shapes within the table cap whose dense H-representation is not
     big_box = tmp_path / "big.box"
     big_box.write_text("shape 65536:2/2\ntable\n" + "1/4 1/4 1/4 1/4\n" * 65536)
@@ -172,6 +179,11 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:") and len(err.splitlines()) == 1, (argv, err)
+    # --help still prints the usage and exits 0
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nsbox dim")
 
 
 def _subcommands():
@@ -260,8 +272,6 @@ def test_any_argv_exits_0_1_or_2(tmp_path_factory, argv):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
-    except SystemExit as exc:   # argparse's usage errors
-        code = exc.code
     finally:
         os.chdir(cwd)
     assert code in (0, 1, 2), argv

@@ -1,14 +1,17 @@
+import time
 from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
 
-from nsbox.boxes import BoxShape, ShapeError, marginal, tensor
+from nsbox import extend
+from nsbox.boxes import Box, BoxShape, ShapeError, marginal, mix, tensor
 from nsbox.extend import (all_extensions_factorize, build_extension_polytope,
                           product_extension)
 from nsbox.families import dbox, local_deterministic, pr, uniform
-from nsbox.polytope import HPolytope, build_hrep, enumerate_vertices
+from nsbox.polytope import HPolytope, build_hrep, enumerate_vertices, is_extremal
+from nsbox.simplex import LPResult, maximize
 
 
 def test_extremal_bases_admit_only_product_extensions():
@@ -19,14 +22,119 @@ def test_extremal_bases_admit_only_product_extensions():
             assert witness is None
 
 
+def _is_product(point):
+    return point == tensor(marginal(point, (0, 1)), marginal(point, (2,)))
+
+
+def _check_witness(base, env, witness):
+    """The checks the library makes before it returns a witness."""
+    witness.require_valid()
+    assert marginal(witness, (0, 1)) == base
+    assert not _is_product(witness)
+    assert is_extremal(witness, build_extension_polytope(base, *env).hrep)
+
+
 def test_interior_base_has_entangled_extensions():
     base = uniform(pr().shape)
     ok, witness = all_extensions_factorize(base, 1, 2)
     assert not ok
-    witness.require_valid()
-    assert marginal(witness, (0, 1)) == base
-    assert witness != tensor(marginal(witness, (0, 1)), marginal(witness, (2,)))
+    _check_witness(base, (1, 2), witness)
     assert witness != product_extension(base, 1, 2)
+
+
+def _reference_factorize(base, env_inputs, env_outputs):
+    """The answer by enumeration: the first vertex, in sorted order, that
+    does not factorize, if any."""
+    ext = build_extension_polytope(base, env_inputs, env_outputs)
+    for v in enumerate_vertices(ext.hrep).vertices:
+        if not _is_product(v):
+            return False, v
+    return True, None
+
+
+def _isotropic_pr(visibility):
+    return mix(pr(), uniform(pr().shape), visibility)
+
+
+ENVS = [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2)]
+CASES = ([(name, env) for name in ("pr", "dbox3", "deterministic") for env in ENVS]
+         + [("uniform", (1, 2)), ("uniform", (1, 3)), ("isotropic", (1, 2)),
+            ("pr_with_deterministic", (1, 2)), ("pr_with_deterministic", (1, 3))])
+
+
+def _base(name):
+    return {"pr": pr, "dbox3": lambda: dbox(3),
+            "deterministic": lambda: local_deterministic(0, 1, 1, 0),
+            "uniform": lambda: uniform(pr().shape),
+            "isotropic": lambda: _isotropic_pr(Fraction(3, 4)),
+            "pr_with_deterministic": lambda: mix(pr(), local_deterministic(0, 0, 0, 0),
+                                                 Fraction(1, 2))}[name]()
+
+
+@pytest.mark.parametrize("name, env", CASES, ids=str)
+def test_answer_matches_the_vertex_loop_reference(name, env):
+    base = _base(name)
+    ok, witness = all_extensions_factorize(base, *env)
+    expected, first = _reference_factorize(base, *env)
+    assert ok == expected
+    if ok:
+        assert witness is None
+    else:
+        _check_witness(base, env, witness)
+        _check_witness(base, env, first)
+
+
+@pytest.mark.parametrize("name, env", [("uniform", (2, 2)), ("isotropic", (1, 3))], ids=str)
+def test_large_extension_polytopes_are_decided_in_under_a_second(name, env):
+    """Enumerating these polytopes' vertices takes 278 s and 57 s on a
+    2-core x86 host."""
+    base = _base(name)
+    start = time.perf_counter()
+    ok, witness = all_extensions_factorize(base, *env)
+    assert time.perf_counter() - start < 1
+    assert not ok
+    _check_witness(base, env, witness)
+
+
+def test_the_lp_objective_vanishes_on_products_and_not_on_the_witness(monkeypatch):
+    """The objective is a row of the map E - B ⊗ E_C: zero on every product
+    extension, positive on the vertex the LP returns."""
+    seen = []
+
+    def spy(rows, rhs, objective):
+        seen.append(objective)
+        return maximize(rows, rhs, objective)
+    monkeypatch.setattr(extend, "maximize", spy)
+    base = _isotropic_pr(Fraction(3, 4))
+    ok, witness = all_extensions_factorize(base, 1, 2)
+    assert not ok and seen
+    env = BoxShape(((2,),))
+    for point in (product_extension(base, 1, 2), tensor(base, Box(env, (1, 0))),
+                  tensor(base, Box(env, (0, 1)))):
+        assert [sum(o * v for o, v in zip(obj, point.table)) for obj in seen] == [0] * len(seen)
+    assert sum(o * v for o, v in zip(seen[-1], witness.table)) > 0
+
+
+def test_a_witness_that_is_not_a_non_product_vertex_is_refused(monkeypatch):
+    base = uniform(pr().shape)
+    _, vertex = all_extensions_factorize(base, 1, 2)
+    product = product_extension(base, 1, 2)
+    # a product vertex (the environment always outputs 0), a non-product
+    # point that is not a vertex, and a non-product vertex over another base
+    product_vertex = tensor(base, Box(BoxShape(((2,),)), (1, 0)))
+    assert is_extremal(product_vertex, build_extension_polytope(base, 1, 2).hrep)
+    _, other = all_extensions_factorize(_isotropic_pr(Fraction(3, 4)), 1, 2)
+    for point in (product_vertex, mix(product, vertex, Fraction(1, 2)), other):
+        def fake(rows, rhs, objective, point=point):
+            return LPResult("optimal", x=point.table, objective=Fraction(1))
+        monkeypatch.setattr(extend, "maximize", fake)
+        with pytest.raises(RuntimeError, match="not a non-product vertex"):
+            all_extensions_factorize(base, 1, 2)
+    # an LP that finds no positive optimum for either sign
+    monkeypatch.setattr(extend, "maximize", lambda rows, rhs, objective: LPResult(
+        "optimal", x=product.table, objective=Fraction(0)))
+    with pytest.raises(RuntimeError, match="moves on the cone"):
+        all_extensions_factorize(base, 1, 2)
 
 
 def test_product_extension_is_always_a_member():

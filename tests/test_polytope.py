@@ -65,6 +65,19 @@ def test_unbounded_sets_are_refused():
     assert enumerate_vertices(empty).vertices == ()
 
 
+def test_a_polytope_fixed_by_the_presolve_is_its_one_point():
+    """When the presolve fixes every coordinate and leaves no equality, the
+    live columns are all free: the cone is the t axis."""
+    h = HPolytope(2, (((1, 0), 0), ((0, 1), 0)))
+    assert _homogenized_cone(h)[1].tolist() == [[1], [0], [0]]
+    assert enumerate_vertices(h).vertices == ((0, 0),)
+    # the homogenized equalities admit only (t, x) = 0: no ray, no polytope
+    for h in (HPolytope(2, (((1, 0), 0), ((0, 1), 0), ((1, 1), 1))),
+              HPolytope(1, (((1,), 1), ((1,), 2)))):
+        with pytest.raises(ShapeError, match="only the zero solution"):
+            enumerate_vertices(h)
+
+
 def test_normalization_rows_sum_blocks():
     rows = normalization_rows(CHSH_SHAPE)
     assert len(rows) == 4

@@ -54,6 +54,14 @@ def test_only_boxes_walks_the_table_entries():
     assert found == []
 
 
+def test_extend_enumerates_no_vertex():
+    """Extensions are decided by one product on the homogenized cone and
+    at most two LPs: no vertex enumeration and no sampled self-check."""
+    text = (SRC / "extend.py").read_text()
+    banned = ("enumerate_vertices", "_vertex_rows", "_orbit_rays", "_extreme_rays", "Random")
+    assert [name for name in banned if name in text] == []
+
+
 def _imported_names(path):
     """Every dotted name a module's import statements mention, split at
     the dots."""
