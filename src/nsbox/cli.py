@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .boxes import InvalidBoxError, ShapeError, _layout
@@ -194,7 +195,11 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@cache
 def _build_parser():
+    """The one parser of the process: ``parse_args`` makes a fresh
+    namespace on every call, so no state carries from one call to the
+    next."""
     parser = _Parser(
         prog="nsbox",
         description="Exact analysis of no-signalling boxes.")

@@ -11,8 +11,9 @@ import numpy as np
 from .boxes import (_MAX_JOINT_INPUTS, Box, BoxShape, ShapeError, _as_int,
                     _marginal_map, _numerators, marginal, tensor)
 from .families import uniform
-from .linalg import _max_abs
-from .polytope import HPolytope, _homogenized_cone, _indicator_rows, build_hrep, is_extremal
+from .linalg import _fit, _max_abs
+from .polytope import (HPolytope, _fraction_rows, _homogenized_cone, _indicator_rows,
+                       build_hrep, is_extremal)
 from .simplex import maximize
 
 
@@ -49,9 +50,16 @@ def build_extension_polytope(base, env_inputs, env_outputs):
     env = _env_shape(env_inputs, env_outputs)
     shape = BoxShape(base.shape.outputs + env.outputs)
     _, gid = _marginal_map(shape, (0, 1))
-    rows = _indicator_rows(gid, env.inputs[0] * base.shape.table_size)
-    extra = tuple(zip(rows, base.table * env.inputs[0]))
-    hrep = HPolytope(shape.table_size, build_hrep(shape).equalities + extra, shape)
+    pins = _indicator_rows(gid, env.inputs[0] * base.shape.table_size)
+    plain = build_hrep(shape)
+    # row i as integers: [-num_i | den·pin_i] over their gcd (num_i <= den)
+    table = base.table * env.inputs[0]
+    nums, den = _numerators(table)
+    nums = nums.astype(np.int64 if den < 2 ** 63 else object)
+    scaled = np.column_stack([-nums, den * pins.astype(nums.dtype)])
+    rows = _fit(np.concatenate([plain._rows, scaled // np.gcd(nums, den)[:, None]]))
+    extra = tuple(zip(_fraction_rows(pins), table))
+    hrep = HPolytope(shape.table_size, plain.equalities + extra, shape, rows)
     return ExtensionPolytope(base, shape, hrep)
 
 
@@ -79,9 +87,10 @@ def all_extensions_factorize(base, env_inputs, env_outputs):
     if not len(moved):
         return True, None
     i = moved[0]
-    row = np.where(c == c[i], -b[i], 0) + den * (np.arange(len(c)) == i)
-    for objective in (row, -row):
-        lp = maximize(eq_int[:, 1:], (-eq_int[:, 0]).tolist(), objective.tolist())
+    row = [-int(b[i]) if g == c[i] else 0 for g in c.tolist()]
+    row[i] += den
+    for objective in (row, [-v for v in row]):
+        lp = maximize(eq_int[:, 1:], (-eq_int[:, 0]).tolist(), objective)
         if lp.status == "optimal" and lp.objective > 0:
             witness = Box(ext.shape, lp.x)
             witness.require_valid()

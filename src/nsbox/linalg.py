@@ -149,9 +149,10 @@ def _solve(m, pivots, cols):
 
 
 def int_rank(rows):
-    """Rank of an integer matrix, by fraction-free (Bareiss) elimination."""
-    rows = [r for r in rows if any(r)]
-    return len(_eliminate(_int_array(rows))[1]) if rows else 0
+    """Rank of an integer matrix (a list of rows or a 2-D integer array),
+    by fraction-free (Bareiss) elimination."""
+    a = rows if isinstance(rows, np.ndarray) else _int_array(rows)
+    return len(_eliminate(a)[1]) if a.size else 0
 
 
 def _nullspace(a):

@@ -23,19 +23,36 @@ from .simplex import find_nonneg_solution
 @dataclass(frozen=True)
 class HPolytope:
     """Equalities (row, rhs) over the flat table; the only inequalities are
-    positivity, one per coordinate."""
+    positivity, one per coordinate.
+
+    ``_rows`` holds the equalities as one integer array [-rhs | row], each
+    row primitive and in equality order, int64 when every entry fits and
+    Python ints past that.  ``build_hrep`` and ``build_extension_polytope``
+    make it from their integer indicator rows; any other HPolytope clears
+    its rows on first use and keeps them.  ``contains``, ``is_extremal``
+    and ``_homogenized_cone`` read it, so no Fraction row is summed or
+    cleared again; it takes no part in equality, hash or repr."""
 
     ambient: int
     equalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     shape: BoxShape | None = None
+    _rows: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def _int_rows(self):
+        if self._rows is None:
+            cleared = [clear_denominators([-rhs, *row]) for row, rhs in self.equalities]
+            object.__setattr__(self, "_rows", _int_array(cleared).reshape(
+                len(cleared), 1 + self.ambient))
+        return self._rows
 
     def contains(self, point):
         if len(point) != self.ambient:
             raise ShapeError("point has wrong dimension")
         if any(v < 0 for v in point):
             return False
-        return all(sum(c * v for c, v in zip(row, point)) == rhs
-                   for row, rhs in self.equalities)
+        # [-rhs | row]·[den | den·point] = den·(row·point - rhs)
+        return not _int_products(self._int_rows(),
+                                 _int_array([clear_denominators([1, *point])])).any()
 
 
 @dataclass(frozen=True)
@@ -61,8 +78,8 @@ _UNITS = (Fraction(0), Fraction(1), Fraction(-1))
 
 
 def _indicator_rows(gid, count, step=0):
-    """``count`` Fraction rows over the entries of a ``_marginal_map``
-    group-id array: row g is +1 where gid == g and, given a step, -1 where
+    """``count`` int8 rows over the entries of a ``_marginal_map`` group-id
+    array: row g is +1 where gid == g and, given a step, -1 where
     gid == g + step."""
     rows = np.zeros((count, len(gid)), np.int8)
     cols = np.arange(len(gid))
@@ -71,12 +88,17 @@ def _indicator_rows(gid, count, step=0):
     if step:
         on = (gid >= step) & (gid < count + step)
         rows[gid[on] - step, cols[on]] = -1
-    return [tuple(map(_UNITS.__getitem__, row.tolist())) for row in rows]
+    return rows
+
+
+def _fraction_rows(rows):
+    """Rows of entries in {0, 1, -1} as tuples of Fractions."""
+    return [tuple(map(_UNITS.__getitem__, row)) for row in rows.tolist()]
 
 
 def normalization_rows(shape):
     """One indicator row per joint input: the block must sum to one."""
-    return _indicator_rows(_marginal_map(shape, ())[1], prod(shape.inputs))
+    return _fraction_rows(_indicator_rows(_marginal_map(shape, ())[1], prod(shape.inputs)))
 
 
 def _equality_count(shape):
@@ -100,13 +122,16 @@ def build_hrep(shape):
     if cells > _MAX_TABLE_SIZE:
         raise ShapeError(f"the H-representation of {cells} entries exceeds "
                          f"the cap of {_MAX_TABLE_SIZE}")
-    equalities = [(row, Fraction(1)) for row in normalization_rows(shape)]
+    blocks = [_indicator_rows(_marginal_map(shape, ())[1], prod(shape.inputs))]
     for k in range(shape.parties):
         rest, gid = _marginal_map(shape, tuple(j for j in range(shape.parties) if j != k))
         size = rest.table_size if rest else 1
-        equalities += ((row, Fraction(0)) for row in
-                       _indicator_rows(gid, (shape.inputs[k] - 1) * size, size))
-    return HPolytope(n, tuple(equalities), shape)
+        blocks.append(_indicator_rows(gid, (shape.inputs[k] - 1) * size, size))
+    rows = np.concatenate(blocks)
+    rhs = np.zeros(len(rows), np.int64)
+    rhs[:len(blocks[0])] = 1
+    equalities = tuple(zip(_fraction_rows(rows), map(_UNITS.__getitem__, rhs.tolist())))
+    return HPolytope(n, equalities, shape, np.column_stack([-rhs, rows]))
 
 
 def dimension(shape):
@@ -138,14 +163,19 @@ def _homogenized_cone(h):
     all-zero for the coordinates they force to zero; both are integer
     arrays, int64 when every entry fits, else Python ints.  Each
     extreme ray y of the cone {y : rows·y >= 0} with slack row z = rows·y
-    and t = z[0] > 0 is one vertex z[1:] / t."""
-    cleared = [clear_denominators([-rhs, *row]) for row, rhs in h.equalities]
-    eq_int = _primitive_rows(_int_array(cleared).reshape(len(cleared), 1 + h.ambient))
+    and t = z[0] > 0 is one vertex z[1:] / t.  Refused before the
+    nullspace when the rows could hold more than the table-size cap of
+    entries."""
+    eq_int = _primitive_rows(h._int_rows())
     if not len(eq_int):
         raise ShapeError("a polytope needs at least one equality (normalization)")
 
     fixed = _presolve_zeros(eq_int)
     live = [0] + [1 + c for c in range(h.ambient) if c not in fixed]
+    cells = (1 + h.ambient) * len(live)
+    if cells > _MAX_TABLE_SIZE:
+        raise ShapeError(f"the homogenized cone's rows of up to {cells} entries "
+                         f"exceed the cap of {_MAX_TABLE_SIZE}")
     left = _primitive_rows(eq_int[:, live])
     # no row left: every live column is free (a one-point polytope when the
     # presolve fixed every coordinate)
@@ -377,9 +407,8 @@ def is_extremal(box, polytope=None):
         raise ShapeError("box does not live in the polytope's ambient space")
     if not h.contains(box.table):
         raise InvalidBoxError(ValidationReport(("box is not a member of the given polytope",)))
-    support = [i for i, v in enumerate(box.table) if v > 0]
-    rows = [clear_denominators([row[i] for i in support]) for row, _ in h.equalities]
-    return int_rank(rows) == len(support)
+    support = [1 + i for i, v in enumerate(box.table) if v > 0]
+    return int_rank(h._int_rows()[:, support]) == len(support)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nsbox import cli
 from nsbox.boxes import BoxShape
 from nsbox.cli import _build_parser, main
-from nsbox.families import svetlichny_box, two_way_vertex, uniform, xyplusz
+from nsbox.families import pr, svetlichny_box, two_way_vertex, uniform, xyplusz
 from nsbox.fileio import dumps_functional, load_box, loads_box, save_box
 from nsbox.locality import chsh_functional
 
@@ -184,6 +184,35 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
         main(["dim", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: nsbox dim")
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """One parser serves every call of ``main`` in a process, and each call
+    answers as a freshly built parser does, whatever ran before it."""
+    assert _build_parser() is _build_parser()
+    pr_box, tripartite = tmp_path / "pr.box", tmp_path / "svetlichny.box"
+    save_box(pr(), pr_box)
+    save_box(svetlichny_box(), tripartite)
+    argvs = [["bell", str(pr_box), "--chsh", "0", "1", "1"],
+             ["bell", str(pr_box), "--chsh", "0", "1"],
+             ["bell", str(tripartite), "--svetlichny"],
+             ["--help"],
+             ["dim", "2,2/2,2/3"],
+             ["local", str(pr_box)]]
+
+    def answers():
+        out = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # --help
+                code = exc.code
+            out.append((code, *capsys.readouterr()))
+        return out
+    cached = answers()
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0, 0, 0]
+    monkeypatch.setattr(cli, "_build_parser", _build_parser.__wrapped__)
+    assert answers() == cached
 
 
 def _subcommands():

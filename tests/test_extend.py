@@ -1,16 +1,19 @@
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
 
-from nsbox import extend
+from nsbox import extend, polytope
 from nsbox.boxes import Box, BoxShape, ShapeError, marginal, mix, tensor
 from nsbox.extend import (all_extensions_factorize, build_extension_polytope,
                           product_extension)
 from nsbox.families import dbox, local_deterministic, pr, uniform
-from nsbox.polytope import HPolytope, build_hrep, enumerate_vertices, is_extremal
+from nsbox.linalg import clear_denominators
+from nsbox.polytope import (HPolytope, _homogenized_cone, build_hrep, enumerate_vertices,
+                            is_extremal)
 from nsbox.simplex import LPResult, maximize
 
 
@@ -209,3 +212,79 @@ def test_extension_rows_match_the_loop_reference(name, env):
     if name != "uniform" or env == (1, 2):
         reference = HPolytope(shape.table_size, plain + tuple(extra), shape)
         assert enumerate_vertices(ext.hrep) == enumerate_vertices(reference)
+
+
+def _huge_denominator_base():
+    """The PR box at a visibility whose denominator passes 2**63."""
+    return _isotropic_pr(Fraction(2 ** 70, 2 ** 70 + 3))
+
+
+EXTENSIONS = sorted(set(CASES) | {(name, env) for name in ("pr", "dbox3", "uniform")
+                                  for env in ((1, 2), (2, 2), (2, 3))}
+                    | {("uniform", (2, 2)), ("isotropic", (1, 3))}
+                    | {("huge_denominator", env) for env in ((1, 2), (2, 2))})
+
+
+@pytest.mark.parametrize("name, env", EXTENSIONS, ids=str)
+def test_extension_integer_rows_are_the_cleared_fraction_rows(name, env):
+    """The integer rows made from the pins' numerators are the equalities
+    cleared row by row, and the cone read from them is the cone of a copy
+    that clears its Fraction rows itself."""
+    base = _huge_denominator_base() if name == "huge_denominator" else _base(name)
+    hrep = build_extension_polytope(base, *env).hrep
+    assert hrep._rows.tolist() == [clear_denominators([-rhs, *row])
+                                   for row, rhs in hrep.equalities]
+    assert hrep._rows.dtype == (object if name == "huge_denominator" else np.int64)
+    copy = HPolytope(hrep.ambient, hrep.equalities, hrep.shape)
+    assert copy == hrep and hash(copy) == hash(hrep) and repr(copy) == repr(hrep)
+    assert copy._rows is None
+    for want, got in zip(_homogenized_cone(copy), _homogenized_cone(hrep)):
+        assert want.dtype == got.dtype and want.tolist() == got.tolist()
+    assert copy._rows.tolist() == hrep._rows.tolist()
+
+
+def test_a_base_with_huge_denominators_has_entangled_extensions():
+    base = _huge_denominator_base()
+    for env in ((1, 2), (2, 2)):
+        ok, witness = all_extensions_factorize(base, *env)
+        assert not ok
+        _check_witness(base, env, witness)
+
+
+@pytest.mark.parametrize("name, env", CASES, ids=str)
+def test_the_answer_does_not_depend_on_the_order_of_the_cone_columns(name, env, monkeypatch):
+    """Every column of the cone counts: with each column first in turn,
+    the answer and the witness stay the same."""
+    base = _base(name)
+    want = all_extensions_factorize(base, *env)
+    count = _homogenized_cone(build_extension_polytope(base, *env).hrep)[1].shape[1]
+    for shift in range(count):
+        def rotated(h, shift=shift):
+            eq_int, rows = _homogenized_cone(h)
+            return eq_int, np.roll(rows, -shift, axis=1)
+        monkeypatch.setattr(extend, "_homogenized_cone", rotated)
+        assert all_extensions_factorize(base, *env) == want, shift
+
+
+def test_dense_cone_rows_are_capped_before_the_nullspace(monkeypatch):
+    """With one environment input and N outputs the cone's rows are about
+    (4N)² entries; N = 500 is answered, N = 2000 refused before any basis
+    is built, with little memory."""
+    base = uniform("1:2/1:2")
+    ok, witness = all_extensions_factorize(base, 1, 500)
+    assert not ok
+    assert marginal(witness, (0, 1)) == base
+
+    def unreachable(*args):
+        raise AssertionError("nullspace built past the cap")
+    monkeypatch.setattr(polytope, "_nullspace", unreachable)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ShapeError, match="homogenized cone"):
+            all_extensions_factorize(base, 1, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert peak < 16 * 2 ** 20

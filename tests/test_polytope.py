@@ -99,6 +99,57 @@ def test_hrep_holds_for_known_boxes():
     assert not h.contains(signalling)
 
 
+@pytest.mark.parametrize("text", ["2,2/2,2", "3,4/3,4", "2,2,2/2,2,2", "2,2/2,2/3"])
+def test_hrep_integer_rows_are_the_cleared_fraction_rows(text):
+    """``build_hrep``'s integer rows are its equalities cleared row by row,
+    and the cone read from them is the cone of a copy that clears its
+    Fraction rows itself."""
+    h = build_hrep(BoxShape.from_string(text))
+    assert h._rows.dtype == np.int64
+    assert h._rows.tolist() == [clear_denominators([-rhs, *row]) for row, rhs in h.equalities]
+    copy = HPolytope(h.ambient, h.equalities, h.shape)
+    assert copy == h and hash(copy) == hash(h) and repr(copy) == repr(h)
+    for want, got in zip(_homogenized_cone(copy), _homogenized_cone(h)):
+        assert want.dtype == got.dtype and want.tolist() == got.tolist()
+
+
+def _fraction_contains(h, point):
+    """``HPolytope.contains`` by Fraction sums over the equalities, as it
+    was before the integer rows."""
+    if len(point) != h.ambient:
+        raise ShapeError("point has wrong dimension")
+    if any(v < 0 for v in point):
+        return False
+    return all(sum(c * v for c, v in zip(row, point)) == rhs for row, rhs in h.equalities)
+
+
+def test_contains_matches_the_fraction_sums():
+    h = build_hrep(CHSH_SHAPE)
+    vertices = [v.table for v in enumerate_vertices(h).vertices]
+    signalling = list(uniform(CHSH_SHAPE).table)
+    signalling[0] += Fraction(1, 8)
+    signalling[1] -= Fraction(1, 8)
+    negative = list(pr().table)
+    negative[0], negative[2] = Fraction(-1, 2), Fraction(1)
+    huge = mix(pr(), uniform(CHSH_SHAPE), Fraction(2 ** 70, 2 ** 70 + 3)).table
+    # mixed int and Fraction entries: the deterministic vertices' zeros and
+    # ones as ints, one of them as Fraction(1)
+    mixed = [[int(v) for v in t] for t in vertices if set(t) <= {0, 1}]
+    mixed[0][mixed[0].index(1)] = Fraction(1)
+    points = (vertices + mixed + [uniform(CHSH_SHAPE).table, huge, signalling, negative,
+                                  [Fraction(1, 3)] * 16, [0] * 16, [1] * 16,
+                                  tuple(v + Fraction(1, 2 ** 70) for v in huge)])
+    plain = HPolytope(h.ambient, h.equalities)
+    scaled = HPolytope(h.ambient, tuple((tuple(v / 3 for v in row), rhs / 3)
+                                        for row, rhs in h.equalities))
+    verdicts = [_fraction_contains(h, p) for p in points]
+    assert verdicts.count(True) == len(vertices) + len(mixed) + 2
+    for poly in (h, plain, scaled):
+        assert [poly.contains(p) for p in points] == verdicts
+    with pytest.raises(ShapeError, match="wrong dimension"):
+        h.contains(pr().table[:-1])
+
+
 def _loop_equalities(shape):
     """The equalities as built before validation and the H-rep shared one
     row set: normalization, then one no-signalling loop per party."""
