@@ -173,16 +173,20 @@ def _nullspace(a):
 
 
 def project_out_rowspace(vec, rows):
-    """Component of vec orthogonal to the row space of ``rows`` (exact).
+    """Component of vec orthogonal to the row space of ``rows`` (exact), a
+    list of rows of rationals or a 2-D integer array.
 
     Computed in integers: with B the first independent rows (denominators
     cleared) and v the vector scaled to integers, the component is
     v - Bᵀ z for the solution z = y / d of the Gram system (B Bᵀ) z = B v,
     which Bareiss elimination gives with y and d = det(B Bᵀ) integral."""
     vec = [Fraction(v) for v in vec]
-    if not rows:
+    if not len(rows):
         return vec
-    ints = _int_array([clear_denominators(r) for r in rows])
+    if isinstance(rows, np.ndarray):
+        ints = rows
+    else:
+        ints = _int_array([clear_denominators(r) for r in rows])
     basis = ints[_eliminate(ints.T)[1]]
     if not len(basis):
         return vec

@@ -16,7 +16,7 @@ from .dd import EnumerationCapError
 from .families import _check_bits, uniform
 from .linalg import _int_array, _int_products, clear_denominators, project_out_rowspace
 from .polytope import build_hrep, normalization_rows
-from .simplex import find_nonneg_solution
+from .simplex import _Phase1
 
 
 class _Strategy:
@@ -124,7 +124,9 @@ def _strategy_table(kind, shape, cap, bits=0):
     count = sum(prod(radices) for radices, _, _ in parts)
     if count > cap:
         at = f" at {bits} message bits" if kind == "oneway" else ""
-        raise EnumerationCapError(f"{count} {kind} strategies{at} exceed the cap of {cap}")
+        # str() refuses integers of more than 4300 digits
+        shown = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
+        raise EnumerationCapError(f"{shown} {kind} strategies{at} exceed the cap of {cap}")
     strategies, table = [], []
     for radices, outs, make in parts:
         place = np.cumprod([1, *radices[:0:-1]])[::-1]
@@ -290,7 +292,7 @@ def _mixture_weights(target_table, tables):
     support_ok = np.flatnonzero(~(tables[:, outside] != 0).any(axis=1))
     if not len(support_ok):
         return None
-    res = find_nonneg_solution(tables[support_ok].T, list(target_table))
+    res = _Phase1(tables[support_ok].T, list(target_table), len(support_ok)).solve()
     if res.status != "optimal":
         return None
     weights = {}
@@ -336,25 +338,29 @@ def _membership(box, strategies, matrix, constant_rows):
     """A LocalModel or a SeparatingCertificate, found by column generation
     over deduplicated strategies and their 0/1 matrix (as from
     ``_strategy_matrix``), and re-verified from the strategies' own
-    supports before it is returned.
+    supports before it is returned.  ``constant_rows()`` gives the rows a
+    certificate is projected off; it is called only when one is made.
 
     The active columns start as the 64 strategies that score highest
-    against the box centred at uniform, kept in strategy order.  Each round
-    solves the feasibility LP on them: weights give the LocalModel, and
-    otherwise the negated Farkas vector is a form the box beats and no
-    active strategy does.  When the box also beats every other strategy
-    the form is the certificate; else the strategies scoring above the
-    active maximum join, best first and at most as many as are active."""
+    against the box centred at uniform, in strategy order, as the columns
+    of one phase-1 simplex tableau (``simplex._Phase1``).  Each round
+    solves it from the last round's basis: weights give the LocalModel,
+    its strategies in strategy order, and otherwise the negated Farkas
+    vector is a form the box beats and no active strategy does.  When the
+    box also beats every other strategy the form is the certificate; else
+    the strategies scoring above the active maximum are appended to the
+    tableau, best first and at most as many as are active."""
     box.require_valid()
     centred = [p - u for p, u in zip(box.table, uniform(box.shape).table)]
     # a positive rescale of the centred box, so the order is unchanged
     merit = _scores(clear_denominators(centred), matrix)
     active = sorted(sorted(range(len(matrix)), key=merit.__getitem__,
                            reverse=True)[:64])
+    lp = _Phase1(matrix[active].T, list(box.table), len(active))
     while True:
-        res = find_nonneg_solution(matrix[active].T, list(box.table))
+        res = lp.solve()
         if res.status == "optimal":
-            used = [(j, w) for j, w in zip(active, res.x) if w]
+            used = sorted((j, w) for j, w in zip(active, res.x) if w)
             model = LocalModel(tuple(strategies[j] for j, _ in used),
                                tuple(w for _, w in used))
             if not model.verify(box):
@@ -363,7 +369,7 @@ def _membership(box, strategies, matrix, constant_rows):
         raw = clear_denominators([-y for y in res.dual])
         scores = _scores(raw, matrix)
         if sum(c * p for c, p in zip(raw, box.table)) > max(scores):
-            cert = _normalized_separator(raw, box, matrix, constant_rows)
+            cert = _normalized_separator(raw, box, matrix, constant_rows())
             if not cert.verify(box, strategies):
                 raise AssertionError("separating certificate does not verify")
             return cert
@@ -374,7 +380,9 @@ def _membership(box, strategies, matrix, constant_rows):
                            key=scores.__getitem__, reverse=True)
         if not violators:
             raise AssertionError("no progress in column generation")
-        active = sorted(active + violators[:len(active)])
+        joining = violators[:len(active)]
+        lp.add_columns(matrix[joining].T)
+        active += joining
 
 
 def is_local(box, cap=200_000):
@@ -383,16 +391,16 @@ def is_local(box, cap=200_000):
     is verified before it is returned.  The certificate is the Farkas
     separator the column generation stopped on, not necessarily a facet
     of the local polytope."""
-    rows = [list(r) for r, _ in build_hrep(box.shape).equalities]
-    return _membership(box, *_strategy_matrix("local", box.shape, cap), rows)
+    return _membership(box, *_strategy_matrix("local", box.shape, cap),
+                       lambda: build_hrep(box.shape)._int_rows()[:, 1:])
 
 
 def is_two_way_local(box, cap=200_000):
     """Like is_local but over all bipartition strategies of a tripartite
     box.  Pair strategies may signal inside the pair, so only the
     normalization rows are safe to project out of certificates."""
-    rows = [list(r) for r in normalization_rows(box.shape)]
-    return _membership(box, *_strategy_matrix("twoway", box.shape, cap), rows)
+    return _membership(box, *_strategy_matrix("twoway", box.shape, cap),
+                       lambda: normalization_rows(box.shape))
 
 
 def correlator(box, ins):

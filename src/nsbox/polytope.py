@@ -17,7 +17,7 @@ from .dd import EnumerationCapError, _extreme_rays
 from .families import dbox
 from .linalg import (_int_array, _int_products, _max_abs, _nullspace, _primitive_rows,
                      clear_denominators, int_rank)
-from .simplex import find_nonneg_solution
+from .simplex import _Phase1
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,7 @@ def _vertex_rows(h, max_rays, time_budget):
     eq_int, rows = _homogenized_cone(h)
     maps = _symmetry_maps(h, eq_int, rows)
     if maps is not None:
-        lp = find_nonneg_solution(eq_int[:, 1:], (-eq_int[:, 0]).tolist())
+        lp = _Phase1(eq_int[:, 1:], (-eq_int[:, 0]).tolist(), eq_int.shape[1] - 1).solve()
         if lp.status != "optimal":
             return [], np.zeros((0, h.ambient), dtype=np.intp), None
         orbits = _orbit_rays(rows, maps, clear_denominators([1, *lp.x]),

@@ -3,20 +3,23 @@ with a Bland's-rule fallback.
 
 The tableau is one 2-D numpy integer array: the m constraint rows, then the
 objective row.  Columns are the n structural variables, the m artificial
-ones, the right-hand side and, last, the row's denominator: each row is a
-list of integer numerators over its own positive denominator, with the gcd
-of all of them divided out after every update, so row i stands for the
-rationals ``T[i, j] / T[i, -1]``.  A pivot on entry ``p`` of row r turns
-every row with a nonzero entry in the pivot column, the objective row
-included, into ``p * other - f * row`` over ``p * den_other`` at once,
-which is the rational update ``other - (f / p) * row`` with both
-denominators cleared.  Since all entries of a row share its denominator,
-the entering rule compares objective numerators, and the ratio test
-cross-multiplies numerators (the row denominators cancel).  A rational
-vector has exactly one such primitive form, so the tableau after each
-pivot is the one the plain rational algorithm would hold, and pivots and
-answers do not depend on the representation; ``Fraction``s are made only
-from the LP input and for the ``LPResult``.
+ones, the right-hand side and, last, the row's denominator: row i is a list
+of integer numerators over its own positive denominator, so it stands for
+the rationals ``T[i, j] / T[i, -1]``.  A pivot on row r and column e first
+puts row r over its pivot entry and divides out the row's gcd; call its
+new denominator p.  Every other row with a nonzero entry f in the pivot
+column, the objective row included, becomes ``other - (f / p) * row``.
+When p is 1, which is most pivots on 0/1 strategy columns, that is
+``other - f * row`` over the row's own denominator, which is left as it is.
+Otherwise it is ``p * other - f * row`` over ``p * den_other``, and that
+row's gcd is divided out.  So a row is not always primitive, but it always
+stands for the same rationals, and no rule reads a row's positive scale:
+the entering rule compares the entries of the objective row alone, the
+ratio test cross-multiplies the numerators of one column and of the
+right-hand side (each row's denominator cancels), and the stall check
+compares the objective value as a rational.  So pivots and answers are
+those of the plain rational algorithm; ``Fraction``s are made only from
+the LP input and for the ``LPResult``.
 
 The array is int64 only while a bound proves that a pivot cannot overflow:
 with M the largest |entry| of the whole array, every product of a pivot is
@@ -24,6 +27,17 @@ at most M² and every difference at most 2·M², so the check 2·M² < 2⁶² ru
 before each pivot.  Once it fails, the same values go on as an ``object``
 array of Python ints for the rest of the solve; the code path is the same
 for both dtypes.  The ratio test and the stall check compare Python ints.
+
+Phase 1 is one object, ``_Phase1``, that can be resumed.  Its artificial
+block holds B⁻¹ of the current basis B, each row up to its own sign flip
+and scale, so a column appended to the LP gets its tableau entries as one
+exact integer product with that block, and its phase-1 reduced cost from
+the objective row's artificial entries.  ``solve`` then goes on pivoting
+from the last basis.  It returns a Farkas certificate, or the basic
+solution x: the drive-out and phase 2 of ``maximize`` leave x unchanged
+under a zero objective, so feasibility callers stop at phase 1, and column
+generation appends its columns to one tableau instead of solving each
+round from the start.
 """
 
 from __future__ import annotations
@@ -78,9 +92,13 @@ def _pivot(T, basis, r, e):
     if len(rows):
         other = T[rows]
         p = row[-1]
-        new = p * other - other[:, e, None] * row
-        new[:, -1] = other[:, -1] * p
-        new //= np.gcd.reduce(new, axis=1)[:, None]
+        if p == 1:
+            new = other - other[:, e, None] * row
+            new[:, -1] = other[:, -1]
+        else:
+            new = p * other - other[:, e, None] * row
+            new[:, -1] = other[:, -1] * p
+            new //= np.gcd.reduce(new, axis=1)[:, None]
         T[rows] = new
     basis[r] = e
     return T
@@ -187,6 +205,66 @@ def _rational_tableau(rows, rhs, n):
     return _tableau(a, [v[-2] for v in lines], [v[-1] for v in lines], dtype)
 
 
+class _Phase1:
+    """Phase 1 of the simplex for rows . x = rhs, x >= 0, on a tableau that
+    columns can be appended to between solves.  ``rows`` is as for
+    ``maximize`` and has n columns."""
+
+    def __init__(self, rows, rhs, n):
+        m = len(rows)
+        if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+            if rows.shape != (m, n) or len(rhs) != m:
+                raise ValueError("inconsistent LP dimensions")
+            T = _integer_tableau(rows, rhs)
+        else:
+            if any(len(r) != n for r in rows) or len(rhs) != m:
+                raise ValueError("inconsistent LP dimensions")
+            T = _rational_tableau(rows, rhs, n)
+        self.n = n
+        self.flipped = [Fraction(b) < 0 for b in rhs]
+        self.basis = [n + i for i in range(m)]
+        self.T = _with_objective(T, self.basis, [0] * n + [-1] * m)
+
+    def add_columns(self, cols):
+        """Append the columns of an (m, k) integer array to the LP.  The
+        artificial block stands for B⁻¹ applied to the sign-flipped rows, so
+        column c's tableau entries are that block times the flipped c, and
+        its phase-1 reduced cost, -(c_B·B⁻¹)·c with c_B -1 on artificials,
+        is the objective row's artificial entries plus its denominator,
+        times the flipped c."""
+        T, n, m = self.T, self.n, len(self.basis)
+        k = cols.shape[1]
+        signed = np.where(self.flipped, -1, 1)[:, None] * cols
+        # each entry is at most 2^62 after a guarded pivot, so the sum with
+        # the objective row's denominator stays below 2^63
+        block = T[:, n:n + m].copy()
+        block[-1] += T[-1, -1]
+        new = _int_products(block, signed.T)
+        self.T = np.concatenate([T[:, :n], new, T[:, n:]], axis=1)
+        self.basis = [b + k if b >= n else b for b in self.basis]
+        self.n = n + k
+
+    def solve(self):
+        """Pivot from the last basis to the phase-1 optimum: an LPResult
+        with a Farkas certificate ("infeasible"), or x ("optimal")."""
+        status, self.T = _run(self.T, self.basis, self.n)
+        T, basis, n = self.T, self.basis, self.n
+        if status != "optimal":
+            raise AssertionError(f"phase 1 ended {status}, not optimal")
+        m = len(basis)
+        # every right-hand side is nonnegative here, so the phase-1 value
+        # -sum(artificial rhs) is negative iff one of them is positive
+        if any(T[i, -2] > 0 for i in range(m) if basis[i] >= n):
+            farkas = [-(1 + _value(T[-1], n + i)) for i in range(m)]
+            farkas = [-y if f else y for y, f in zip(farkas, self.flipped)]
+            return LPResult("infeasible", dual=tuple(farkas))
+        x = [Fraction(0)] * n
+        for i, bi in enumerate(basis):
+            if bi < n:
+                x[bi] = _value(T[i], -2)
+        return LPResult("optimal", x=tuple(x))
+
+
 def maximize(rows, rhs, objective):
     """Maximize objective . x subject to rows . x = rhs, x >= 0.
 
@@ -194,34 +272,17 @@ def maximize(rows, rhs, objective):
     anything ``Fraction`` accepts) or a 2-D numpy integer array, which is
     scaled by the right-hand side denominators only; other arrays are read
     as rows of rationals.  ``rhs`` and ``objective`` are rationals."""
-    m = len(rows)
     n = len(objective)
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
-        if rows.shape != (m, n) or len(rhs) != m:
-            raise ValueError("inconsistent LP dimensions")
-        T = _integer_tableau(rows, rhs)
-    else:
-        if any(len(r) != n for r in rows) or len(rhs) != m:
-            raise ValueError("inconsistent LP dimensions")
-        T = _rational_tableau(rows, rhs, n)
-    flipped = [Fraction(b) < 0 for b in rhs]
-    basis = [n + i for i in range(m)]
-
-    phase1_cost = [0] * n + [-1] * m
-    status, T = _run(_with_objective(T, basis, phase1_cost), basis, n)
-    if status != "optimal":
-        raise AssertionError(f"phase 1 ended {status}, not optimal")
-    # every right-hand side is nonnegative here, so the phase-1 value
-    # -sum(artificial rhs) is negative iff one of them is positive
-    if any(T[i, -2] > 0 for i in range(m) if basis[i] >= n):
-        farkas = [-(1 + _value(T[-1], n + i)) for i in range(m)]
-        farkas = [-y if f else y for y, f in zip(farkas, flipped)]
-        return LPResult("infeasible", dual=tuple(farkas))
+    lp = _Phase1(rows, rhs, n)
+    res = lp.solve()
+    if res.status == "infeasible":
+        return res
+    T, basis = lp.T, lp.basis
 
     # drive artificials out of the basis where a structural pivot exists;
     # rows that stay artificial-basic are identically zero on structural
     # columns and inert from here on
-    for i in range(m):
+    for i in range(len(basis)):
         if basis[i] >= n:
             nonzero = np.flatnonzero(T[i, :n])
             if len(nonzero):
@@ -237,8 +298,8 @@ def maximize(rows, rhs, objective):
         if bi < n:
             x[bi] = _value(T[i], -2)
             z += cost[bi] * x[bi]
-    dual = [-_value(T[-1], n + i) for i in range(m)]
-    dual = [-y if f else y for y, f in zip(dual, flipped)]
+    dual = [-_value(T[-1], n + i) for i in range(len(basis))]
+    dual = [-y if f else y for y, f in zip(dual, lp.flipped)]
     return LPResult("optimal", x=tuple(x), objective=z, dual=tuple(dual))
 
 

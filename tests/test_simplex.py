@@ -235,10 +235,37 @@ def _random_lp(rng, fractional, degenerate):
     return rows, rhs, obj
 
 
+def _recording_pivots(monkeypatch):
+    """Patch simplex._pivot to log, per pivot, (dtype in, dtype out, whether
+    the pivot row was put over a denominator of 1): the branch that keeps
+    the other rows' denominators."""
+    log = []
+    pivot = simplex._pivot
+
+    def recording(T, basis, r, e):
+        before = T.dtype
+        T = pivot(T, basis, r, e)
+        log.append((before, T.dtype, T[r, -1] == 1))
+        return T
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    return log
+
+
+def _assert_phase1_answers_as_find_nonneg_solution(rows, rhs, n):
+    """Phase 1 alone gives find_nonneg_solution's x, or its certificate."""
+    got = simplex._Phase1(rows, rhs, n).solve()
+    want = find_nonneg_solution(rows, rhs)
+    if want.status == "optimal":
+        assert got == LPResult("optimal", x=want.x)
+    else:
+        assert got == want
+
+
 @pytest.mark.parametrize("fractional,degenerate",
                          [(False, False), (True, False), (False, True),
                           (True, True)])
-def test_integer_tableau_matches_the_fraction_tableau(fractional, degenerate):
+def test_integer_tableau_matches_the_fraction_tableau(monkeypatch, fractional, degenerate):
+    log = _recording_pivots(monkeypatch)
     rng = random.Random(f"lp/{fractional}/{degenerate}")
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(150):
@@ -247,8 +274,11 @@ def test_integer_tableau_matches_the_fraction_tableau(fractional, degenerate):
         assert maximize(rows, rhs, obj) == want
         assert find_nonneg_solution(rows, rhs) == _reference_maximize(
             rows, rhs, [0] * len(obj))
+        _assert_phase1_answers_as_find_nonneg_solution(rows, rhs, len(obj))
         seen[want.status] += 1
     assert all(seen.values()), seen
+    # both pivot branches ran in int64
+    assert {unit for _, dtype, unit in log if dtype == np.int64} == {True, False}
 
 
 def test_integer_tableau_matches_on_the_locality_lps():
@@ -289,6 +319,44 @@ def test_cycling_example_reaches_the_bland_fallback_in_both():
     assert [simplex._value(tableau[-1], j) for j in range(len(obj))] == obj
 
 
+def _check_phase1_answer(res, rows, rhs):
+    """A Farkas certificate or a solution x >= 0 of rows . x = rhs."""
+    if res.status == "infeasible":
+        for j in range(len(rows[0])):
+            assert _column_dot(res.dual, rows, j) >= 0
+        assert sum(y * b for y, b in zip(res.dual, rhs)) < 0
+    else:
+        assert res.status == "optimal" and all(v >= 0 for v in res.x)
+        for row, b in zip(rows, rhs):
+            assert sum(a * v for a, v in zip(row, res.x)) == b
+
+
+@pytest.mark.parametrize("big", [4, 2 ** 40])
+def test_appended_columns_match_a_cold_solve(big):
+    """Columns appended in chunks, with a solve after each: every answer
+    holds on the columns so far and has the cold solve's status, also with
+    negative and fractional right-hand sides and past the int64 guard."""
+    rng = random.Random(f"lp/append/{big}")
+    seen = {"optimal": 0, "infeasible": 0}
+    for _ in range(60):
+        m, n = rng.randint(2, 6), rng.randint(3, 12)
+        rows = np.array([[rng.randint(-big, big) for _ in range(n)] for _ in range(m)])
+        rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m)]
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(3, n - 1))))
+        first = cuts[0] if cuts else n
+        lp = simplex._Phase1(rows[:, :first], rhs, first)
+        for lo, hi in zip(cuts, [*cuts[1:], n]):
+            res = lp.solve()
+            assert res.status == find_nonneg_solution(rows[:, :lo], rhs).status
+            _check_phase1_answer(res, rows[:, :lo].tolist(), rhs)
+            lp.add_columns(rows[:, lo:hi])
+        res = lp.solve()
+        assert res.status == find_nonneg_solution(rows, rhs).status
+        _check_phase1_answer(res, rows.tolist(), rhs)
+        seen[res.status] += 1
+    assert all(seen.values()), seen
+
+
 # ------------------------------------------------ the int64 guard
 
 def _wide_lp(rng):
@@ -307,20 +375,6 @@ def _wide_lp(rng):
     return rows, rhs, obj
 
 
-def _recording_pivots(monkeypatch):
-    """Patch simplex._pivot to log (dtype in, dtype out) of every pivot."""
-    log = []
-    pivot = simplex._pivot
-
-    def recording(T, basis, r, e):
-        before = T.dtype
-        T = pivot(T, basis, r, e)
-        log.append((before, T.dtype))
-        return T
-    monkeypatch.setattr(simplex, "_pivot", recording)
-    return log
-
-
 def test_guard_switch_keeps_the_rational_answers():
     rng = random.Random("lp/wide")
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
@@ -329,8 +383,29 @@ def test_guard_switch_keeps_the_rational_answers():
         want = _reference_maximize(rows, rhs, obj)
         assert maximize(rows, rhs, obj) == want
         assert maximize(np.array(rows), rhs, obj) == want
+        _assert_phase1_answers_as_find_nonneg_solution(np.array(rows), rhs, len(obj))
         seen[want.status] += 1
     assert seen["optimal"] and seen["infeasible"], seen
+
+
+def test_both_pivot_branches_keep_the_rational_answers_past_the_guard(monkeypatch):
+    """Entries in -1..2 with right-hand sides up to 2**40: the tableau is
+    Python ints from the start, and both pivot branches run on it."""
+    log = _recording_pivots(monkeypatch)
+    rng = random.Random("lp/big-rhs")
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(40):
+        m, n = rng.randint(2, 5), rng.randint(3, 7)
+        rows = [[rng.randint(-1, 2) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randint(-2 ** 40, 2 ** 40) for _ in range(m)]
+        obj = [rng.randint(-3, 3) for _ in range(n)]
+        want = _reference_maximize(rows, rhs, obj)
+        assert maximize(np.array(rows), rhs, obj) == want
+        _assert_phase1_answers_as_find_nonneg_solution(np.array(rows), rhs, n)
+        seen[want.status] += 1
+    assert all(seen.values()), seen
+    assert {dtype for _, dtype, _ in log} == {np.dtype(object)}
+    assert {unit for *_, unit in log} == {True, False}
 
 
 def test_guard_switches_to_python_ints_part_way(monkeypatch):
@@ -347,7 +422,7 @@ def test_guard_switches_to_python_ints_part_way(monkeypatch):
     # small entries never leave int64
     log.clear()
     maximize(np.array([[1, 2, 1], [3, 1, 0]]), [5, 6], [2, 3, 1])
-    assert log and all(d == np.int64 for pair in log for d in pair)
+    assert log and all(d == np.int64 for *dtypes, _ in log for d in dtypes)
 
 
 def test_both_builds_give_the_same_primitive_lines():
@@ -367,28 +442,64 @@ def test_both_builds_give_the_same_primitive_lines():
             rows, rhs, [1] * n)
 
 
-def _locality_lps(monkeypatch, query, box):
-    """The feasibility LPs that ``query(box)`` solves, as (rows, rhs)."""
-    from nsbox import locality
-    lps = []
+def _locality_rounds(monkeypatch, query, box):
+    """The column-generation rounds of ``query(box)``: per round, the LP it
+    solved on its active columns as (rows, rhs) and the resumed result."""
+    rounds = []
+    cls = simplex._Phase1
+    init, add_columns, solve = cls.__init__, cls.add_columns, cls.solve
 
-    def recording(rows, rhs):
-        lps.append((rows, rhs))
-        return find_nonneg_solution(rows, rhs)
-    monkeypatch.setattr(locality, "find_nonneg_solution", recording)
+    def recording_init(self, rows, rhs, n):
+        init(self, rows, rhs, n)
+        self.recorded = (rows, list(rhs))
+
+    def recording_add_columns(self, cols):
+        add_columns(self, cols)
+        rows, rhs = self.recorded
+        self.recorded = (np.concatenate([rows, cols], axis=1), rhs)
+
+    def recording_solve(self):
+        res = solve(self)
+        rounds.append((*self.recorded, res))
+        return res
+    monkeypatch.setattr(cls, "__init__", recording_init)
+    monkeypatch.setattr(cls, "add_columns", recording_add_columns)
+    monkeypatch.setattr(cls, "solve", recording_solve)
     query(box)
     monkeypatch.undo()
-    return lps
+    return rounds
+
+
+def _rounds_of(monkeypatch, name):
+    """The rounds of is_local(pr()), or of is_two_way_local on a named
+    tripartite box."""
+    from nsbox import families
+    from nsbox.locality import is_local, is_two_way_local
+    query = is_local if name == "pr" else is_two_way_local
+    return _locality_rounds(monkeypatch, query, getattr(families, name)())
 
 
 @pytest.mark.parametrize("name", ["pr", "xyplusz", "svetlichny_box"])
 def test_integer_array_rows_match_list_rows(monkeypatch, name):
-    from nsbox import families
-    from nsbox.locality import is_local, is_two_way_local
-    query = is_local if name == "pr" else is_two_way_local
-    lps = _locality_lps(monkeypatch, query, getattr(families, name)())
-    assert lps
-    for rows, rhs in lps:
+    rounds = _rounds_of(monkeypatch, name)
+    assert rounds
+    for rows, rhs, _ in rounds:
         assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
         assert find_nonneg_solution(rows, rhs) == find_nonneg_solution(
             rows.tolist(), rhs)
+
+
+@pytest.mark.parametrize("name", ["pr", "xyplusz", "svetlichny_box"])
+def test_resumed_rounds_match_cold_solves(monkeypatch, name):
+    """Each round of the one resumed tableau answers as a cold solve of the
+    same active columns does, with a Farkas certificate or x that holds on
+    those columns."""
+    rounds = _rounds_of(monkeypatch, name)
+    # one tableau, wider each round
+    assert [rows.shape[1] for rows, _, _ in rounds] == sorted(
+        {rows.shape[1] for rows, _, _ in rounds})
+    if name != "pr":
+        assert len(rounds) > 1
+    for rows, rhs, res in rounds:
+        assert res.status == find_nonneg_solution(rows, rhs).status
+        _check_phase1_answer(res, rows.tolist(), rhs)

@@ -62,6 +62,15 @@ def test_extend_enumerates_no_vertex():
     assert [name for name in banned if name in text] == []
 
 
+def test_locality_resumes_one_tableau():
+    """Column generation appends to one phase-1 tableau: ``locality`` never
+    solves an LP from the start, as ``find_nonneg_solution`` and
+    ``maximize`` do."""
+    text = (SRC / "locality.py").read_text()
+    banned = ("find_nonneg_solution", "maximize")
+    assert [name for name in banned if name in text] == []
+
+
 def _imported_names(path):
     """Every dotted name a module's import statements mention, split at
     the dots."""
