@@ -40,8 +40,9 @@ def _cmd_validate(args):
 
 
 def _cmd_make(args):
-    params = [int(p) if p.lstrip("+-").isdigit() else p for p in args.params]
     try:
+        # int() refuses some strings isdigit() accepts: "+-3", "²"
+        params = [int(p) if p.lstrip("+-").isdigit() else p for p in args.params]
         box = make_named_box(args.family, *params)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"cannot build family {args.family!r}: {exc}") \

@@ -83,12 +83,15 @@ def loads_box(text):
 
 
 def _read_text(path):
-    """The UTF-8 text of a file; a directory or undecodable bytes are a
-    ParseError naming the path."""
+    """The UTF-8 text of a file; a path that cannot be read (a directory, a
+    missing file, a name too long) or undecodable bytes are a ParseError
+    naming the path."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except IsADirectoryError:
         raise ParseError(f"{path} is a directory, not a file") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte "
                          f"{exc.start}") from None
@@ -111,32 +114,36 @@ def load_box(path):
     return loads_box(_read_text(path))
 
 
+_BOUNDS = ("local_bound", "algebraic_max")
+
+
 def dumps_functional(f):
-    lines = [f"shape {format_shape(f.shape)}",
-             f"local_bound {format_fraction(f.local_bound)}",
-             f"algebraic_max {format_fraction(f.algebraic_max)}",
+    """The shape, a line for each bound that is set, and the coefficients."""
+    bounds = [f"{name} {format_fraction(getattr(f, name))}"
+              for name in _BOUNDS if getattr(f, name) is not None]
+    lines = [f"shape {format_shape(f.shape)}", *bounds,
              "coefficients", *_block_lines(f.shape, f.coefficients)]
     return "\n".join(lines) + "\n"
 
 
 def loads_functional(text):
     lines = list(_document_lines(text))
-    fields = {}
-    for name in ("shape", "local_bound", "algebraic_max"):
-        if not lines or not lines[0].startswith(name + " "):
-            raise ParseError(f"functional document is missing {name}")
-        fields[name] = lines.pop(0)[len(name) + 1:]
+    if not lines or not lines[0].startswith("shape "):
+        raise ParseError("functional document is missing shape")
+    shape = parse_shape(lines.pop(0)[len("shape "):])
+    # each bound line is optional; an absent one is None
+    bounds = {}
+    for name in _BOUNDS:
+        if lines and lines[0].startswith(name + " "):
+            bounds[name] = parse_fraction(lines.pop(0)[len(name) + 1:])
     if not lines or lines[0] != "coefficients":
         raise ParseError("functional document needs a coefficients field")
-    shape = parse_shape(fields["shape"])
     entries = [parse_fraction(tok)
                for line in lines[1:] for tok in line.split()]
     if len(entries) != shape.table_size:
         raise ParseError(f"coefficients have {len(entries)} entries, shape "
                          f"{format_shape(shape)} needs {shape.table_size}")
-    return BellFunctional(shape, tuple(entries),
-                          parse_fraction(fields["local_bound"]),
-                          parse_fraction(fields["algebraic_max"]))
+    return BellFunctional(shape, tuple(entries), **bounds)
 
 
 def save_functional(f, path):

@@ -173,28 +173,19 @@ def _nullspace(a):
 
 
 def project_out_rowspace(vec, rows):
-    """Component of vec orthogonal to the row space of ``rows`` (exact), a
-    list of rows of rationals or a 2-D integer array.
+    """The primitive integer vector along the component of an integer
+    vector orthogonal to the row space of a 2-D integer array (exact).
 
-    Computed in integers: with B the first independent rows (denominators
-    cleared) and v the vector scaled to integers, the component is
-    v - Bᵀ z for the solution z = y / d of the Gram system (B Bᵀ) z = B v,
-    which Bareiss elimination gives with y and d = det(B Bᵀ) integral."""
-    vec = [Fraction(v) for v in vec]
-    if not len(rows):
-        return vec
-    if isinstance(rows, np.ndarray):
-        ints = rows
-    else:
-        ints = _int_array([clear_denominators(r) for r in rows])
-    basis = ints[_eliminate(ints.T)[1]]
+    With B the first independent rows, the component is v - Bᵀ z for the
+    solution z = y / d of the Gram system (B Bᵀ) z = B v, which Bareiss
+    elimination gives with y and d = det(B Bᵀ) > 0 integral; so d·v - Bᵀ y
+    is the component scaled by d."""
+    basis = rows[_eliminate(rows.T)[1]] if len(rows) else rows
     if not len(basis):
-        return vec
-    den = lcm(*(x.denominator for x in vec))
-    v = [x.numerator * (den // x.denominator) for x in vec]
+        return reduce_content(list(vec))
     # B Bᵀ is positive definite, so its leading minors are the pivots
     system = np.concatenate([_int_products(basis, basis),
-                             _int_products(basis, _int_array([v]))], axis=1)
+                             _int_products(basis, _int_array([vec]))], axis=1)
     d, y = _solve(*_eliminate(system), [len(basis)])
     back = _int_products(y.T, basis.T)[0].tolist()
-    return [Fraction(d * x - b, d * den) for x, b in zip(v, back)]
+    return reduce_content([d * x - b for x, b in zip(vec, back)])

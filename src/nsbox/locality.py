@@ -13,8 +13,9 @@ import numpy as np
 
 from .boxes import Box, BoxShape, ShapeError, _as_int, _layout, _numerators, flat
 from .dd import EnumerationCapError
-from .families import _check_bits, uniform
-from .linalg import _int_array, _int_products, clear_denominators, project_out_rowspace
+from .families import _check_bits
+from .linalg import (_int_array, _int_products, clear_denominators, project_out_rowspace,
+                     reduce_content)
 from .polytope import build_hrep, normalization_rows
 from .simplex import _Phase1
 
@@ -322,16 +323,16 @@ def _scores(coeffs, matrix):
     return _int_products(_int_array([coeffs]), matrix)[0].tolist()
 
 
-def _normalized_separator(raw, box, matrix, constant_rows):
-    """Project a dual vector off a rowspace, scale to primitive integers,
-    and recompute the threshold over the whole strategy set.  Only rows
-    whose inner product is the same for every strategy may be projected
-    out; anything else would reorder the scores."""
-    ints = clear_denominators(project_out_rowspace(raw, constant_rows))
-    coeffs = tuple(Fraction(c) for c in ints)
-    value = sum(c * p for c, p in zip(coeffs, box.table))
-    return SeparatingCertificate(box.shape, coeffs,
-                                 Fraction(max(_scores(ints, matrix))), value)
+def _normalized_separator(raw, shape, nums, den, matrix, constant_rows):
+    """Project an integer dual vector off the rowspace of an integer array
+    to primitive integers, valued on the box nums / den, and recompute the
+    threshold over the whole strategy set.  Only rows whose inner product
+    is the same for every strategy may be projected out; anything else
+    would reorder the scores."""
+    ints = project_out_rowspace(raw, constant_rows)
+    return SeparatingCertificate(shape, tuple(map(Fraction, ints)),
+                                 Fraction(max(_scores(ints, matrix))),
+                                 Fraction(_scores(ints, nums[None])[0], den))
 
 
 def _membership(box, strategies, matrix, constant_rows):
@@ -341,19 +342,19 @@ def _membership(box, strategies, matrix, constant_rows):
     supports before it is returned.  ``constant_rows()`` gives the rows a
     certificate is projected off; it is called only when one is made.
 
-    The active columns start as the 64 strategies that score highest
-    against the box centred at uniform, in strategy order, as the columns
-    of one phase-1 simplex tableau (``simplex._Phase1``).  Each round
-    solves it from the last round's basis: weights give the LocalModel,
-    its strategies in strategy order, and otherwise the negated Farkas
-    vector is a form the box beats and no active strategy does.  When the
-    box also beats every other strategy the form is the certificate; else
-    the strategies scoring above the active maximum are appended to the
+    The box is read once as integer numerators over one denominator.  The
+    active columns start as the 64 strategies that score highest against
+    it, in strategy order, as the columns of one phase-1 simplex tableau
+    (``simplex._Phase1``).  Each round solves it from the last round's
+    basis: weights give the LocalModel, its strategies in strategy order,
+    and otherwise the primitive part of the negated integer Farkas vector
+    is a form the box beats and no active strategy does.  When the box
+    also beats every other strategy the form is the certificate; else the
+    strategies scoring above the active maximum are appended to the
     tableau, best first and at most as many as are active."""
     box.require_valid()
-    centred = [p - u for p, u in zip(box.table, uniform(box.shape).table)]
-    # a positive rescale of the centred box, so the order is unchanged
-    merit = _scores(clear_denominators(centred), matrix)
+    nums, den = _numerators(box.table)
+    merit = _int_products(nums[None], matrix)[0].tolist()
     active = sorted(sorted(range(len(matrix)), key=merit.__getitem__,
                            reverse=True)[:64])
     lp = _Phase1(matrix[active].T, list(box.table), len(active))
@@ -366,10 +367,10 @@ def _membership(box, strategies, matrix, constant_rows):
             if not model.verify(box):
                 raise AssertionError("local model does not reproduce the box")
             return model
-        raw = clear_denominators([-y for y in res.dual])
+        raw = reduce_content([-y for y in res.dual])
         scores = _scores(raw, matrix)
-        if sum(c * p for c, p in zip(raw, box.table)) > max(scores):
-            cert = _normalized_separator(raw, box, matrix, constant_rows())
+        if _scores(raw, nums[None])[0] > den * max(scores):
+            cert = _normalized_separator(raw, box.shape, nums, den, matrix, constant_rows())
             if not cert.verify(box, strategies):
                 raise AssertionError("separating certificate does not verify")
             return cert

@@ -97,8 +97,8 @@ def _fraction_rows(rows):
 
 
 def normalization_rows(shape):
-    """One indicator row per joint input: the block must sum to one."""
-    return _fraction_rows(_indicator_rows(_marginal_map(shape, ())[1], prod(shape.inputs)))
+    """One int8 indicator row per joint input: the block must sum to one."""
+    return _indicator_rows(_marginal_map(shape, ())[1], prod(shape.inputs))
 
 
 def _equality_count(shape):

@@ -18,8 +18,10 @@ the entering rule compares the entries of the objective row alone, the
 ratio test cross-multiplies the numerators of one column and of the
 right-hand side (each row's denominator cancels), and the stall check
 compares the objective value as a rational.  So pivots and answers are
-those of the plain rational algorithm; ``Fraction``s are made only from
-the LP input and for the ``LPResult``.
+those of the plain rational algorithm.  ``Fraction``s are made only from
+rational LP input and for an ``LPResult``'s x, objective and dual: phase 1
+gives its Farkas certificate as integer numerators, which ``maximize``
+alone puts over their denominator.
 
 The array is int64 only while a bound proves that a pivot cannot overflow:
 with M the largest |entry| of the whole array, every product of a pivot is
@@ -168,17 +170,18 @@ def _with_objective(T, basis, cost):
 
 
 def _tableau(a, b, den, dtype):
-    """The starting tableau for the lines [a[i] | b[i]] over den[i]: row i
-    is [a[i] | den[i]·e_i | b[i] | den[i]], with a[i] and b[i] negated when
-    b[i] < 0; the objective row is left zero."""
+    """The starting tableau for the lines [a[i] | b[i]] over den[i], and the
+    sign of each line: row i is [a[i] | den[i]·e_i | b[i] | den[i]], with
+    a[i] and b[i] negated (sign -1) when b[i] < 0; the objective row is
+    left zero."""
     m, n = a.shape
-    sign = np.array([-1 if v < 0 else 1 for v in b], dtype=dtype)[:, None]
+    sign = np.array([-1 if v < 0 else 1 for v in b], dtype=dtype)
     T = np.zeros((m + 1, n + m + 2), dtype=dtype)
-    T[:m, :n] = a * sign
+    T[:m, :n] = a * sign[:, None]
     T[np.arange(m), n + np.arange(m)] = den
-    T[:m, -2] = np.array(b, dtype=dtype) * sign[:, 0]
+    T[:m, -2] = np.array(b, dtype=dtype) * sign
     T[:m, -1] = den
-    return T
+    return T, sign
 
 
 def _integer_tableau(rows, rhs):
@@ -215,13 +218,12 @@ class _Phase1:
         if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
             if rows.shape != (m, n) or len(rhs) != m:
                 raise ValueError("inconsistent LP dimensions")
-            T = _integer_tableau(rows, rhs)
+            T, self.sign = _integer_tableau(rows, rhs)
         else:
             if any(len(r) != n for r in rows) or len(rhs) != m:
                 raise ValueError("inconsistent LP dimensions")
-            T = _rational_tableau(rows, rhs, n)
+            T, self.sign = _rational_tableau(rows, rhs, n)
         self.n = n
-        self.flipped = [Fraction(b) < 0 for b in rhs]
         self.basis = [n + i for i in range(m)]
         self.T = _with_objective(T, self.basis, [0] * n + [-1] * m)
 
@@ -234,7 +236,7 @@ class _Phase1:
         times the flipped c."""
         T, n, m = self.T, self.n, len(self.basis)
         k = cols.shape[1]
-        signed = np.where(self.flipped, -1, 1)[:, None] * cols
+        signed = self.sign[:, None] * cols
         # each entry is at most 2^62 after a guarded pivot, so the sum with
         # the objective row's denominator stays below 2^63
         block = T[:, n:n + m].copy()
@@ -246,7 +248,8 @@ class _Phase1:
 
     def solve(self):
         """Pivot from the last basis to the phase-1 optimum: an LPResult
-        with a Farkas certificate ("infeasible"), or x ("optimal")."""
+        with x ("optimal"), or with a Farkas certificate ("infeasible") as
+        int numerators over the objective row's denominator ``T[-1, -1]``."""
         status, self.T = _run(self.T, self.basis, self.n)
         T, basis, n = self.T, self.basis, self.n
         if status != "optimal":
@@ -255,9 +258,9 @@ class _Phase1:
         # every right-hand side is nonnegative here, so the phase-1 value
         # -sum(artificial rhs) is negative iff one of them is positive
         if any(T[i, -2] > 0 for i in range(m) if basis[i] >= n):
-            farkas = [-(1 + _value(T[-1], n + i)) for i in range(m)]
-            farkas = [-y if f else y for y, f in zip(farkas, self.flipped)]
-            return LPResult("infeasible", dual=tuple(farkas))
+            den = int(T[-1, -1])
+            return LPResult("infeasible", dual=tuple(
+                -s * (den + v) for s, v in zip(self.sign.tolist(), T[-1, n:n + m].tolist())))
         x = [Fraction(0)] * n
         for i, bi in enumerate(basis):
             if bi < n:
@@ -276,7 +279,8 @@ def maximize(rows, rhs, objective):
     lp = _Phase1(rows, rhs, n)
     res = lp.solve()
     if res.status == "infeasible":
-        return res
+        den = int(lp.T[-1, -1])
+        return LPResult("infeasible", dual=tuple(Fraction(y, den) for y in res.dual))
     T, basis = lp.T, lp.basis
 
     # drive artificials out of the basis where a structural pivot exists;
@@ -298,8 +302,8 @@ def maximize(rows, rhs, objective):
         if bi < n:
             x[bi] = _value(T[i], -2)
             z += cost[bi] * x[bi]
-    dual = [-_value(T[-1], n + i) for i in range(len(basis))]
-    dual = [-y if f else y for y, f in zip(dual, lp.flipped)]
+    den, m = int(T[-1, -1]), len(basis)
+    dual = [Fraction(-s * v, den) for s, v in zip(lp.sign.tolist(), T[-1, n:n + m].tolist())]
     return LPResult("optimal", x=tuple(x), objective=z, dual=tuple(dual))
 
 

@@ -147,6 +147,10 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
              ["make", "dbox", "2.9", "-o", str(tmp_path / "x.box")],
              ["make", "xyz", "3.0", "-o", str(tmp_path / "x.box")],
              ["make", "dbox", "4000", "-o", str(tmp_path / "x.box")],
+             ["make", "dbox", "+-3", "-o", str(tmp_path / "x.box")],
+             ["make", "dbox", "²", "-o", str(tmp_path / "x.box")],
+             # not a directory; a file name longer than any file system takes
+             ["validate", str(pr_box / "y")], ["validate", str(tmp_path / ("x" * 300))],
              ["validate", str(tmp_path)], ["wire", str(tmp_path)],
              ["validate", str(binary)], ["wire", str(binary)],
              ["protocol3-error", "2", "3", "20"],

@@ -8,10 +8,10 @@ from nsbox.boxes import BoxShape, ShapeError
 from nsbox.families import dbox, make_named_box, pr, uniform
 from nsbox.fileio import (ParseError, dumps_box, dumps_functional,
                           dumps_wiring, format_fraction, format_shape,
-                          load_box, load_wiring, loads_box, loads_functional,
-                          loads_wiring, parse_fraction, parse_shape, save_box,
-                          save_wiring)
-from nsbox.locality import chsh_functional
+                          load_box, load_functional, load_wiring, loads_box,
+                          loads_functional, loads_wiring, parse_fraction,
+                          parse_shape, save_box, save_functional, save_wiring)
+from nsbox.locality import BellFunctional, chsh_functional, is_local
 from nsbox.wiring import evaluate_wiring, preset
 
 
@@ -84,9 +84,24 @@ def test_functional_round_trip():
     assert again == f
 
 
+def test_functional_round_trip_without_bounds(tmp_path):
+    """A bound line is written only when the bound is set: a certificate's
+    functional has a local bound alone, a bare functional neither."""
+    path = tmp_path / "f.functional"
+    certificate = is_local(pr()).functional()
+    bare = BellFunctional(pr().shape, chsh_functional().coefficients)
+    for f in (certificate, bare):
+        save_functional(f, path)
+        assert load_functional(path) == f
+    assert "algebraic_max" not in dumps_functional(certificate)
+    assert "bound" not in dumps_functional(bare)
+
+
 def test_functional_document_errors():
     good = dumps_functional(chsh_functional())
-    with pytest.raises(ParseError, match="missing local_bound"):
+    # both bounds are optional, so an unknown line stands where the
+    # coefficients should
+    with pytest.raises(ParseError, match="coefficients field"):
         loads_functional(good.replace("local_bound", "bound"))
     with pytest.raises(ParseError, match="coefficients field"):
         loads_functional("\n".join(good.splitlines()[:3]) + "\n")

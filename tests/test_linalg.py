@@ -213,18 +213,17 @@ def test_integer_inverse_matches_the_fraction_inverse():
 def test_projection_is_orthogonal_and_idempotent():
     rng = random.Random(3)
     for _ in range(20):
-        rows = [[F(rng.randint(-3, 3)) for _ in range(6)] for _ in range(3)]
-        vec = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)]
+        rows = np.array([[rng.randint(-3, 3) for _ in range(6)] for _ in range(3)])
+        vec = [rng.randint(-5, 5) for _ in range(6)]
         out = project_out_rowspace(vec, rows)
-        for row in rows:
-            assert sum(a * b for a, b in zip(row, out)) == 0
+        assert all(type(v) is int for v in out) and reduce_content(out) == out
+        assert (rows @ out == 0).all()
         assert project_out_rowspace(out, rows) == out
 
 
 def test_projecting_a_row_gives_zero():
-    rows = [[F(1), F(2), F(0)], [F(0), F(1), F(1)]]
-    combo = [F(3), F(7), F(1)]
-    assert project_out_rowspace(combo, rows) == [F(0)] * 3
+    rows = np.array([[1, 2, 0], [0, 1, 1]], dtype=np.int8)
+    assert project_out_rowspace([3, 7, 1], rows) == [0] * 3
 
 
 def _reference_projection(vec, rows):
@@ -243,6 +242,8 @@ def _reference_projection(vec, rows):
 
 
 def test_integer_projection_matches_the_rational_one():
+    """The integer projection of the cleared vector off the cleared rows is
+    the rational projection up to a positive scale: its primitive form."""
     from nsbox.boxes import BoxShape
     from nsbox.polytope import build_hrep, normalization_rows
     rng = random.Random(11)
@@ -255,11 +256,13 @@ def test_integer_projection_matches_the_rational_one():
     shape = BoxShape.homogeneous(2, 2, 2)
     size = shape.table_size
     cases.append((size, [list(r) for r, _ in build_hrep(shape).equalities]))
-    cases.append((size, [list(r) for r in normalization_rows(shape)]))
+    cases.append((size, normalization_rows(shape).tolist()))
     cases.append((3, [[0, 0, 0], [0, 0, 0]]))
     for n, rows in cases:
         vec = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
-        assert project_out_rowspace(vec, rows) == _reference_projection(vec, rows)
+        ints = np.array([clear_denominators(r) for r in rows], np.int64).reshape(len(rows), n)
+        got = project_out_rowspace(clear_denominators(vec), ints)
+        assert got == clear_denominators(_reference_projection(vec, rows))
 
 
 def test_int_rank_matches_rref():

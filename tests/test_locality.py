@@ -6,7 +6,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from nsbox.boxes import Box, BoxShape, ShapeError, mix
+from nsbox.boxes import Box, BoxShape, ShapeError, _numerators, mix
 from nsbox.dd import EnumerationCapError
 from nsbox.families import (dbox, local_deterministic, pr, svetlichny_box,
                             two_way_vertex, uniform, xyplusz, xyz_box)
@@ -542,6 +542,14 @@ def _reference_membership(box, strategies, constant_rows):
     return _reference_colgen(box, matrix, constant_rows)
 
 
+def _separator(dual, box, matrix, constant_rows):
+    """``locality._normalized_separator`` on a Fraction dual vector and rows
+    of rationals, each cleared to integers at the call."""
+    return locality._normalized_separator(
+        clear_denominators([-y for y in dual]), box.shape, *_numerators(box.table), matrix,
+        np.array([clear_denominators(r) for r in constant_rows], np.int64))
+
+
 def _reference_visibility(box, matrix, constant_rows):
     """Separator from the dual of the LP that moves from uniform towards
     the box as far as the strategies' mixtures reach."""
@@ -552,9 +560,7 @@ def _reference_visibility(box, matrix, constant_rows):
     rows += [[1] * k + [0, 0], [0] * k + [1, 1]]
     res = maximize(rows, list(u) + [1, 1], [0] * k + [1, 0])
     assert res.status == "optimal" and res.objective < 1
-    return locality._normalized_separator(
-        [-y for y in res.dual[:box.shape.table_size]], box, matrix,
-        constant_rows)
+    return _separator(res.dual[:box.shape.table_size], box, matrix, constant_rows)
 
 
 def _reference_colgen(box, matrix, constant_rows):
@@ -566,8 +572,7 @@ def _reference_colgen(box, matrix, constant_rows):
     while True:
         res = find_nonneg_solution(matrix[active].T.tolist(), list(box.table))
         assert res.status == "infeasible"
-        cert = locality._normalized_separator([-y for y in res.dual], box,
-                                              matrix, constant_rows)
+        cert = _separator(res.dual, box, matrix, constant_rows)
         if cert.value > cert.threshold:
             return cert
         scores = locality._scores([int(c) for c in cert.coefficients], matrix)
@@ -582,7 +587,7 @@ def _reference_colgen(box, matrix, constant_rows):
 def _check_against_reference(box, two_way=False):
     if two_way:
         strategies = enumerate_twoway_strategies(box.shape)
-        rows = [list(r) for r in normalization_rows(box.shape)]
+        rows = normalization_rows(box.shape).tolist()
         got = is_two_way_local(box)
     else:
         strategies = enumerate_local_strategies(box.shape)

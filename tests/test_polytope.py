@@ -80,7 +80,7 @@ def test_a_polytope_fixed_by_the_presolve_is_its_one_point():
 
 def test_normalization_rows_sum_blocks():
     rows = normalization_rows(CHSH_SHAPE)
-    assert len(rows) == 4
+    assert rows.dtype == np.int8 and len(rows) == 4
     for row in rows:
         assert sum(row) == 4
         assert set(row) == {Fraction(0), Fraction(1)}
@@ -188,8 +188,8 @@ def test_hrep_matches_the_loop_builder(text):
     h = build_hrep(shape)
     assert h.equalities == _loop_equalities(shape)
     assert {type(v) for row, rhs in h.equalities for v in (*row, rhs)} == {Fraction}
-    assert normalization_rows(shape) == [
-        row for row, _ in h.equalities[:len(shape.joint_inputs)]]
+    assert normalization_rows(shape).tolist() == [
+        list(row) for row, _ in h.equalities[:len(shape.joint_inputs)]]
 
 
 @pytest.mark.parametrize("text", ["3,4/3,4", "2,2,2/2,2,2", "2,2/2,2/3"])

@@ -252,13 +252,20 @@ def _recording_pivots(monkeypatch):
 
 
 def _assert_phase1_answers_as_find_nonneg_solution(rows, rhs, n):
-    """Phase 1 alone gives find_nonneg_solution's x, or its certificate."""
-    got = simplex._Phase1(rows, rhs, n).solve()
+    """Phase 1 alone gives find_nonneg_solution's x, or its certificate as
+    int numerators that, over the objective row's denominator, are the
+    Fraction reference's certificate."""
+    lp = simplex._Phase1(rows, rhs, n)
+    got = lp.solve()
     want = find_nonneg_solution(rows, rhs)
     if want.status == "optimal":
         assert got == LPResult("optimal", x=want.x)
     else:
-        assert got == want
+        assert got.status == "infeasible" and {type(y) for y in got.dual} == {int}
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        ref = _reference_maximize(rows, rhs, [0] * n)
+        den = int(lp.T[-1, -1])
+        assert tuple(Fraction(y, den) for y in got.dual) == ref.dual == want.dual
 
 
 @pytest.mark.parametrize("fractional,degenerate",
@@ -432,10 +439,11 @@ def test_both_builds_give_the_same_primitive_lines():
         big = rng.choice((5, 2 ** 40, 2 ** 70))
         rows = [[rng.randint(-big, big) for _ in range(n)] for _ in range(m)]
         rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m)]
-        via_list = simplex._rational_tableau(rows, rhs, n)
-        via_array = simplex._integer_tableau(np.array(rows), rhs)
+        via_list, sign = simplex._rational_tableau(rows, rhs, n)
+        via_array, array_sign = simplex._integer_tableau(np.array(rows), rhs)
         assert via_list.dtype == via_array.dtype
         assert via_list.tolist() == via_array.tolist()
+        assert sign.tolist() == array_sign.tolist() == [-1 if b < 0 else 1 for b in rhs]
         for line in via_list[:-1].tolist():
             assert line[-1] > 0 and gcd(*line) == 1
         assert maximize(np.array(rows), rhs, [1] * n) == _reference_maximize(
