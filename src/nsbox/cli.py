@@ -13,7 +13,7 @@ from .comm import min_oneway_comm_with_SR
 from .dd import EnumerationCapError
 from .extend import all_extensions_factorize
 from .families import make_named_box
-from .fileio import (ParseError, _block_lines, dumps_box, format_fraction,
+from .fileio import (ParseError, _block_lines, _write_text, dumps_box, format_fraction,
                      load_box, load_functional, load_wiring, parse_shape,
                      save_box, save_wiring)
 from .locality import (chsh, evaluate_functional, is_local, is_two_way_local,
@@ -61,7 +61,11 @@ def _cmd_vertices(args):
     out = Path(args.output)
     # refused before the enumeration; the directory is made after it, so a
     # failed enumeration leaves none behind
-    if out.exists() and not out.is_dir():
+    try:
+        clash = out.exists() and not out.is_dir()
+    except OSError as exc:
+        raise ParseError(f"cannot make directory {out}: {exc.strerror}") from None
+    if clash:
         raise ParseError(f"cannot make directory {out}: it exists and is "
                          f"not a directory")
     vrep = enumerate_vertices(build_hrep(shape), max_rays=args.max_rays,
@@ -79,7 +83,7 @@ def _cmd_vertices(args):
     # the vertices are sorted by table, so each class's first member is
     # its representative
     lines = [f"{i} {names[cl.members[0]]} {cl.size}" for i, cl in enumerate(classes)]
-    (out / "classes.txt").write_text("".join(line + "\n" for line in lines))
+    _write_text(out / "classes.txt", "".join(line + "\n" for line in lines))
     print(f"vertices {len(vrep.vertices)}")
     print(f"classes {len(classes)}")
     for line in lines:

@@ -24,7 +24,7 @@ import numpy as np
 from .boxes import Box, ShapeError, _as_fraction, _as_int, _layout, flat
 from .dd import _BUDGET
 from .families import dbox
-from .locality import EnumerationCapError, _mixture_weights, _strategy_matrix
+from .locality import EnumerationCapError, _mixture_weights, _strategy_record
 
 # joint assignments (protocol inputs x shared values x component outputs)
 # an exact enumeration may visit
@@ -317,7 +317,7 @@ def min_oneway_comm_with_SR(target, max_bits, cap=200_000):
     if shape.parties != 2:
         raise ShapeError("communication bounds are for bipartite boxes")
     for c in range(max_bits + 1):
-        matrix = _strategy_matrix("oneway", shape, cap, c)[1]
+        matrix = _strategy_record("oneway", shape, cap, c).matrix
         if _mixture_weights(target.table, matrix) is not None:
             return c
     return None

@@ -39,10 +39,11 @@ def _max_abs(m):
 def _int_products(rows, cols):
     """Exact products rows x colsᵀ of two integer arrays, as int64 when the
     magnitudes provably fit in it, and as Python ints in an object array
-    otherwise."""
-    if not len(rows) or not len(cols):
+    otherwise.  A zero factor gives int64 zeros, whatever the other holds."""
+    hi = _max_abs(rows) * _max_abs(cols) if rows.size and cols.size else 0
+    if not hi:
         return np.zeros((len(rows), len(cols)), dtype=np.int64)
-    dtype = np.int64 if _max_abs(rows) * _max_abs(cols) * cols.shape[1] < 2 ** 62 else object
+    dtype = np.int64 if hi * cols.shape[1] < 2 ** 62 else object
     return rows.astype(dtype, copy=False) @ cols.astype(dtype, copy=False).T
 
 
@@ -172,20 +173,20 @@ def _nullspace(a):
     return _fit(basis // np.gcd.reduce(basis, axis=1)[:, None])
 
 
-def project_out_rowspace(vec, rows):
-    """The primitive integer vector along the component of an integer
-    vector orthogonal to the row space of a 2-D integer array (exact).
-
-    With B the first independent rows, the component is v - Bᵀ z for the
-    solution z = y / d of the Gram system (B Bᵀ) z = B v, which Bareiss
-    elimination gives with y and d = det(B Bᵀ) > 0 integral; so d·v - Bᵀ y
-    is the component scaled by d."""
-    basis = rows[_eliminate(rows.T)[1]] if len(rows) else rows
-    if not len(basis):
-        return reduce_content(list(vec))
-    # B Bᵀ is positive definite, so its leading minors are the pivots
-    system = np.concatenate([_int_products(basis, basis),
-                             _int_products(basis, _int_array([vec]))], axis=1)
-    d, y = _solve(*_eliminate(system), [len(basis)])
-    back = _int_products(y.T, basis.T)[0].tolist()
-    return reduce_content([d * x - b for x, b in zip(vec, back)])
+def _projector(rows):
+    """The read-only integer projector P off the row space of a 2-D integer
+    array: ``reduce_content(P·v)`` is the primitive integer vector along the
+    component of v orthogonal to the rows (exact).  With B the first
+    independent rows, G = B Bᵀ is positive definite, so its last Bareiss
+    pivot is D = det G > 0; back substitution against the identity gives
+    Y = D·G⁻¹, and P is D·I - Bᵀ Y B over its content."""
+    basis = rows[_eliminate(rows.T)[1]]
+    k = len(basis)
+    gram = np.concatenate([_int_products(basis, basis), np.eye(k, dtype=np.int64)], axis=1)
+    d, y = _solve(*_eliminate(gram), range(k, 2 * k))
+    proj = (np.diag(np.full(rows.shape[1], d, dtype=object))
+            - _int_products(basis.T, _int_products(y, basis.T).T))
+    # rows spanning the whole space leave P = 0, of content 0
+    proj = _fit(proj // max(int(np.gcd.reduce(proj, axis=None)), 1))
+    proj.setflags(write=False)
+    return proj

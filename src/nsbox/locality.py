@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import prod
 
@@ -14,7 +14,7 @@ import numpy as np
 from .boxes import Box, BoxShape, ShapeError, _as_int, _layout, _numerators, flat
 from .dd import EnumerationCapError
 from .families import _check_bits
-from .linalg import (_int_array, _int_products, clear_denominators, project_out_rowspace,
+from .linalg import (_int_array, _int_products, _max_abs, _projector, clear_denominators,
                      reduce_content)
 from .polytope import build_hrep, normalization_rows
 from .simplex import _Phase1
@@ -116,20 +116,24 @@ def _strategy_class(kind, shape, bits=0):
     return [_bipartition(shape, *(m for m in range(3) if m != k), k) for k in range(3)]
 
 
-def _strategy_table(kind, shape, cap, bits=0):
-    """Every strategy of a class in iproduct order over each part's slots,
-    and per part (digits, outs), the (S, slots) digits decoded from the
-    strategy numbers.  The exact count is checked against the cap first."""
+def _check_cap(kind, shape, cap, bits=0):
+    """Refuse a class whose exact strategy count exceeds the cap, before
+    anything of it is built or looked up."""
     cap = _as_int(cap, "the strategy cap")
-    parts = _strategy_class(kind, shape, bits)
-    count = sum(prod(radices) for radices, _, _ in parts)
+    count = sum(prod(radices) for radices, _, _ in _strategy_class(kind, shape, bits))
     if count > cap:
         at = f" at {bits} message bits" if kind == "oneway" else ""
         # str() refuses integers of more than 4300 digits
         shown = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
         raise EnumerationCapError(f"{shown} {kind} strategies{at} exceed the cap of {cap}")
+
+
+def _strategy_table(kind, shape, bits=0):
+    """Every strategy of a class in iproduct order over each part's slots,
+    and per part (digits, outs), the (S, slots) digits decoded from the
+    strategy numbers."""
     strategies, table = [], []
-    for radices, outs, make in parts:
+    for radices, outs, make in _strategy_class(kind, shape, bits):
         place = np.cumprod([1, *radices[:0:-1]])[::-1]
         digits = np.arange(prod(radices))[:, None] // place % radices
         strategies += make(digits)
@@ -171,14 +175,16 @@ def _shared(digits, build):
 def enumerate_local_strategies(shape, cap=200_000):
     """Every deterministic strategy of a shape; count is the product of all
     per-(party, input) output counts."""
-    return _strategy_table("local", shape, cap)[0]
+    _check_cap("local", shape, cap)
+    return _strategy_table("local", shape)[0]
 
 
 def enumerate_twoway_strategies(shape, cap=200_000):
     """Every bipartition strategy of a tripartite shape: the pair plays an
     arbitrary joint function of both its inputs, the single party plays
     alone.  Signalling inside the pair is allowed by construction."""
-    return _strategy_table("twoway", shape, cap)[0]
+    _check_cap("twoway", shape, cap)
+    return _strategy_table("twoway", shape)[0]
 
 
 @dataclass(frozen=True)
@@ -249,20 +255,24 @@ class SeparatingCertificate:
 
     def verify(self, box, strategies):
         """Whether the form gives the box its value above the threshold and
-        no strategy more than the threshold.  The strategies are scored by one
-        integer gather of the coefficients over their own supports, int64
-        while max |coefficient| times the joint inputs is below 2**62."""
-        if self.evaluate(box) != self.value or self.value <= self.threshold:
-            return False
+        no strategy more than the threshold, by ``_verify`` on the
+        strategies' own supports."""
         strategies = tuple(strategies)
         if any(s.shape != self.shape for s in strategies):
             raise ShapeError("functional and strategy have different shapes")
+        joint = len(_layout(self.shape).offsets)
+        return self._verify(box, _supports(strategies).reshape(-1, joint))
+
+    def _verify(self, box, supports):
+        """``verify`` on an (S, joint inputs) array of supports, scored by
+        one integer gather of the coefficients, int64 while max |coefficient|
+        times the joint inputs is below 2**62."""
+        if self.evaluate(box) != self.value or self.value <= self.threshold:
+            return False
         # scaled by one positive factor, so an integer score s of the
         # scaled form satisfies s <= bound iff the form's is <= threshold
         *coeffs, bound = clear_denominators([*self.coefficients, self.threshold])
-        joint = len(_layout(self.shape).offsets)
-        supports = _supports(strategies).reshape(-1, joint)
-        dtype = np.int64 if max(map(abs, coeffs)) * joint < 2 ** 62 else object
+        dtype = np.int64 if max(map(abs, coeffs)) * supports.shape[1] < 2 ** 62 else object
         scores = np.array(coeffs, dtype)[supports].sum(axis=1)
         return not len(scores) or int(scores.max()) <= bound
 
@@ -303,44 +313,88 @@ def _mixture_weights(target_table, tables):
     return weights
 
 
+class _StrategyRecord:
+    """What every membership test of a class reads: the first strategy of
+    each distinct support, in class order, and their tables as the rows of
+    a read-only 0/1 int64 matrix, one 1 per joint input.  The supports and
+    the projector are made on the class's first certificate."""
+
+    def __init__(self, kind, shape, strategies, matrix):
+        self.kind, self.shape, self.strategies, self.matrix = kind, shape, strategies, matrix
+        self.joint = len(_layout(shape).offsets)
+
+    @cached_property
+    def supports(self):
+        """The strategies' supports, stacked by ``_supports`` from their fields."""
+        supports = _supports(self.strategies)
+        supports.setflags(write=False)
+        return supports
+
+    @cached_property
+    def projector(self):
+        """``linalg._projector`` off rows every strategy scores alike (the
+        H-rep rows for "local", the normalization rows for "twoway"): any
+        other row would reorder the scores."""
+        return _projector(build_hrep(self.shape)._int_rows()[:, 1:] if self.kind == "local"
+                          else normalization_rows(self.shape))
+
+
+def _strategy_record(kind, shape, cap, bits=0):
+    """The cached record of a class whose exact count is within the cap."""
+    _check_cap(kind, shape, cap, bits)
+    return _class_record(kind, shape, bits)
+
+
 @lru_cache(maxsize=8)
-def _strategy_matrix(kind, shape, cap, bits=0):
-    """The first strategy of each distinct support of a class, in class
-    order, and their tables as the rows of one read-only 0/1 int64 matrix,
-    cached; the supports are one ``flat`` gather on the table's digits."""
-    (strategies, table), ins = _strategy_table(kind, shape, cap, bits), _layout(shape).inputs
+def _class_record(kind, shape, bits):
+    """``_strategy_record`` keyed on the class alone; the supports that
+    deduplicate it are one ``flat`` gather on the table's digits."""
+    (strategies, table), ins = _strategy_table(kind, shape, bits), _layout(shape).inputs
     supports = np.concatenate([flat(shape, ins, outs(digits)) for digits, outs in table])
     _, first = np.unique(supports, axis=0, return_index=True)
     first.sort()
     matrix = np.zeros((len(first), shape.table_size), dtype=np.int64)
     np.put_along_axis(matrix, supports[first], 1, axis=1)
     matrix.setflags(write=False)
-    return tuple(strategies[i] for i in first.tolist()), matrix
+    return _StrategyRecord(kind, shape, tuple(strategies[i] for i in first.tolist()), matrix)
 
 
-def _scores(coeffs, matrix):
-    """Integer coefficients dotted with every strategy table."""
-    return _int_products(_int_array([coeffs]), matrix)[0].tolist()
+def _scores(coeffs, record):
+    """Integer coefficients dotted with every strategy table of a record, as
+    one array: int64 while max |coefficient| times the ones of a row (one
+    per joint input) is below 2**62, which bounds every partial sum, and
+    Python ints past it."""
+    c = _int_array(coeffs)
+    dtype = np.int64 if c.dtype != object and _max_abs(c) * record.joint < 2 ** 62 else object
+    return record.matrix.astype(dtype, copy=False) @ c.astype(dtype, copy=False)
 
 
-def _normalized_separator(raw, shape, nums, den, matrix, constant_rows):
-    """Project an integer dual vector off the rowspace of an integer array
-    to primitive integers, valued on the box nums / den, and recompute the
-    threshold over the whole strategy set.  Only rows whose inner product
-    is the same for every strategy may be projected out; anything else
-    would reorder the scores."""
-    ints = project_out_rowspace(raw, constant_rows)
-    return SeparatingCertificate(shape, tuple(map(Fraction, ints)),
-                                 Fraction(max(_scores(ints, matrix))),
-                                 Fraction(_scores(ints, nums[None])[0], den))
+def _box_score(coeffs, nums):
+    """Integer coefficients dotted with a box's numerators, as a Python int."""
+    return int(_int_products(_int_array([coeffs]), nums[None])[0, 0])
 
 
-def _membership(box, strategies, matrix, constant_rows):
+def _best_first(scores, candidates):
+    """Increasing candidate indices by score, highest first and ties in
+    index order, as ``sorted(..., key=scores.__getitem__, reverse=True)``."""
+    return candidates[np.argsort(-scores[candidates], kind="stable")]
+
+
+def _normalized_separator(raw, nums, den, record):
+    """Project an integer dual vector with the record's projector to
+    primitive integers, valued on the box nums / den, and recompute the
+    threshold over the record's whole strategy set."""
+    ints = reduce_content(_int_products(_int_array([raw]), record.projector)[0].tolist())
+    return SeparatingCertificate(record.shape, tuple(map(Fraction, ints)),
+                                 Fraction(int(_scores(ints, record).max())),
+                                 Fraction(_box_score(ints, nums), den))
+
+
+def _membership(box, record):
     """A LocalModel or a SeparatingCertificate, found by column generation
-    over deduplicated strategies and their 0/1 matrix (as from
-    ``_strategy_matrix``), and re-verified from the strategies' own
-    supports before it is returned.  ``constant_rows()`` gives the rows a
-    certificate is projected off; it is called only when one is made.
+    over a class's record (from ``_strategy_record``), which holds all but
+    the box's own work, and re-verified from the strategies' own supports
+    before it is returned (``SeparatingCertificate._verify``).
 
     The box is read once as integer numerators over one denominator.  The
     active columns start as the 64 strategies that score highest against
@@ -349,14 +403,16 @@ def _membership(box, strategies, matrix, constant_rows):
     basis: weights give the LocalModel, its strategies in strategy order,
     and otherwise the primitive part of the negated integer Farkas vector
     is a form the box beats and no active strategy does.  When the box
-    also beats every other strategy the form is the certificate; else the
-    strategies scoring above the active maximum are appended to the
-    tableau, best first and at most as many as are active."""
+    also beats every other strategy the form, projected by the record's
+    projector, is the certificate; else the strategies scoring above the
+    active maximum are appended to the tableau, best first and at most as
+    many as are active; ties keep strategy order (``_best_first``)."""
     box.require_valid()
     nums, den = _numerators(box.table)
-    merit = _int_products(nums[None], matrix)[0].tolist()
-    active = sorted(sorted(range(len(matrix)), key=merit.__getitem__,
-                           reverse=True)[:64])
+    strategies, matrix = record.strategies, record.matrix
+    active = np.sort(_best_first(_scores(nums, record), np.arange(len(matrix)))[:64]).tolist()
+    inactive = np.ones(len(matrix), bool)
+    inactive[active] = False
     lp = _Phase1(matrix[active].T, list(box.table), len(active))
     while True:
         res = lp.solve()
@@ -368,22 +424,19 @@ def _membership(box, strategies, matrix, constant_rows):
                 raise AssertionError("local model does not reproduce the box")
             return model
         raw = reduce_content([-y for y in res.dual])
-        scores = _scores(raw, matrix)
-        if _scores(raw, nums[None])[0] > den * max(scores):
-            cert = _normalized_separator(raw, box.shape, nums, den, matrix, constant_rows())
-            if not cert.verify(box, strategies):
+        scores = _scores(raw, record)
+        if _box_score(raw, nums) > den * int(scores.max()):
+            cert = _normalized_separator(raw, nums, den, record)
+            if not cert._verify(box, record.supports):
                 raise AssertionError("separating certificate does not verify")
             return cert
-        cutoff = max(scores[j] for j in active)
-        taken = set(active)
-        violators = sorted((j for j in range(len(matrix))
-                            if j not in taken and scores[j] > cutoff),
-                           key=scores.__getitem__, reverse=True)
-        if not violators:
+        over = np.flatnonzero(inactive & (scores > scores[active].max()))
+        if not len(over):
             raise AssertionError("no progress in column generation")
-        joining = violators[:len(active)]
+        joining = _best_first(scores, over)[:len(active)]
         lp.add_columns(matrix[joining].T)
-        active += joining
+        inactive[joining] = False
+        active += joining.tolist()
 
 
 def is_local(box, cap=200_000):
@@ -392,16 +445,14 @@ def is_local(box, cap=200_000):
     is verified before it is returned.  The certificate is the Farkas
     separator the column generation stopped on, not necessarily a facet
     of the local polytope."""
-    return _membership(box, *_strategy_matrix("local", box.shape, cap),
-                       lambda: build_hrep(box.shape)._int_rows()[:, 1:])
+    return _membership(box, _strategy_record("local", box.shape, cap))
 
 
 def is_two_way_local(box, cap=200_000):
     """Like is_local but over all bipartition strategies of a tripartite
     box.  Pair strategies may signal inside the pair, so only the
     normalization rows are safe to project out of certificates."""
-    return _membership(box, *_strategy_matrix("twoway", box.shape, cap),
-                       lambda: normalization_rows(box.shape))
+    return _membership(box, _strategy_record("twoway", box.shape, cap))
 
 
 def correlator(box, ins):

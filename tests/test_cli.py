@@ -141,6 +141,8 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
     ]
     binary = tmp_path / "binary.box"
     binary.write_bytes(bytes(range(256)))
+    # a directory where vertices writes its class list
+    (tmp_path / "blocked" / "classes.txt").mkdir(parents=True)
     pr_box = tmp_path / "pr.box"
     run(capsys, "make", "pr", "-o", str(pr_box))
     argvs = [["make", "dbox", "x", "-o", str(tmp_path / "x.box")],
@@ -164,6 +166,8 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys):
              ["wire", str(wiring), "-o", str(tmp_path)],
              ["make", "pr", "-o", str(tmp_path / "missing" / "x.box")],
              ["vertices", "2,2/2,2", "-o", str(binary)],
+             ["vertices", "2,2/2,2", "-o", str(tmp_path / ("v" * 300))],
+             ["vertices", "2,2/2,2", "-o", str(tmp_path / "blocked")],
              # usage errors, which argparse alone reports on several lines
              ["dim", "2,2/2,2", "--bogus"],
              ["extend", str(pr_box), "--env-outputs", "2"],

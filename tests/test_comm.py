@@ -17,7 +17,7 @@ from nsbox.comm import (BoxUse, CommProtocol, Component, Message,
                         min_oneway_comm_with_SR, protocol4)
 from nsbox.dd import EnumerationCapError
 from nsbox.families import dbox, local_deterministic, pr, uniform, xyplusz
-from nsbox.locality import DeterministicStrategy, _strategy_matrix, is_local
+from nsbox.locality import DeterministicStrategy, _strategy_record, is_local
 from nsbox.wiring import (PartyProgram, WiringError, _lower, evaluate_wiring,
                           preset, protocol3_error)
 
@@ -205,12 +205,12 @@ def test_oneway_table_matches_the_reference_on_seeded_shapes():
     while len(checked) < 24:
         shape, c = _random_bipartite_shape(rng), rng.randint(0, 2)
         try:
-            kept, matrix = _strategy_matrix("oneway", shape, 5000, c)
+            record = _strategy_record("oneway", shape, 5000, c)
         except EnumerationCapError:
             continue
         want = list(dict.fromkeys(_reference_oneway_supports(shape, c)))
-        assert [tuple(np.flatnonzero(row).tolist()) for row in matrix] == want
-        assert len(kept) == len(want)
+        assert [tuple(np.flatnonzero(row).tolist()) for row in record.matrix] == want
+        assert len(record.strategies) == len(want)
         checked.append((shape, c))
     assert {c for _, c in checked} == {0, 1, 2}
     counts = [set(p) for shape, _ in checked for p in shape.outputs]
@@ -243,7 +243,7 @@ def _reference_oneway_tables(shape, c):
 def test_strategy_supports_match_the_fraction_tables(shape, c):
     shape = BoxShape.from_string(shape)
     want = [[int(v) for v in t] for t in dict.fromkeys(_reference_oneway_tables(shape, c))]
-    assert _strategy_matrix("oneway", shape, 200_000, c)[1].tolist() == want
+    assert _strategy_record("oneway", shape, 200_000, c).matrix.tolist() == want
 
 
 def _reference_comm_evaluate(protocol, components=None):

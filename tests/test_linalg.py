@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_linalg import clear_denominators_reference, nullspace, rref, solve
-from nsbox.linalg import (_eliminate, _int_array, _nullspace, _solve, clear_denominators,
-                          int_rank, project_out_rowspace, reduce_content)
+from nsbox.linalg import (_eliminate, _int_array, _int_products, _nullspace, _projector, _solve,
+                          clear_denominators, int_rank, reduce_content)
 
 F = Fraction
 
@@ -210,20 +210,66 @@ def test_integer_inverse_matches_the_fraction_inverse():
         tested += 1
 
 
+def project_out_rowspace(vec, rows):
+    """The per-vector projection that ``_projector`` replaced: the primitive
+    part of d·v - Bᵀ y, with B the first independent rows and y, d from one
+    Bareiss solve of the Gram system (B Bᵀ) z = B v."""
+    basis = rows[_eliminate(rows.T)[1]] if len(rows) else rows
+    if not len(basis):
+        return reduce_content(list(vec))
+    system = np.concatenate([_int_products(basis, basis),
+                             _int_products(basis, _int_array([vec]))], axis=1)
+    d, y = _solve(*_eliminate(system), [len(basis)])
+    back = _int_products(y.T, basis.T)[0].tolist()
+    return reduce_content([d * x - b for x, b in zip(vec, back)])
+
+
+def _project(vec, rows):
+    """An integer vector projected off the rows by their projector."""
+    return reduce_content(_int_products(_int_array([vec]), _projector(rows))[0].tolist())
+
+
 def test_projection_is_orthogonal_and_idempotent():
     rng = random.Random(3)
     for _ in range(20):
         rows = np.array([[rng.randint(-3, 3) for _ in range(6)] for _ in range(3)])
         vec = [rng.randint(-5, 5) for _ in range(6)]
-        out = project_out_rowspace(vec, rows)
+        out = _project(vec, rows)
         assert all(type(v) is int for v in out) and reduce_content(out) == out
         assert (rows @ out == 0).all()
-        assert project_out_rowspace(out, rows) == out
+        assert _project(out, rows) == out
 
 
 def test_projecting_a_row_gives_zero():
     rows = np.array([[1, 2, 0], [0, 1, 1]], dtype=np.int8)
-    assert project_out_rowspace([3, 7, 1], rows) == [0] * 3
+    assert _project([3, 7, 1], rows) == [0] * 3
+    with pytest.raises(ValueError):
+        _projector(rows)[0, 0] = 1
+
+
+def test_projector_matches_the_per_vector_solve():
+    """Entry for entry, not just parallel: the membership tests' constant
+    rows (the H-rep rows for local, the normalization rows for two-way) of
+    three shapes, then seeded rows whose Gram system passes the int64
+    guard, each against seeded vectors small and past int64."""
+    from nsbox.boxes import BoxShape
+    from nsbox.polytope import build_hrep, normalization_rows
+    rng = random.Random(27)
+    cases = []
+    for text in ("2,2/2,2", "3,3/3,3", "2,2/2,2/2,2"):
+        shape = BoxShape.from_string(text)
+        cases += [build_hrep(shape)._int_rows()[:, 1:], normalization_rows(shape)]
+    for top in (2 ** 20, 2 ** 40, 2 ** 70):
+        n = rng.randint(3, 8)
+        cases.append(_int_array([[rng.randint(-top, top) for _ in range(n)]
+                                 for _ in range(rng.randint(1, n))]))
+    for rows in cases:
+        proj = _projector(rows)
+        assert (proj == proj.T).all()
+        for top in (9, 2 ** 70):
+            vec = [rng.randint(-top, top) for _ in range(rows.shape[1])]
+            got = reduce_content(_int_products(_int_array([vec]), proj)[0].tolist())
+            assert got == project_out_rowspace(vec, rows)
 
 
 def _reference_projection(vec, rows):
@@ -261,7 +307,7 @@ def test_integer_projection_matches_the_rational_one():
     for n, rows in cases:
         vec = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
         ints = np.array([clear_denominators(r) for r in rows], np.int64).reshape(len(rows), n)
-        got = project_out_rowspace(clear_denominators(vec), ints)
+        got = _project(clear_denominators(vec), ints)
         assert got == clear_denominators(_reference_projection(vec, rows))
 
 
@@ -294,6 +340,10 @@ def test_int_products_is_exact_past_the_int64_guard():
     assert _int_products(np.array([[2 ** 61, 2 ** 61]]), np.array([[1, 1]])).tolist() == [[2 ** 62]]
     assert _int_products(np.zeros((0, 3), dtype=np.int64), cols).tolist() == []
     assert _int_products(small, np.zeros((0, 3), dtype=np.int64)).tolist() == [[], []]
+    # a zero factor bounds the products by 0, but the other one may not fit int64
+    huge = np.array([[2 ** 70, 1, 1]], dtype=object)
+    assert _int_products(huge, np.zeros((2, 3), dtype=np.int64)).tolist() == [[0, 0]]
+    assert _int_products(np.zeros((1, 0), dtype=np.int64), np.zeros((2, 0))).tolist() == [[0, 0]]
 
 
 def _greedy_independent_rows(rows, d):

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from itertools import product as iproduct
 
 import numpy as np
@@ -10,8 +11,8 @@ from nsbox.boxes import Box, BoxShape, ShapeError, _numerators, mix
 from nsbox.dd import EnumerationCapError
 from nsbox.families import (dbox, local_deterministic, pr, svetlichny_box,
                             two_way_vertex, uniform, xyplusz, xyz_box)
-from nsbox import locality
-from nsbox.linalg import clear_denominators
+from nsbox import linalg, locality
+from nsbox.linalg import _int_array, _int_products, _projector, clear_denominators
 from nsbox.locality import (SeparatingCertificate, chsh, chsh_functional,
                             convex_membership, correlator,
                             enumerate_local_strategies,
@@ -349,10 +350,10 @@ def test_strategy_table_matches_the_reference_on_seeded_shapes(kind):
         want = reference(shape)
         assert got == want
         assert [s.support() for s in got] == [_reference_support(s) for s in want]
-        kept, matrix = locality._strategy_matrix(kind, shape, 3000)
+        record = locality._strategy_record(kind, shape, 3000)
         want_kept, want_matrix = _reference_dedup(want)
-        assert kept == tuple(want_kept)
-        assert matrix.tolist() == want_matrix.tolist()
+        assert record.strategies == tuple(want_kept)
+        assert record.matrix.tolist() == want_matrix.tolist()
         checked.append(shape)
     counts = [set(p) for shape in checked for p in shape.outputs]
     assert any(1 in p for p in counts) and any(len(p) > 1 for p in counts)
@@ -434,10 +435,10 @@ def test_mixture_matches_the_fraction_sum():
 def test_matrix_scores_match_fraction_dot_products():
     rng = random.Random(23)
     strategies = enumerate_twoway_strategies(TRIPARTITE)
-    kept, matrix = locality._strategy_matrix("twoway", TRIPARTITE, 200_000)
-    tables = [s.box().table for s in kept]
-    assert len(kept) == len(set(tables)) == len({s.box().table for s in strategies})
-    assert matrix.tolist() == [[int(v) for v in t] for t in tables]
+    record = locality._strategy_record("twoway", TRIPARTITE, 200_000)
+    tables = [s.box().table for s in record.strategies]
+    assert len(tables) == len(set(tables)) == len({s.box().table for s in strategies})
+    assert record.matrix.tolist() == [[int(v) for v in t] for t in tables]
     cert = is_two_way_local(xyplusz())
     size = TRIPARTITE.table_size
     vectors = [[int(c) for c in cert.coefficients],
@@ -446,7 +447,7 @@ def test_matrix_scores_match_fraction_dot_products():
     for coeffs in vectors:
         exact = [Fraction(c) for c in coeffs]
         want = [sum(c * p for c, p in zip(exact, t)) for t in tables]
-        assert locality._scores(coeffs, matrix) == want
+        assert locality._scores(coeffs, record).tolist() == want
 
 
 def _correlator_form(signs):
@@ -484,8 +485,8 @@ def test_certificate_verify_scales_and_rejects():
 
 
 def test_results_are_verified_before_they_are_returned(monkeypatch):
-    monkeypatch.setattr(SeparatingCertificate, "verify",
-                        lambda self, box, strategies: False)
+    monkeypatch.setattr(SeparatingCertificate, "_verify",
+                        lambda self, box, supports: False)
     with pytest.raises(AssertionError):
         is_local(pr())
     monkeypatch.setattr(locality.LocalModel, "verify", lambda self, box: False)
@@ -494,33 +495,116 @@ def test_results_are_verified_before_they_are_returned(monkeypatch):
 
 
 def test_strategy_matrix_is_cached_read_only():
-    locality._strategy_matrix.cache_clear()
+    locality._class_record.cache_clear()
     boxes = (two_way_vertex(), svetlichny_box())
     first = [is_two_way_local(b) for b in boxes]
-    kept, matrix = locality._strategy_matrix("twoway", TRIPARTITE, 200_000)
-    assert locality._strategy_matrix.cache_info().hits >= 1
+    record = locality._strategy_record("twoway", TRIPARTITE, 200_000)
+    assert locality._class_record.cache_info().hits >= 1
     assert [is_two_way_local(b) for b in boxes] == first
     assert first[0] and not first[1]
     want_kept, want_matrix = _reference_dedup(enumerate_twoway_strategies(TRIPARTITE))
-    assert kept == tuple(want_kept)
-    assert matrix.tolist() == want_matrix.tolist()
-    with pytest.raises(ValueError):
-        matrix[0, 0] = 1
+    assert record.strategies == tuple(want_kept)
+    assert record.matrix.tolist() == want_matrix.tolist()
+    assert record.supports.tolist() == [list(_reference_support(s)) for s in want_kept]
+    for array in (record.matrix, record.supports, record.projector):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
     assert is_local(pr()) == is_local(pr())
     with pytest.raises(ValueError):
-        locality._strategy_matrix("local", CHSH_SHAPE, 200_000)[1][0, 0] = 1
+        locality._strategy_record("local", CHSH_SHAPE, 200_000).matrix[0, 0] = 1
+    # the cap is checked before the lookup and is no part of the key
+    misses = locality._class_record.cache_info().misses
+    assert locality._strategy_record("twoway", TRIPARTITE, 3072) is record
+    with pytest.raises(EnumerationCapError, match="3072 twoway strategies exceed the cap of 3071"):
+        locality._strategy_record("twoway", TRIPARTITE, 3071)
+    assert is_two_way_local(svetlichny_box(), cap=5000) == first[1]
+    assert locality._class_record.cache_info().misses == misses
+
+
+def test_later_certificates_of_a_class_reuse_its_record(monkeypatch):
+    """The supports and the projector are made on a class's first
+    certificate; later ones stack no support and eliminate nothing."""
+    calls = {"_supports": 0, "_eliminate": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    spy(locality, "_supports")
+    spy(linalg, "_eliminate")
+    locality._class_record.cache_clear()
+    for test, top, other in ((is_local, pr(), pr(1, 0, 1)),
+                             (is_two_way_local, xyplusz(), svetlichny_box())):
+        assert not test(top) and calls["_supports"] and calls["_eliminate"]
+        calls.update(_supports=0, _eliminate=0)
+        for box in (top, other, mix(other, uniform(top.shape), Fraction(7, 8))):
+            assert not test(box)
+        assert calls == {"_supports": 0, "_eliminate": 0}
+
+
+def test_ranks_match_the_sorted_reference():
+    """Merit and violator selection by ``_best_first`` against the stable
+    ``sorted(..., reverse=True)`` loops they replaced, on seeded scores drawn
+    from a few values (many ties), int64 and past it (Python ints)."""
+    rng = random.Random(41)
+    joined = 0
+    for dtype, top in ((np.int64, 3), (object, 2 ** 70)):
+        pool = [rng.randint(-top, top) for _ in range(5)]
+        for _ in range(40):
+            n = rng.randint(1, 300)
+            values = [rng.choice(pool) for _ in range(n)]
+            scores = np.array(values, dtype)
+            merit = sorted(sorted(range(n), key=values.__getitem__, reverse=True)[:64])
+            assert np.sort(locality._best_first(scores, np.arange(n))[:64]).tolist() == merit
+            active = rng.sample(sorted(range(n), key=values.__getitem__)[:n // 2 + 1],
+                                rng.randint(1, n // 2 + 1))
+            cutoff = max(values[j] for j in active)
+            want = sorted((j for j in range(n) if j not in active and values[j] > cutoff),
+                          key=values.__getitem__, reverse=True)[:len(active)]
+            inactive = np.ones(n, bool)
+            inactive[active] = False
+            over = np.flatnonzero(inactive & (scores > scores[active].max()))
+            assert locality._best_first(scores, over)[:len(active)].tolist() == want
+            joined += len(want)
+    assert joined > 100
 
 
 def test_answers_are_verified_from_the_supports(monkeypatch):
     # a matrix whose first two rows are swapped no longer matches the
     # strategies' supports, which the verification reads
-    kept, matrix = locality._strategy_matrix("local", CHSH_SHAPE, 200_000)
-    swapped = matrix.copy()
-    swapped[[0, 1]] = matrix[[1, 0]]
-    monkeypatch.setattr(locality, "_strategy_matrix",
-                        lambda *args: (kept, swapped))
+    record = locality._strategy_record("local", CHSH_SHAPE, 200_000)
+    swapped = record.matrix.copy()
+    swapped[[0, 1]] = record.matrix[[1, 0]]
+    fake = locality._StrategyRecord("local", CHSH_SHAPE, record.strategies, swapped)
+    monkeypatch.setattr(locality, "_strategy_record", lambda *args: fake)
     with pytest.raises(AssertionError):
-        is_local(kept[0].box())
+        is_local(record.strategies[0].box())
+
+
+def test_the_private_check_rejects_what_verify_rejects():
+    """``_verify`` on a record's supports, as ``_membership`` calls it,
+    against the public ``verify`` on the strategies: the xyplusz separator
+    passes both, one threshold below fails both, and so does a form that
+    one strategy scores above the threshold (on an entry where the box is
+    zero, so its value stays)."""
+    box = xyplusz()
+    strategies = enumerate_twoway_strategies(TRIPARTITE)
+    record = locality._strategy_record("twoway", TRIPARTITE, 200_000)
+    cert = is_two_way_local(box)
+    assert cert._verify(box, record.supports) and cert.verify(box, strategies)
+    below = dataclasses.replace(cert, threshold=cert.threshold - 1)
+    coeffs = list(cert.coefficients)
+    support = next(s for s in record.supports.tolist() if min(box.table[i] for i in s) == 0)
+    coeffs[next(i for i in support if box.table[i] == 0)] += 1 + cert.threshold - sum(
+        coeffs[i] for i in support)
+    above = dataclasses.replace(cert, coefficients=tuple(coeffs))
+    assert above.evaluate(box) == above.value > above.threshold
+    for bad in (below, above):
+        assert not bad._verify(box, record.supports)
+        assert not bad.verify(box, strategies)
 
 
 # ------------------------------------------- the loop against the earlier solver
@@ -542,12 +626,20 @@ def _reference_membership(box, strategies, constant_rows):
     return _reference_colgen(box, matrix, constant_rows)
 
 
+def _matrix_scores(coeffs, matrix):
+    """Integer coefficients dotted with every row of a strategy matrix."""
+    return _int_products(_int_array([coeffs]), matrix)[0].tolist()
+
+
 def _separator(dual, box, matrix, constant_rows):
     """``locality._normalized_separator`` on a Fraction dual vector and rows
-    of rationals, each cleared to integers at the call."""
+    of rationals, each cleared to integers at the call, with the matrix and
+    the rows' projector standing in for a record."""
+    rows = np.array([clear_denominators(r) for r in constant_rows], np.int64)
+    record = SimpleNamespace(shape=box.shape, matrix=matrix, joint=len(box.shape.joint_inputs),
+                             projector=_projector(rows))
     return locality._normalized_separator(
-        clear_denominators([-y for y in dual]), box.shape, *_numerators(box.table), matrix,
-        np.array([clear_denominators(r) for r in constant_rows], np.int64))
+        clear_denominators([-y for y in dual]), *_numerators(box.table), record)
 
 
 def _reference_visibility(box, matrix, constant_rows):
@@ -566,7 +658,7 @@ def _reference_visibility(box, matrix, constant_rows):
 def _reference_colgen(box, matrix, constant_rows):
     """Separator from Farkas duals of subset LPs, 64 new columns a round."""
     centred = [p - u for p, u in zip(box.table, uniform(box.shape).table)]
-    merit = locality._scores(clear_denominators(centred), matrix)
+    merit = _matrix_scores(clear_denominators(centred), matrix)
     active = sorted(range(len(matrix)), key=merit.__getitem__,
                     reverse=True)[:64]
     while True:
@@ -575,7 +667,7 @@ def _reference_colgen(box, matrix, constant_rows):
         cert = _separator(res.dual, box, matrix, constant_rows)
         if cert.value > cert.threshold:
             return cert
-        scores = locality._scores([int(c) for c in cert.coefficients], matrix)
+        scores = _matrix_scores([int(c) for c in cert.coefficients], matrix)
         cutoff = max(scores[j] for j in active)
         violators = sorted((j for j in range(len(matrix))
                             if j not in active and scores[j] > cutoff),

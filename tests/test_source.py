@@ -131,10 +131,10 @@ def test_no_tolist_list_feeds_the_integer_kernels():
 
 def test_column_generation_makes_no_fraction():
     """The membership loop and the projection of its certificate run on
-    integers: neither ``locality._membership`` nor
-    ``linalg.project_out_rowspace`` names ``Fraction``."""
+    integers: neither ``locality._membership`` nor ``linalg._projector``
+    names ``Fraction``."""
     found = []
-    for name, function in (("locality.py", "_membership"), ("linalg.py", "project_out_rowspace")):
+    for name, function in (("locality.py", "_membership"), ("linalg.py", "_projector")):
         tree = ast.parse((SRC / name).read_text())
         [node] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
         found += [f"{name}:{n.lineno}" for n in ast.walk(node)
