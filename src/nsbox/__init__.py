@@ -23,7 +23,7 @@ from .polytope import (HPolytope, KBoxCensus, KBoxClass, OrbitClass, VRep,
                        build_hrep, classify_vertices, dimension,
                        enumerate_vertices, is_extremal, kbox_census, lift_box)
 from .relabel import (Relabelling, apply_relabelling, canonical_form,
-                      equivalent_under_relabelling, generators, group, orbit)
+                      equivalent_under_relabelling, generators, group, inverse, orbit)
 from .simplex import LPResult, find_nonneg_solution, maximize
 from .wiring import (Component, PartyProgram, Step, Wiring, WiringError,
                      evaluate_wiring, preset, protocol3_error)
@@ -43,7 +43,8 @@ __all__ = [
     "equivalent_under_relabelling", "evaluate_comm_protocol",
     "evaluate_functional", "evaluate_wiring", "extreme_rays",
     "find_nonneg_solution", "generators", "group", "has_unique_completion",
-    "is_extremal", "is_local", "is_two_way_local", "kbox_census", "lift_box",
+    "inverse", "is_extremal", "is_local", "is_two_way_local", "kbox_census",
+    "lift_box",
     "load_box", "load_functional", "load_wiring", "local_deterministic",
     "make_named_box", "marginal", "maximize", "min_oneway_comm_with_SR",
     "mix", "orbit", "pr", "preset", "product", "product_extension",

@@ -18,8 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-Rational = Fraction
-
 # Joint inputs are materialised when a shape is built; shapes with more are
 # refused before that.  Tables are materialised when a box is built; shapes
 # with more entries are refused when the shape is built.

@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm, prod
+from math import prod
 from numbers import Integral
 
 import numpy as np
 
-from .boxes import Box, ShapeError, _as_fraction, _as_int, _layout, flat
+from .boxes import Box, ShapeError, _as_fraction, _as_int, _layout, _numerators, flat
 from .dd import _BUDGET
 from .families import dbox
 from .locality import EnumerationCapError, _mixture_weights, _strategy_record
@@ -214,14 +214,14 @@ def _validate_protocol(protocol, boxes):
         for k in range(shape.parties)]
 
 
-def _numerators(box, den, dtype):
-    """den times the box's entries, dense over (joint input, joint output
-    over the side ranges), zero where an output is past its input's count."""
+def _dense_numerators(box, nums):
+    """A box's table numerators ``nums``, dense over (joint input, joint
+    output over the side ranges), zero where an output is past its input's
+    count."""
     shape, lay = box.shape, _layout(box.shape)
     outs = np.indices([max(o) for o in shape.outputs]).reshape(shape.parties, -1).T
     ins = lay.inputs[:, None]
     inside = (outs < lay.counts[np.arange(shape.parties), ins]).all(axis=-1)
-    nums = np.array([v.numerator * (den // v.denominator) for v in box.table], dtype)
     return np.where(inside, nums.take(flat(shape, ins, outs), mode="clip"), 0).ravel()
 
 
@@ -254,12 +254,12 @@ def evaluate_comm_protocol(protocol, components=None):
     place = [prod(radix[i + 1:]) for i in range(len(radix))]
     at = {cs: place[K + 1 + i] for i, cs in enumerate(sides)}   # place of a side's digit
     mult = {(c, s): prod(boxes[c].shape.inputs[s + 1:]) * sizes[c] for c, s in sides}
-    dens = [lcm(*(p.denominator for _, p in protocol.shared.values)),
-            *(lcm(*(v.denominator for v in b.table)) for b in boxes)]
-    dtype = np.int64 if prod(dens) * place[K - 1] < 2 ** 62 else object
-    shared = np.array([p.numerator * (dens[0] // p.denominator)
-                       for _, p in protocol.shared.values], dtype)
-    nums = [_numerators(b, d, dtype) for b, d in zip(boxes, dens[1:])]
+    parts = [_numerators([p for _, p in protocol.shared.values]),
+             *(_numerators(b.table) for b in boxes)]
+    den = prod(d for _, d in parts)
+    dtype = np.int64 if den * place[K - 1] < 2 ** 62 else object
+    shared, *nums = (n.astype(dtype) for n, _ in parts)
+    nums = [_dense_numerators(b, n) for b, n in zip(boxes, nums)]
     lay = _layout(shape)
     acc = np.zeros(shape.table_size, dtype)
     total, block = prod(radix), max(1, _BUDGET // (K + len(boxes) + 4))
@@ -281,7 +281,6 @@ def evaluate_comm_protocol(protocol, components=None):
             pos = pos + table[codes[k]] * lay.strides[ji, k]
         keep = weight != 0
         np.add.at(acc, pos[keep], weight[keep])
-    den = prod(dens)
     return Box(shape, tuple(Fraction(v, den) for v in acc.tolist())), protocol.bits
 
 

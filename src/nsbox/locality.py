@@ -17,6 +17,7 @@ from .families import _check_bits
 from .linalg import (_int_array, _int_products, _max_abs, _projector, clear_denominators,
                      reduce_content)
 from .polytope import build_hrep, normalization_rows
+from .relabel import _codes
 from .simplex import _Phase1
 
 
@@ -166,10 +167,10 @@ def _shared(digits, build):
     """``build(row)`` for each row of digits, made once per distinct row and
     shared by the rows equal to it, as the fields of strategies are.  Rows
     are told apart by their mixed-radix codes over the column maxima."""
-    codes = digits @ np.cumprod([1, *digits.max(axis=0)[:0:-1] + 1])[::-1]
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    built = [build(row) for row in digits[first].tolist()]
-    return [built[g] for g in inverse.tolist()]
+    radix = tuple(digits.max(axis=0) + 1)
+    codes, ids = _codes(np.ravel_multi_index(digits.T, radix))
+    built = [build(row) for row in np.transpose(np.unravel_index(codes, radix)).tolist()]
+    return [built[g] for g in ids.tolist()]
 
 
 def enumerate_local_strategies(shape, cap=200_000):

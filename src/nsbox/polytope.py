@@ -206,18 +206,6 @@ def _symmetry_maps(h, eq_int, rows):
     return maps
 
 
-def _scaled(z):
-    """(den, scaled) for integer rows z = (t, x) with every t > 0: den is
-    the lcm of the t and row i of scaled is x·den/t, so the point of row i
-    is scaled[i] / den.  Scaled rows order exactly as the points do."""
-    t = z[:, 0].tolist()
-    den = lcm(*t)
-    scale = [den // v for v in t]
-    if _max_abs(z) * max(scale) >= 2 ** 63:
-        z = z.astype(object)
-    return den, z[:, 1:] * np.array(scale, dtype=z.dtype)[:, None]
-
-
 def _edge_ends(z, w):
     """The far end of the edge from the ray with slack row z along each
     slack direction row of w, as primitive integer slack rows; z and w are
@@ -242,27 +230,15 @@ def _edge_ends(z, w):
     return ends // np.gcd.reduce(ends, axis=1)[:, None]
 
 
-def _merged(orbits):
-    """(values, rows, orbit_of) for orbits given as (sorted values, id
-    rows): the sorted union of their values, their rows stacked and
-    recoded by rank in the narrowest unsigned dtype, and each row's orbit."""
-    values = sorted(set().union(*(vals for vals, _ in orbits)))
-    rank = {v: i for i, v in enumerate(values)}
-    dtype = np.min_scalar_type(len(values))
-    rows = np.concatenate([np.array([rank[v] for v in vals], dtype)[codes]
-                           for vals, codes in orbits])
-    return values, rows, np.repeat(np.arange(len(orbits)), [len(c) for _, c in orbits])
-
-
 def _orbit_rays(rows, maps, start, max_rays, time_budget):
     """The extreme rays of the pointed cone {y : rows·y >= 0}, for an
     integer array ``rows`` whose rows the gather maps permute, by adjacency
     decomposition from the primitive slack row ``start`` = rows·y of one
     extreme ray y.
 
-    Returns one (values, codes) per orbit: the sorted distinct entries of
-    the orbit's primitive slack rows, and those rows as ids into them in
-    the narrowest unsigned dtype.
+    Returns one (values, codes) per orbit: ``relabel._codes`` of the
+    orbit's primitive slack rows, an integer array of their sorted distinct
+    entries and the rows as ids into it.
 
     The sum of the rows is positive on every nonzero point of the cone, so
     the rays are the vertices of the cone's section where that sum is
@@ -288,14 +264,13 @@ def _orbit_rays(rows, maps, start, max_rays, time_budget):
         for end, key in zip(ends, keys):
             if key in by_zeros:
                 continue
-            values, ids = np.unique(end, return_inverse=True)
-            codes = ids.astype(np.min_scalar_type(len(values)))[None]
+            values, codes = relabel._codes(end[None])
             walked = b"".join(relabel._walk(codes, maps))
             codes = np.frombuffer(walked, codes.dtype).reshape(-1, len(end))
             zero = (codes == 0) & (values[0] == 0)
             by_zeros.update(dict.fromkeys(
                 relabel._row_keys(np.packbits(zero, axis=1)), len(orbits)))
-            orbits.append((values.tolist(), codes))
+            orbits.append((values, codes))
             queue.append(end)
         if len(by_zeros) > max_rays:
             raise EnumerationCapError(
@@ -324,39 +299,56 @@ def _orbit_rays(rows, maps, start, max_rays, time_budget):
     return orbits
 
 
+def _rational_codes(nums, t):
+    """``relabel._codes`` of the rationals nums / t, for an integer array
+    ``nums`` and an array ``t`` of positive integers broadcast against it:
+    ``(values, ids)``, the sorted distinct values as Fractions and the ids.
+    Scaled to den = lcm(t), the integers nums·(den/t) order exactly as the
+    rationals do; they are int64 while max|nums|·max(den/t) < 2**63, and
+    Python ints past that."""
+    ts = t.ravel().tolist()
+    den = lcm(*ts)
+    scale = [den // v for v in ts]
+    dtype = np.int64 if _max_abs(nums) * max(scale) < 2 ** 63 else object
+    scaled = nums.astype(dtype, copy=False) * np.array(scale, dtype).reshape(t.shape)
+    values, ids = relabel._codes(scaled)
+    return [Fraction(v, den) for v in values.tolist()], ids
+
+
 def _vertex_rows(h, max_rays, time_budget):
     """The vertices of {x >= 0, equalities} as ``(values, ids, orbit_of)``:
     the sorted distinct entries, one row of ids into them per vertex, the
     rows sorted (ids follow value order, so the rows sort as the tables
     do), and each row's relabelling orbit number from the orbit-wise path,
-    or None from the full DD run; see ``enumerate_vertices``."""
+    or None from the full DD run; see ``enumerate_vertices``.  Both code
+    integers once by ``_rational_codes``: each orbit's values over its t,
+    or each slack row over its own t."""
     eq_int, rows = _homogenized_cone(h)
     maps = _symmetry_maps(h, eq_int, rows)
     if maps is not None:
         lp = _Phase1(eq_int[:, 1:], (-eq_int[:, 0]).tolist(), eq_int.shape[1] - 1).solve()
         if lp.status != "optimal":
-            return [], np.zeros((0, h.ambient), dtype=np.intp), None
+            return [], np.zeros((0, h.ambient), dtype=np.uint8), None
         orbits = _orbit_rays(rows, maps, clear_denominators([1, *lp.x]),
                              max_rays, time_budget)
         # t is the same on an orbit, since the maps keep the t row
-        ts = [values[codes[0, 0]] for values, codes in orbits]
+        ts = [int(values[codes[0, 0]]) for values, codes in orbits]
         if not all(ts):
             raise ShapeError(_UNBOUNDED)
-        values, ids, orbit_of = _merged([([Fraction(v, t) for v in values], codes[:, 1:])
-                                         for (values, codes), t in zip(orbits, ts)])
+        sizes = [len(values) for values, _ in orbits]
+        values, ids = _rational_codes(np.concatenate([values for values, _ in orbits]),
+                                      np.repeat(np.array(ts, dtype=object), sizes))
+        ids = np.concatenate([part[codes[:, 1:]] for part, (_, codes)
+                              in zip(np.split(ids, np.cumsum(sizes)[:-1]), orbits)])
+        orbit_of = np.repeat(np.arange(len(orbits)), [len(codes) for _, codes in orbits])
     else:
         # rays with t = 0 are recession directions, the others vertices
         z = _int_products(_extreme_rays(rows, max_rays, time_budget), rows)
         if not z[:, 0].any():
-            return [], np.zeros((0, h.ambient), dtype=np.intp), None
+            return [], np.zeros((0, h.ambient), dtype=np.uint8), None
         if not z[:, 0].all():
             raise ShapeError(_UNBOUNDED)
-        # vertex i is z[i, 1:] / t[i]; scaled to the common denominator of
-        # all t, the integer rows order exactly as the Fraction tables do
-        den, scaled = _scaled(z)
-        nums, inverse = np.unique(scaled, return_inverse=True)
-        values = [Fraction(v, den) for v in nums.tolist()]
-        ids = inverse.reshape(scaled.shape)
+        values, ids = _rational_codes(z[:, 1:], z[:, :1])
         orbit_of = None
     # each distinct entry is one Fraction (lexsort's primary key is its last)
     order = np.lexsort(ids.T[::-1])
@@ -449,8 +441,12 @@ def classify_vertices(vrep, allow_party_permutation=True):
     unseen = set(range(len(codes)))
     classes = []
     while unseen:
-        orbit_keys = relabel._walk(codes[[min(unseen)]], maps)
-        if not orbit_keys.keys() <= index_of.keys():
+        # an orbit inside the list has at most as many rows as the list
+        try:
+            orbit_keys = relabel._walk(codes[[min(unseen)]], maps, limit=len(codes))
+        except EnumerationCapError:
+            orbit_keys = None
+        if orbit_keys is None or not orbit_keys.keys() <= index_of.keys():
             raise ShapeError(
                 "orbit leaves the vertex list; VRep is not a complete "
                 "enumeration of a relabelling-closed set")
@@ -534,17 +530,16 @@ def kbox_census(d_alice, d_bob, max_rays=2_000_000, time_budget=None):
         if at is None:
             raise ShapeError(f"the lifted {k}-box is not a vertex of {shape}")
         ks.setdefault(int(orbit_of[at]), []).append(k)
-    # the rows are sorted, so each orbit's first row is its least table,
+    # the rows are sorted, so each orbit's first member is its least table,
     # and the classes come ordered by it
-    orbit_nums, firsts, sizes = np.unique(orbit_of, return_index=True, return_counts=True)
     out = []
-    for i in np.argsort(firsts).tolist():
-        rep = Box(shape, tuple(values[j] for j in ids[firsts[i]].tolist()))
-        size = int(sizes[i])
+    for members in _orbit_members(orbit_of):
+        rep = Box(shape, tuple(values[j] for j in ids[members[0]].tolist()))
+        size = len(members)
         if rep.is_deterministic():
             out.append(KBoxClass(rep, size, None, _uses_partial_outputs(rep)))
             continue
-        found = ks.get(int(orbit_nums[i]), [])
+        found = ks.get(int(orbit_of[members[0]]), [])
         if len(found) != 1:
             raise ShapeError(
                 f"non-local vertex class matched k-boxes {found}; expected "

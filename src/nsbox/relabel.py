@@ -1,21 +1,21 @@
 """The finite group of reversible local relabellings acting on boxes.
 
 A relabelling acts on flat tables as a gather map (``index_map``); every
-orbit is walked by ``_walk`` over tables coded by ``_encode``.
+orbit is walked by ``_walk`` over rows of value ids, made from integers by
+``_codes`` alone, so Fractions are made only for the distinct values.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import permutations
 from math import factorial, prod
 
 import numpy as np
 
-from .boxes import Box, BoxShape, ShapeError, _as_int, _layout, flat
+from .boxes import Box, BoxShape, ShapeError, _as_int, _layout, _numerators, flat
 from .dd import EnumerationCapError
 
 # ``group`` lists every element; larger groups are refused before any is
@@ -228,22 +228,25 @@ def group(shape, allow_party_permutation=True):
     return list(seen)
 
 
-def _encode(tables):
-    """Code equal-length tables as the rows of one array of value ids.
+def _codes(nums):
+    """``(values, ids)`` for an integer array: its sorted distinct entries,
+    and the array as ids into them.  The ids are stored big-endian in the
+    narrowest unsigned dtype that holds them, so the bytes of two rows of
+    ids compare exactly as the rows of entries do, lexicographically."""
+    values, ids = np.unique(nums, return_inverse=True)
+    width = next(w for w in (1, 2, 4, 8) if len(values) <= 256 ** w)
+    return values, ids.reshape(nums.shape).astype(f">u{width}")
 
-    Ids follow sorted value order and are stored big-endian in the narrowest
-    unsigned dtype that holds them, so the bytes of two rows compare exactly
-    as the tables do, lexicographically.  Returns ``(values, codes)``, where
-    ``values[i]`` is the entry that id i codes.
+
+def _encode(tables):
+    """Code equal-length tables as the rows of one array of value ids, by
+    ``_codes`` over their integer numerators (``boxes._numerators``), which
+    order as the entries do.  Returns ``(values, codes)``, where
+    ``values[i]``, a Fraction, is the entry that id i codes.
     """
-    first_seen = {}   # keyed by (numerator, denominator): cheaper to hash
-    raw = [[first_seen.setdefault(v.as_integer_ratio(), len(first_seen))
-            for v in table] for table in tables]
-    ratios = sorted(first_seen, key=lambda r: Fraction(*r))
-    width = next(w for w in (1, 2, 4, 8) if len(ratios) <= 256 ** w)
-    rank = np.empty(len(ratios), dtype=f">u{width}")
-    rank[[first_seen[r] for r in ratios]] = np.arange(len(ratios))
-    return [Fraction(*r) for r in ratios], rank[np.array(raw, dtype=np.intp)]
+    nums, den = _numerators([v for table in tables for v in table])
+    values, codes = _codes(nums.reshape(len(tables), -1))
+    return [Fraction(v, den) for v in values.tolist()], codes
 
 
 def _decode(shape, values, dtype, key):
@@ -335,28 +338,28 @@ def equivalent_under_relabelling(a, b, allow_party_permutation=True):
 
     Returns the witness Relabelling, or None.  When the flag is set the two
     shapes may differ by a party permutation; otherwise they must be equal.
-    The search starts from a moved by each party permutation onto b's shape
-    (identity first) and walks breadth-first until it meets b.  a and b are
-    coded with one set of value ids, whose rows order exactly as the tables
-    do lexicographically, so a row equals b's row exactly when its table
-    equals b's.  The witness is the start composed with the generators on
-    the path to b.  Raises EnumerationCapError once the walk passes
-    ``_MAX_GROUP_ORDER`` rows without meeting b.
+    The search starts from a moved onto b's shape by one party permutation,
+    the identity when the shapes are equal, and walks breadth-first under
+    b's generators, which permute b's parties of equal output counts, until
+    it meets b.  a and b are coded with one set of value ids, so a row
+    equals b's row exactly when its table equals b's.  The witness is the
+    start composed with the generators on the path to b.  Raises
+    EnumerationCapError once the walk passes ``_MAX_GROUP_ORDER`` rows
+    without meeting b.
     """
-    n = a.shape.parties
-    if b.shape.parties != n:
+    if (sorted(a.shape.outputs) != sorted(b.shape.outputs)
+            or not allow_party_permutation and a.shape != b.shape):
         return None
-    ident = Relabelling.identity(a.shape)
-    orders = permutations(range(n)) if allow_party_permutation else [ident.party_perm]
-    starts = [Relabelling(pp, ident.input_perms, ident.output_perms) for pp in orders]
-    starts = [r0 for r0 in starts if r0.check_against(a.shape) == b.shape]
-    if not starts:
-        return None
+    # a's i-th party in stable order of output counts goes to b's i-th
+    a_order, b_order = (sorted(range(s.parties), key=s.outputs.__getitem__)
+                        for s in (a.shape, b.shape))
+    start = replace(Relabelling.identity(a.shape),
+                    party_perm=tuple(b_order[i] for i in _invert(a_order)))
     _, codes = _encode([a.table, b.table])
     gens, maps = _generator_maps(b.shape, allow_party_permutation)
-    start_rows = codes[0][np.array([r0.index_map(a.shape)[1] for r0 in starts])]
     target = codes[1].tobytes()
-    found = _walk(start_rows, maps, target, limit=_MAX_GROUP_ORDER)
+    found = _walk(codes[0][start.index_map(a.shape)[1]][None], maps, target,
+                  limit=_MAX_GROUP_ORDER)
     if target not in found:
         return None
     word = []
@@ -364,4 +367,4 @@ def equivalent_under_relabelling(a, b, allow_party_permutation=True):
     while parent is not None:
         word.append(gens[g])
         parent, g = found[parent]
-    return reduce(compose, reversed(word), starts[g])
+    return reduce(compose, reversed(word), start)

@@ -486,3 +486,27 @@ def test_unique_completion():
 def test_is_deterministic():
     assert local_deterministic().is_deterministic()
     assert not pr().is_deterministic()
+
+
+def test_shape_and_operand_guards():
+    with pytest.raises(ShapeError, match="party 1 has no inputs"):
+        BoxShape(((2, 2), ()))
+    with pytest.raises(ShapeError, match="wrong arity"):
+        pr().shape.index((0,), (0, 0))
+    with pytest.raises(ShapeError, match="same party count"):
+        product(pr(), svetlichny_box())
+
+
+def test_a_failing_report_lists_its_problems_and_validate_is_the_method():
+    bad = Box(pr().shape, (Fraction(1),) * 16)
+    report = boxes.validate(bad)
+    assert report == bad.validate() and not report.ok
+    assert str(report) == "\n".join(report.problems) and len(report.problems) > 1
+    assert str(boxes.validate(pr())) == "ok"
+
+
+def test_unique_completion_checks_bob_as_well():
+    # Alice's outcome pins Bob's (always 0), but Bob's 0 leaves Alice's open
+    box = Box.from_function(pr().shape, lambda outs, ins: HALF * (outs[1] == 0))
+    assert box.validate().ok
+    assert not has_unique_completion(box)

@@ -3,12 +3,13 @@ import contextlib
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsbox import cli
-from nsbox.boxes import BoxShape
+from nsbox.boxes import Box, BoxShape
 from nsbox.cli import _build_parser, main
 from nsbox.families import pr, svetlichny_box, two_way_vertex, uniform, xyplusz
 from nsbox.fileio import dumps_functional, load_box, loads_box, save_box
@@ -352,6 +353,33 @@ def test_classify_needs_boxes(tmp_path, capsys):
     code, _, err = run(capsys, "classify", str(tmp_path))
     assert code == 2
     assert "no .box files" in err
+
+
+def test_classify_refuses_mixed_shapes_and_an_open_orbit(tmp_path, capsys):
+    save_box(pr(), tmp_path / "a.box")
+    save_box(uniform(BoxShape.from_string("2,2/2,3")), tmp_path / "b.box")
+    code, out, err = run(capsys, "classify", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: the boxes do not share one shape\n"
+    # one product box whose orbit has 294912 members: refused within one step
+    def p(k, x, a):
+        return Fraction(x + 1 + 5 * k, 13) if a == 0 else Fraction(12 - x - 5 * k, 13)
+    one = tmp_path / "one"
+    one.mkdir()
+    save_box(Box.from_function(BoxShape.from_string("4:2/4:2"), lambda outs, ins:
+                               p(0, ins[0], outs[0]) * p(1, ins[1], outs[1])), one / "a.box")
+    code, out, err = run(capsys, "classify", str(one))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: orbit leaves the vertex list") and len(err.splitlines()) == 1
+
+
+def test_vertices_under_a_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    code, out, err = run(capsys, "vertices", "2,2/2,2", "-o", str(taken / "sub"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot make directory {taken / 'sub'}")
+    assert len(err.splitlines()) == 1 and taken.read_text() == "keep me\n"
 
 
 def test_bell_svetlichny_and_functional(tmp_path, capsys):

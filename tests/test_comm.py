@@ -399,12 +399,12 @@ def test_integer_evaluator_matches_the_reference_loop():
 
 def _recording_numerators(monkeypatch):
     dtypes = []
-    original = comm._numerators
+    original = comm._dense_numerators
 
-    def spy(box, den, dtype):
-        dtypes.append(dtype)
-        return original(box, den, dtype)
-    monkeypatch.setattr(comm, "_numerators", spy)
+    def spy(box, nums):
+        dtypes.append(nums.dtype)
+        return original(box, nums)
+    monkeypatch.setattr(comm, "_dense_numerators", spy)
     return dtypes
 
 
@@ -604,3 +604,20 @@ def test_malformed_protocols_and_wirings_raise_typed_errors(seed, kind, wiring,
         assert kind != "none"
         return
     assert got == _reference_comm_evaluate(proto, components)[0]
+
+
+def test_component_and_event_errors():
+    shape = pr().shape
+    ok_out = ({(x, 0): 0 for x in range(2)}, {(y, 0): 0 for y in range(2)})
+
+    def evaluate(components, events):
+        return evaluate_comm_protocol(CommProtocol(
+            shape, SharedRandomness.trivial(), components, events, ok_out))
+    with pytest.raises(WiringError, match="one protocol party per box party"):
+        evaluate((Component(pr(), (0,)),), ())
+    with pytest.raises(WiringError, match="component assigned to a nonexistent party"):
+        evaluate((Component(pr(), (0, 5)),), ())
+    with pytest.raises(WiringError, match="event 0 references a nonexistent box side"):
+        evaluate((Component(pr(), (0, 1)),), (BoxUse(0, 0, 2, {}),))
+    with pytest.raises(WiringError, match="event 0 is neither a box use nor a message"):
+        evaluate((), ("send",))

@@ -220,3 +220,27 @@ def test_loaders_reject_mutated_documents_with_typed_errors(loads, text,
         loads(data.draw(mutate(text)))
     except (ParseError, ShapeError):
         pass
+
+
+def test_component_references_are_checked():
+    doc = json.loads(dumps_wiring(preset("P5")))
+    inline = doc["components"][0]["box"]["inline"]
+    short = dict(inline, table=inline["table"][:-1])
+    for box, message in (({"inline": short}, "inline box table has the wrong length"),
+                         ({"url": "x.box"}, "must be inline or a file reference")):
+        bad = json.loads(json.dumps(doc))
+        bad["components"][0]["box"] = box
+        with pytest.raises(ParseError, match=message):
+            loads_wiring(json.dumps(bad))
+
+
+def test_integral_json_floats_read_as_integers():
+    w = preset("P5")
+    doc = json.loads(dumps_wiring(w))
+    doc["components"][0]["parties"] = [float(p) for p in doc["components"][0]["parties"]]
+    again = loads_wiring(json.dumps(doc))
+    assert again.components[0].parties == w.components[0].parties
+    assert all(type(p) is int for p in again.components[0].parties)
+    doc["components"][0]["parties"][0] = 0.5
+    with pytest.raises(ParseError, match="must be an integer"):
+        loads_wiring(json.dumps(doc))

@@ -747,3 +747,12 @@ def test_loop_matches_the_reference_on_full_support_two_way_boxes():
 def test_loop_matches_the_reference_on_a_full_support_two_way_model():
     box = mix(svetlichny_box(), uniform(TRIPARTITE), Fraction(31, 64))
     assert _check_against_reference(box, two_way=True)
+
+
+def test_functionals_refuse_boxes_of_other_shapes():
+    with pytest.raises(ShapeError, match="different shapes"):
+        evaluate_functional(dbox(3), chsh_functional())
+    with pytest.raises(ShapeError, match="two parties with two inputs"):
+        chsh(svetlichny_box())
+    with pytest.raises(ShapeError, match="binary outputs"):
+        chsh(dbox(3))

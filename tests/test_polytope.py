@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, repeat
 from itertools import product as iproduct
@@ -17,8 +18,8 @@ from nsbox.dd import EnumerationCapError, extreme_rays
 from nsbox.linalg import _int_array, _nullspace, clear_denominators, int_rank, reduce_content
 from nsbox.extend import build_extension_polytope
 from nsbox.polytope import (HPolytope, KBoxCensus, KBoxClass, VRep, _edge_ends, _find_row,
-                            _homogenized_cone, _merged, _orbit_rays, _presolve_zeros,
-                            _scaled, _symmetry_maps, _uses_partial_outputs, build_hrep,
+                            _homogenized_cone, _orbit_rays, _presolve_zeros,
+                            _rational_codes, _symmetry_maps, _uses_partial_outputs, build_hrep,
                             classify_vertices,
                             dimension, enumerate_vertices, is_extremal,
                             kbox_census, lift_box, normalization_rows)
@@ -305,6 +306,53 @@ def test_classify_rejects_partial_lists():
         classify_vertices(some)
 
 
+def _product_box(text):
+    """A valid bipartite product box of binary outputs whose marginals
+    differ at every input, so relabellings move it."""
+    def p(k, x, a):
+        q = Fraction(x + 1 + 5 * k, 13)
+        return q if a == 0 else 1 - q
+    return Box.from_function(BoxShape.from_string(text),
+                             lambda outs, ins: p(0, ins[0], outs[0]) * p(1, ins[1], outs[1]))
+
+
+def test_an_orbit_that_leaves_the_list_is_refused_within_its_length():
+    # the box's orbit has 294912 rows; the walk stops once it passes the
+    # list's one row, before it holds the orbit
+    vrep = VRep((_product_box("4:2/4:2").require_valid(),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match="orbit leaves the vertex list"):
+            classify_vertices(vrep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # an orbit shorter than the list but not inside it
+    vertices = enumerate_vertices(build_hrep(CHSH_SHAPE)).vertices
+    with pytest.raises(ShapeError, match="orbit leaves the vertex list"):
+        classify_vertices(VRep(vertices[1:]))
+
+
+def test_classify_refuses_duplicates_and_takes_an_empty_list():
+    with pytest.raises(ShapeError, match="duplicate vertices"):
+        classify_vertices(VRep((pr(), pr())))
+    assert classify_vertices(VRep(())) == ()
+
+
+def test_a_polytope_needs_an_equality():
+    with pytest.raises(ShapeError, match="at least one equality"):
+        enumerate_vertices(HPolytope(2, ()))
+
+
+def test_is_extremal_refuses_a_box_outside_the_polytope():
+    with pytest.raises(ShapeError, match="ambient space"):
+        is_extremal(pr(), build_hrep(BoxShape.from_string("3,3/3,3")))
+    pin = tuple(Fraction(int(i == 0)) for i in range(CHSH_SHAPE.table_size))
+    with pytest.raises(InvalidBoxError, match="not a member"):
+        is_extremal(pr(), _with_rows(build_hrep(CHSH_SHAPE), [(pin, Fraction(0))]))
+
+
 def _reference_vertices(h):
     """The reconstruction that the integer one replaced: one Fraction per
     entry, then a sort of the Fraction tables."""
@@ -469,29 +517,31 @@ def _points(rows):
     return [[Fraction(x, row[0]) for x in row[1:]] for row in rows]
 
 
-def test_merged_ids_widen_past_one_byte():
-    orbits = [relabel._encode(_points([[7, 1, 0, 6]])),
-              relabel._encode(_points([[301, v, 0, 301 - v] for v in range(1, 300)]))]
-    assert orbits[0][1].dtype.itemsize == 1 and orbits[1][1].dtype.itemsize == 2
-    values, rows, orbit_of = _merged(orbits)
+def _decoded(values, ids):
+    return [[values[i] for i in row] for row in ids.tolist()]
+
+
+def test_rational_codes_widen_past_one_byte():
+    z = np.array([[7, 1, 0, 6]] + [[301, v, 0, 301 - v] for v in range(1, 300)])
+    values, ids = _rational_codes(z[:, 1:], z[:, :1])
     assert values == sorted({Fraction(0), Fraction(1, 7), Fraction(6, 7)}
                             | {Fraction(v, 301) for v in range(1, 301)})
-    assert rows.dtype == np.uint16
-    assert [values[i] for i in rows[0]] == [Fraction(1, 7), 0, Fraction(6, 7)]
-    assert ([[values[i] for i in row] for row in rows[1:].tolist()]
-            == _points([[301, v, 0, 301 - v] for v in range(1, 300)]))
-    assert orbit_of.tolist() == [0] + [1] * 299
+    assert ids.dtype == np.dtype(">u2")
+    assert _decoded(values, ids) == _points(z.tolist())
 
 
-def test_merge_keeps_the_orbit_numbers():
-    tables = ([[5, 1, 0, 4], [5, 4, 0, 1]], [[7, 1, 0, 6]], [[3, 1, 0, 2]],
-              [[301, v, 0, 301 - v] for v in range(1, 300)])
-    values, rows, orbit_of = _merged([relabel._encode(_points(t)) for t in tables])
-    assert rows.dtype == np.uint16
-    assert [[values[i] for i in row] for row in rows[:4].tolist()] == [
-        [Fraction(1, 5), 0, Fraction(4, 5)], [Fraction(4, 5), 0, Fraction(1, 5)],
-        [Fraction(1, 7), 0, Fraction(6, 7)], [Fraction(1, 3), 0, Fraction(2, 3)]]
-    assert orbit_of.tolist() == [0, 0, 1, 2] + [3] * 299
+def test_rational_codes_of_orbit_values_over_each_orbits_t():
+    # the orbit-wise path: each orbit's distinct slack entries, t included,
+    # over that orbit's t, so t / t = 1 is a value even where no vertex has it
+    orbits = [([0, 1, 4, 5], 5), ([0, 1, 6, 7], 7), ([0, 1, 2, 3], 3),
+              ([0, *range(1, 302)], 301)]
+    nums = np.concatenate([np.array(vals) for vals, _ in orbits])
+    t = np.repeat(np.array([t for _, t in orbits], dtype=object), [len(v) for v, _ in orbits])
+    values, ids = _rational_codes(nums, t)
+    assert values == sorted({Fraction(v, t) for vals, t in orbits for v in vals})
+    assert ids.dtype == np.dtype(">u2")
+    assert [values[i] for i in ids.tolist()] == [Fraction(v, t) for vals, t in orbits
+                                                 for v in vals]
 
 
 def test_each_orbit_is_coded_once(monkeypatch):
@@ -616,16 +666,23 @@ def test_edge_ends_match_the_fraction_ratio_test(bits, dtype):
 @pytest.mark.parametrize("bits, ts, dtype", [
     (10, (1, 2, 3, 4, 6, 12), np.int64),
     (40, (2039, 2053, 3001, 3217, 4091, 4093), object)])
-def test_scaled_matches_the_fraction_rescale(bits, ts, dtype):
+def test_rational_codes_match_the_fraction_rescale(monkeypatch, bits, ts, dtype):
     # entries near 2**40 and a common denominator near 2**69 put
-    # max|z|·max(scale) past 2**63, onto Python ints
+    # max|z|·max(lcm/t) past 2**63, onto Python ints
     rng = random.Random(bits)
     z = np.array([[t] + [rng.randint(0, 2 ** bits) for _ in range(5)] for t in ts],
                  dtype=np.int64)
-    den, scaled = _scaled(z)
-    assert den == lcm(*ts) and scaled.dtype == dtype
-    assert scaled.tolist() == [[Fraction(x, row[0]) * den for x in row[1:]]
+    coded = []
+    codes = relabel._codes
+    monkeypatch.setattr(relabel, "_codes", lambda nums: coded.append(nums) or codes(nums))
+    values, ids = _rational_codes(z[:, 1:], z[:, :1])
+    [scaled] = coded
+    assert scaled.dtype == dtype
+    assert scaled.tolist() == [[Fraction(x, row[0]) * lcm(*ts) for x in row[1:]]
                                for row in z.tolist()]
+    points = [[Fraction(x, row[0]) for x in row[1:]] for row in z.tolist()]
+    assert values == sorted({v for row in points for v in row})
+    assert _decoded(values, ids) == points
 
 
 def _loop_presolve_zeros(eq_int):
@@ -716,6 +773,11 @@ def test_census_refuses_a_k_box_that_is_not_a_vertex(monkeypatch):
         monkeypatch.setattr(polytope, "lift_box", lambda b, s, box=box: box)
         with pytest.raises(ShapeError, match=f"lifted 2-box .*{match}"):
             kbox_census((3, 3), (3, 3))
+    # every lifted k-box a deterministic vertex: the non-local classes match none
+    det = lift_box(local_deterministic(), shape)
+    monkeypatch.setattr(polytope, "lift_box", lambda b, s: det)
+    with pytest.raises(ShapeError, match=r"matched k-boxes \[\]"):
+        kbox_census((3, 3), (3, 3))
 
 
 def test_find_row_matches_a_scan():
@@ -790,8 +852,8 @@ def test_chsh_census():
     assert census.ks == (2,)
     assert census.all_nonlocal_matched
     by_size = {c.size: c for c in census.classes}
-    assert by_size[16].k is None
-    assert by_size[8].k == 2
+    assert by_size[16].k is None and not by_size[16].nonlocal_
+    assert by_size[8].k == 2 and by_size[8].nonlocal_
     assert not by_size[8].lifted
     assert by_size[8].representative.table == min(
         b.table for b in orbit(pr()))

@@ -175,13 +175,40 @@ def test_canonical_form_separates_orbits():
 
 
 def test_equivalence_checks():
-    assert equivalent_under_relabelling(pr(), pr(1, 0, 1))
+    assert apply_relabelling(pr(), equivalent_under_relabelling(pr(), pr(1, 0, 1))) == pr(1, 0, 1)
     assert not equivalent_under_relabelling(pr(), uniform(SHAPE_2222))
     deterministic_pairs = [(local_deterministic(a, b, c, d),
                             local_deterministic())
                            for a, b, c, d in ((0, 1, 0, 0), (1, 0, 1, 1))]
     for box, base in deterministic_pairs:
-        assert equivalent_under_relabelling(box, base)
+        assert apply_relabelling(box, equivalent_under_relabelling(box, base)) == base
+
+
+def test_equivalence_walks_from_one_start(monkeypatch):
+    # eight parties of one binary input: the group has 8! * 2**8 elements,
+    # but the walk starts from one row, matched to b's parties
+    shape = BoxShape.from_string("/".join(["2"] * 8))
+    starts = []
+    walk = relabel._walk
+    monkeypatch.setattr(relabel, "_walk",
+                        lambda rows, *args, **kw: starts.append(len(rows)) or walk(rows, *args, **kw))
+    box = uniform(shape)
+    assert equivalent_under_relabelling(box, box) == Relabelling.identity(shape)
+    rng = random.Random(8)
+    a = _random_box(shape, rng, [Fraction(0), Fraction(1, 3), Fraction(1, 2)])
+    ident = Relabelling.identity(shape)
+    moved = Relabelling((1, 0, *range(2, 8)), ident.input_perms,
+                        (((1, 0),), *ident.output_perms[1:]))
+    b = apply_relabelling(a, moved)
+    assert apply_relabelling(a, equivalent_under_relabelling(a, b)) == b
+    assert starts == [1, 1]
+
+
+def test_equivalence_needs_matching_output_counts():
+    a = Box(SHAPE_2332, tuple(Fraction(1, 25) for _ in range(SHAPE_2332.table_size)))
+    other = BoxShape.from_string("2,3/2,3")
+    assert equivalent_under_relabelling(a, Box(other, a.table)) is None
+    assert equivalent_under_relabelling(pr(), Box(BoxShape.from_string("2,2/2,2/1"), pr().table)) is None
 
 
 def test_malformed_relabelling_is_rejected():
@@ -189,6 +216,19 @@ def test_malformed_relabelling_is_rejected():
     bad = Relabelling((0, 0), ident.input_perms, ident.output_perms)
     with pytest.raises(ShapeError):
         apply_relabelling(pr(), bad)
+
+
+def test_relabellings_of_the_wrong_size_are_refused():
+    ident = Relabelling.identity(SHAPE_2222)
+    short = Relabelling(ident.party_perm, ident.input_perms[:1], ident.output_perms)
+    with pytest.raises(ShapeError, match="arity"):
+        short.check_against(SHAPE_2222)
+    few = Relabelling(ident.party_perm, ident.input_perms,
+                      (ident.output_perms[0][:1], ident.output_perms[1]))
+    with pytest.raises(ShapeError, match="one output permutation per input"):
+        few.check_against(SHAPE_2222)
+    with pytest.raises(ShapeError, match="different party counts"):
+        compose(ident, Relabelling.identity(BoxShape.from_string("2,2/2,2/2")))
 
 
 @pytest.mark.parametrize("where", ["party", "input", "output"])

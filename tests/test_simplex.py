@@ -511,3 +511,11 @@ def test_resumed_rounds_match_cold_solves(monkeypatch, name):
     for rows, rhs, res in rounds:
         assert res.status == find_nonneg_solution(rows, rhs).status
         _check_phase1_answer(res, rows.tolist(), rhs)
+
+
+def test_integer_rows_of_inconsistent_dimensions_are_refused():
+    rows = np.array([[1, 2, 3]], dtype=np.int64)
+    with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+        simplex.maximize(rows, [1], [1, 1])
+    with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+        simplex.maximize(rows, [1, 2], [1, 1, 1])

@@ -16,20 +16,44 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _defined_names(stmt):
+    """The names a module-level statement defines: a function or class, or
+    the plain names an assignment binds, dunders left out."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and not node.id.startswith("__")]
+
+
 def test_every_module_level_definition_is_used_or_exported():
-    """A module-level function or class that no other statement of the
-    package references and ``nsbox.__all__`` does not list is dead code."""
+    """A module-level function, class or assigned name that no other
+    statement of the package references and ``nsbox.__all__`` does not
+    list is dead code."""
     stmts = [(path.name, stmt) for path in sorted(SRC.glob("*.py"))
              for stmt in ast.parse(path.read_text()).body]
     uses = [{node.id if isinstance(node, ast.Name) else node.attr
              for node in ast.walk(stmt)
              if isinstance(node, (ast.Name, ast.Attribute))}
             for _, stmt in stmts]
-    dead = [f"{module}:{stmt.name}" for i, (module, stmt) in enumerate(stmts)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and stmt.name not in nsbox.__all__
-            and not any(stmt.name in u for j, u in enumerate(uses) if j != i)]
+    dead = [f"{module}:{name}" for i, (module, stmt) in enumerate(stmts)
+            for name in _defined_names(stmt)
+            if name not in nsbox.__all__
+            and not any(name in u for j, u in enumerate(uses) if j != i)]
     assert dead == []
+
+
+def test_only_the_value_coder_asks_unique_for_an_inverse():
+    """Integer values are coded as ids in one place, ``relabel._codes``:
+    no other function calls ``np.unique(..., return_inverse=True)``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            found += [f"{path.name}:{getattr(stmt, 'name', node.lineno)}"
+                      for node in ast.walk(stmt)
+                      if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "unique"
+                      and any(k.arg == "return_inverse" for k in node.keywords)]
+    assert found == ["relabel.py:_codes"]
 
 
 def test_only_boxes_reads_the_layout_blocks():
